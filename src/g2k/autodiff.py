@@ -315,42 +315,6 @@ def tanh(a: DiffValue) -> DiffValue:
     return out
 
 
-def exp(a: DiffValue) -> DiffValue:
-    """Plain exp. May overflow to +inf; stability guards belong to the caller."""
-    with np.errstate(over="ignore"):
-        y = np.exp(a.data)
-    out = DiffValue(y, parents=(a,))
-
-    def _bw(g):
-        if a.requires_grad:
-            a.grad += g * y
-
-    out._backward = _bw
-    return out
-
-
-ELEMENTWISE_KINDS = ("add", "sub", "mul", "sigmoid", "tanh", "exp", "scale")
-
-
-def elementwise(op_kind: str, a: DiffValue, b=None) -> DiffValue:
-    """Dispatch by name; binary kinds require equal shapes, scale takes a float."""
-    if op_kind == "add":
-        return add(a, b)
-    if op_kind == "sub":
-        return sub(a, b)
-    if op_kind == "mul":
-        return mul(a, b)
-    if op_kind == "sigmoid":
-        return sigmoid(a)
-    if op_kind == "tanh":
-        return tanh(a)
-    if op_kind == "exp":
-        return exp(a)
-    if op_kind == "scale":
-        return scale(a, b)
-    raise ContractError(f"unknown elementwise kind {op_kind!r}")
-
-
 def stable_softmax(x: DiffValue) -> DiffValue:
     """Row-wise softmax with max subtraction. Rows sum to 1 within 1e-12."""
     if np.isnan(x.data).any():

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -19,55 +18,61 @@ from . import data as da
 from . import evaluation as ev
 from . import training as tr
 from .config import (VARIANTS, ConfigError, ModelConfig, TrainConfig,
-                     config_hash)
+                     parse_fields, read_key_values, read_text)
 from .model import TrajectoryModel, VariantError
 
+# flag -> field; argparse converts each value with parse_fields
 _MODEL_FLAGS = [
-    ("--hidden", "hidden_size", int),
-    ("--blocks", "num_blocks", int),
-    ("--block-skip", "block_skip", int),
-    ("--cell-units", "cell_units", int),
-    ("--embed-pos", "embed_pos", int),
-    ("--embed-vis", "embed_vis", int),
-    ("--feature-dim", "feature_dim", int),
-    ("--zones", "zones", int),
-    ("--grid-size", "grid_size", int),
-    ("--cell-channels", "cell_channels", int),
-    ("--static-input", "static_input_dim", int),
-    ("--static-hidden", "static_hidden", int),
-    ("--lambda", "lambda_reg", float),
-    ("--neighborhood", "neighborhood_size", int),
-    ("--obs-len", "obs_len", int),
-    ("--pred-len", "pred_len", int),
-    ("--tau", "tau", float),
-    ("--init-scale", "init_scale", float),
+    ("--hidden", "hidden_size"),
+    ("--blocks", "num_blocks"),
+    ("--block-skip", "block_skip"),
+    ("--cell-units", "cell_units"),
+    ("--embed-pos", "embed_pos"),
+    ("--embed-vis", "embed_vis"),
+    ("--feature-dim", "feature_dim"),
+    ("--zones", "zones"),
+    ("--grid-size", "grid_size"),
+    ("--cell-channels", "cell_channels"),
+    ("--static-input", "static_input_dim"),
+    ("--static-hidden", "static_hidden"),
+    ("--lambda", "lambda_reg"),
+    ("--neighborhood", "neighborhood_size"),
+    ("--obs-len", "obs_len"),
+    ("--pred-len", "pred_len"),
+    ("--tau", "tau"),
+    ("--init-scale", "init_scale"),
 ]
 
 _TRAIN_FLAGS = [
-    ("--epochs", "epochs", int),
-    ("--batch-size", "batch_size", int),
-    ("--lr", "lr", float),
-    ("--optimizer", "optimizer", str),
-    ("--seed", "seed", int),
-    ("--clip-norm", "clip_norm", float),
+    ("--epochs", "epochs"),
+    ("--batch-size", "batch_size"),
+    ("--lr", "lr"),
+    ("--optimizer", "optimizer"),
+    ("--seed", "seed"),
+    ("--clip-norm", "clip_norm"),
 ]
 
-_MODEL_FIELD_NAMES = {f.name for f in fields(ModelConfig)}
-_TRAIN_FIELD_NAMES = {f.name for f in fields(TrainConfig)}
+
+def _add_field_flags(sub: argparse.ArgumentParser, flags, cls) -> None:
+    for flag, dest in flags:
+        def convert(raw: str, dest=dest):
+            try:
+                return parse_fields(cls, [(dest, raw)])[dest]
+            except ConfigError as e:
+                raise argparse.ArgumentTypeError(str(e)) from None
+        sub.add_argument(flag, dest=dest, type=convert, default=None)
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, with_variant: bool) -> None:
     if with_variant:
         sub.add_argument("--variant", required=True, choices=VARIANTS)
     sub.add_argument("--config", help="key=value file of hyperparameters")
-    for flag, dest, typ in _MODEL_FLAGS:
-        sub.add_argument(flag, dest=dest, type=typ, default=None)
+    _add_field_flags(sub, _MODEL_FLAGS, ModelConfig)
     sub.add_argument("--no-attention", action="store_true",
                      help="replace learned attention by uniform weights")
     sub.add_argument("--no-static", action="store_true",
                      help="disable the static scene grid")
-    for flag, dest, typ in _TRAIN_FLAGS:
-        sub.add_argument(flag, dest=dest, type=typ, default=None)
+    _add_field_flags(sub, _TRAIN_FLAGS, TrainConfig)
 
 
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
@@ -93,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="constant-velocity reference, no checkpoint")
     _add_data_flags(p_eval)
     p_eval.add_argument("--out", help="write the report CSV here")
-    for flag, dest, typ in _MODEL_FLAGS:
-        p_eval.add_argument(flag, dest=dest, type=typ, default=None)
+    _add_field_flags(p_eval, _MODEL_FLAGS, ModelConfig)
 
     p_viz = subs.add_parser("viz", help="export adjacency, attention, heatmap")
     p_viz.add_argument("--ckpt", required=True)
@@ -118,51 +122,19 @@ def build_parser() -> argparse.ArgumentParser:
 # config resolution
 
 
-def _convert(name: str, raw: str, cls) -> object:
-    for f in fields(cls):
-        if f.name != name:
-            continue
-        if f.type in ("bool", bool):
-            if raw not in ("true", "false"):
-                raise ConfigError(f"{name}: expected true/false, got {raw!r}")
-            return raw == "true"
-        if f.type in ("int", int):
-            return int(raw)
-        if f.type in ("float", float):
-            return float(raw)
-        return raw
-    raise ConfigError(f"unknown config key {name!r}")
-
-
-def apply_config_file(path: str, mc: ModelConfig, tc: TrainConfig) -> None:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            try:
-                if key in _MODEL_FIELD_NAMES:
-                    setattr(mc, key, _convert(key, val, ModelConfig))
-                elif key in _TRAIN_FIELD_NAMES:
-                    setattr(tc, key, _convert(key, val, TrainConfig))
-                else:
-                    raise ConfigError(f"unknown config key {key!r}")
-            except (ValueError, ConfigError) as e:
-                raise ConfigError(f"{path}:{lineno}: {e}") from None
-
-
 def resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
     """defaults <- config file <- flags <- G2K_SEED, then validation."""
-    mc = ModelConfig()
-    tc = TrainConfig()
+    model_kw, train_kw = {}, {}
     if getattr(args, "config", None):
-        apply_config_file(args.config, mc, tc)
+        text = read_text(args.config)
+        try:
+            model_kw, train_kw = read_key_values(text, ModelConfig, TrainConfig)
+        except ConfigError as e:
+            raise ConfigError(f"{args.config}: {e}") from None
+    mc, tc = ModelConfig(**model_kw), TrainConfig(**train_kw)
     if getattr(args, "variant", None):
         mc.variant = args.variant
-    for _, dest, _ in _MODEL_FLAGS:
+    for _, dest in _MODEL_FLAGS:
         v = getattr(args, dest, None)
         if v is not None:
             setattr(mc, dest, v)
@@ -170,16 +142,16 @@ def resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
         mc.attention_enabled = False
     if getattr(args, "no_static", False):
         mc.static_grid_enabled = False
-    for _, dest, _ in _TRAIN_FLAGS:
+    for _, dest in _TRAIN_FLAGS:
         v = getattr(args, dest, None)
         if v is not None:
             setattr(tc, dest, v)
     env_seed = os.environ.get("G2K_SEED")
     if env_seed is not None:
         try:
-            tc.seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"G2K_SEED must be an integer, got {env_seed!r}")
+            tc.seed = parse_fields(TrainConfig, [("seed", env_seed)])["seed"]
+        except ConfigError as e:
+            raise ConfigError(f"G2K_SEED: {e}") from None
     mc.validate()
     mc.check_divisibility()
     tc.validate()
@@ -241,7 +213,7 @@ def cmd_train(args) -> int:
 
 def _flag_mismatches(args, cfg: ModelConfig) -> list[str]:
     out = []
-    for _, dest, _ in _MODEL_FLAGS:
+    for _, dest in _MODEL_FLAGS:
         v = getattr(args, dest, None)
         if v is not None and getattr(cfg, dest) != v:
             out.append(f"{dest}: checkpoint has {getattr(cfg, dest)}, flag says {v}")

@@ -1,15 +1,18 @@
 """Configuration dataclasses shared by the model, trainer and CLI.
 
-Values are plain floats/ints/strings so a config can round-trip through the
-key=value file format and be hashed stably. Validation happens in validate()
-rather than __post_init__ so partially-built configs (e.g. during CLI merge)
-do not explode early.
+Values are plain floats/ints/bools/strings so a config can round-trip through
+the key=value text formats and be hashed stably. parse_fields is the one place
+a raw string becomes a typed field value; config files, scenario files,
+checkpoints, CLI flags and G2K_SEED all go through it. Validation happens in
+validate() rather than __post_init__ so partially-built configs (e.g. during
+CLI merge) do not explode early.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 VARIANTS = ("g_lstm", "mc", "mcr_n", "mcr_mp", "mcr_mpc")
 
@@ -136,6 +139,78 @@ def config_items(cfg) -> list[tuple[str, str]]:
     return out
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError
+    return raw == "true"
+
+
+def _parse_float(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError
+    return v
+
+
+_PARSERS = {"bool": _parse_bool, "int": int, "float": _parse_float, "str": str}
+
+
+def parse_fields(cls, pairs) -> dict[str, object]:
+    """Typed values for (key, raw) string pairs naming fields of dataclass cls.
+
+    The type comes from the field's annotation, a string such as "int" under
+    postponed evaluation. Bools are exactly true/false and floats must be
+    finite; an unknown key or a malformed value raises ConfigError naming the
+    key. Inverse of config_items.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    out = {}
+    for key, raw in pairs:
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r}")
+        try:
+            out[key] = _PARSERS[types[key]](raw)
+        except ValueError:
+            raise ConfigError(
+                f"bad value for {key}: expected {types[key]}, got {raw!r}"
+            ) from None
+    return out
+
+
+def read_key_values(text: str, *classes) -> list[dict[str, object]]:
+    """Parse `key = value` lines into one field dict per dataclass in classes.
+
+    '#' starts a comment that runs to the end of the line and blank lines are
+    skipped. Each key goes to the first class that has a field of that name;
+    a later line for the same key wins. Errors are ConfigErrors that carry
+    the 1-based line number.
+    """
+    out: list[dict[str, object]] = [{} for _ in classes]
+    names = [{f.name for f in fields(c)} for c in classes]
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, raw = (s.strip() for s in line.partition("="))
+        if not eq:
+            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+        j = next((j for j, n in enumerate(names) if key in n), 0)
+        try:
+            out[j].update(parse_fields(classes[j], [(key, raw)]))
+        except ConfigError as e:
+            raise ConfigError(f"line {lineno}: {e}") from None
+    return out
+
+
+def read_text(path: str, error: type[Exception] = ConfigError) -> str:
+    """A UTF-8 file's text; undecodable bytes raise error, not a traceback."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
 def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig | None = None) -> str:
     """sha256 over the sorted key=value lines of the config(s)."""
     lines = [f"model.{k}={v}" for k, v in config_items(model_cfg)]
@@ -165,12 +240,3 @@ def desk_config(variant: str = "mcr_mp") -> ModelConfig:
         obs_len=3,
         pred_len=2,
     )
-
-
-def with_overrides(cfg, **kw):
-    """replace() that rejects unknown keys with a ConfigError."""
-    names = {f.name for f in fields(cfg)}
-    bad = set(kw) - names
-    if bad:
-        raise ConfigError(f"unknown config fields: {sorted(bad)}")
-    return replace(cfg, **kw)

@@ -1,4 +1,4 @@
-"""Trajectory ingestion, windowing, per-step graphs and synthetic crowds.
+"""Trajectory ingestion, windowing and synthetic crowds.
 
 Canonical on-disk format: whitespace-separated columns
 frame_id ped_id x y [pan], '#' starting a comment line, UTF-8. Coordinates
@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .config import ConfigError, read_key_values, read_text
 
 DT_SECONDS = 0.4  # sampling period the window lengths are quoted in
 
@@ -84,23 +86,6 @@ class SceneBatch:
 
 
 @dataclass
-class TemporalGraph:
-    """Node-per-pedestrian snapshot at one observed step.
-
-    temporal_edges link each node's previous-step state to its current one,
-    so they are (i, i) index pairs, empty at t=0. adjacency stays None here;
-    relational inference fills it in downstream.
-    """
-
-    t: int
-    ped_ids: list[int]
-    positions: np.ndarray
-    vislets: np.ndarray | None
-    temporal_edges: list[tuple[int, int]]
-    adjacency: np.ndarray | None = None
-
-
-@dataclass
 class SyntheticScenario:
     """Pure description of a synthetic crowd; same fields → same output."""
 
@@ -147,33 +132,32 @@ def load_dataset(path: str, fmt: str = "canonical_tsv") -> list[TrackPoint]:
         raise ParseError(f"unknown format {fmt!r}")
     points: list[TrackPoint] = []
     seen: set[tuple[int, int]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            cols = line.split()
-            if len(cols) not in (4, 5):
-                raise ParseError(f"{path}:{lineno}: expected 4 or 5 columns, got {len(cols)}")
-            try:
-                frame = int(cols[0])
-                ped = int(cols[1])
-                x = float(cols[2])
-                y = float(cols[3])
-                pan = float(cols[4]) if len(cols) == 5 else None
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError(f"{path}:{lineno}: non-finite coordinates")
-            if pan is not None and not (-math.pi < pan <= math.pi + 1e-12):
-                raise ParseError(f"{path}:{lineno}: pan {pan} outside (-pi, pi]")
-            key = (frame, ped)
-            if key in seen:
-                raise IntegrityError(
-                    f"{path}:{lineno}: duplicate (frame {frame}, ped {ped})"
-                )
-            seen.add(key)
-            points.append(TrackPoint(frame, ped, x, y, pan))
+    for lineno, raw in enumerate(read_text(path, ParseError).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        cols = line.split()
+        if len(cols) not in (4, 5):
+            raise ParseError(f"{path}:{lineno}: expected 4 or 5 columns, got {len(cols)}")
+        try:
+            frame = int(cols[0])
+            ped = int(cols[1])
+            x = float(cols[2])
+            y = float(cols[3])
+            pan = float(cols[4]) if len(cols) == 5 else None
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"{path}:{lineno}: non-finite coordinates")
+        if pan is not None and not (-math.pi < pan <= math.pi + 1e-12):
+            raise ParseError(f"{path}:{lineno}: pan {pan} outside (-pi, pi]")
+        key = (frame, ped)
+        if key in seen:
+            raise IntegrityError(
+                f"{path}:{lineno}: duplicate (frame {frame}, ped {ped})"
+            )
+        seen.add(key)
+        points.append(TrackPoint(frame, ped, x, y, pan))
     points.sort(key=lambda p: (p.ped_id, p.frame_id))
     return points
 
@@ -281,24 +265,6 @@ def obs_vislets(batch: SceneBatch) -> np.ndarray | None:
     return np.stack([w.vislets for w in batch.windows], axis=1)
 
 
-def build_temporal_graph(batch: SceneBatch, t: int) -> TemporalGraph:
-    if not (0 <= t < batch.obs_len):
-        raise IntegrityError(f"t={t} outside observed range [0, {batch.obs_len})")
-    pos = np.array([[w.obs[t].x, w.obs[t].y] for w in batch.windows])
-    vis = None
-    if all(w.vislets is not None for w in batch.windows):
-        vis = np.array([w.vislets[t] for w in batch.windows])
-    edges = [] if t == 0 else [(i, i) for i in range(batch.n_peds)]
-    return TemporalGraph(
-        t=t,
-        ped_ids=[w.ped_id for w in batch.windows],
-        positions=pos,
-        vislets=vis,
-        temporal_edges=edges,
-        adjacency=None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # synthetic crowds
 
@@ -384,41 +350,23 @@ def synthesize(scenario: SyntheticScenario) -> list[SceneBatch]:
 # scenario spec files (key=value)
 
 
-_SCENARIO_KEYS = {
-    "kind": str,
-    "n_peds": int,
-    "speed_min": float,
-    "speed_max": float,
-    "noise_sigma": float,
-    "seed": int,
-    "obs_len": int,
-    "pred_len": int,
-}
-
-
 def parse_scenario(text: str) -> SyntheticScenario:
-    kw = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"line {lineno}: expected key=value, got {line!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _SCENARIO_KEYS:
-            raise ScenarioError(f"line {lineno}: unknown key {key!r}")
-        try:
-            kw[key] = _SCENARIO_KEYS[key](val)
-        except ValueError:
-            raise ScenarioError(f"line {lineno}: bad value for {key}: {val!r}") from None
+    """Scenario from `key = value` lines, the grammar of --config files."""
+    try:
+        (kw,) = read_key_values(text, SyntheticScenario)
+    except ConfigError as e:
+        raise ScenarioError(str(e)) from None
     sc = SyntheticScenario(**kw)
     sc.validate()
     return sc
 
 
 def load_scenario(path: str) -> SyntheticScenario:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    text = read_text(path, ScenarioError)
+    try:
+        return parse_scenario(text)
+    except ScenarioError as e:
+        raise ScenarioError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -201,18 +201,3 @@ def step(
     c_new = c_slices[0] if cfg.num_blocks == 1 else ad.concat_cols(c_slices)
     return h_new, GridState(h=h_new, c=c_new)
 
-
-def encode_sequence(
-    cfg: GridLSTMConfig,
-    inputs: list[DiffValue],
-    state: GridState,
-    params: GridLSTMParams,
-) -> tuple[list[DiffValue], GridState]:
-    """Sequential fold of step over T inputs; features[t] is step t's output."""
-    if not inputs:
-        raise GridConfigError("encode_sequence needs at least one input")
-    features = []
-    for x_t in inputs:
-        f_t, state = step(cfg, x_t, state, params)
-        features.append(f_t)
-    return features, state

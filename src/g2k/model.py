@@ -203,10 +203,6 @@ class TrajectoryModel:
             return ad.constant(np.full((n, w), 1.0 / w if w else 0.0))
         return ad.stable_softmax(scores)
 
-    def node_softmax(self, h: DiffValue) -> DiffValue:
-        """Squash node states into [0, 1] rowwise."""
-        return ad.stable_softmax(h)
-
     def message_pass(self, h: DiffValue, static_imp: DiffValue, tau: float) -> DiffValue:
         """Importance-weight node states, softmax, zero sub-threshold links."""
         if self.cfg.variant not in STATIC:
@@ -233,9 +229,6 @@ class TrajectoryModel:
             if a.data[i, j] >= tau and (self.cfg.self_loops or i != j)
         ]
         return a, nu
-
-    def update_states(self, a: DiffValue, h_in: DiffValue) -> DiffValue:
-        return ad.matmul(a, h_in)
 
     # -- full unroll ---------------------------------------------------------
 
@@ -335,10 +328,10 @@ class TrajectoryModel:
                 static_imp = ad.matmul(ad.matmul(a_ped, f_o_dd), self.w_mp)
                 h_in = self.message_pass(h_pre, static_imp, self._resolve_mp_tau())
             else:
-                h_in = self.node_softmax(h_pre)
+                h_in = ad.stable_softmax(h_pre)  # node softmax
 
             a_mat, nu = self.adjacency(h_in, n)
-            h_star = self.update_states(a_mat, h_in)
+            h_star = ad.matmul(a_mat, h_in)  # state mixing H* = A @ H
             state = gl.GridState(h=h_star, c=state.c)
 
             diag.adjacency.append(a_mat.data.copy())

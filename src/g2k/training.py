@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import data as da
 from .autodiff import DiffValue
 from .config import (ConfigError, ModelConfig, TrainConfig, config_hash,
-                     config_items, desk_config)
+                     config_items, desk_config, parse_fields, read_text)
 from .model import KernelRun, TrajectoryModel
 
 CKPT_MAGIC = "g2k-ckpt-v1"
@@ -308,23 +308,6 @@ def train(
 # checkpoints
 
 
-def _parse_typed(cls, kv: dict[str, str]):
-    out = {}
-    for f in fields(cls):
-        if f.name not in kv:
-            raise CheckpointError(f"checkpoint misses config field {f.name}")
-        raw = kv[f.name]
-        if f.type in ("bool", bool):
-            out[f.name] = raw == "true"
-        elif f.type in ("int", int):
-            out[f.name] = int(raw)
-        elif f.type in ("float", float):
-            out[f.name] = float(raw)
-        else:
-            out[f.name] = raw
-    return cls(**out)
-
-
 def save_checkpoint(
     path: str,
     model: TrajectoryModel,
@@ -361,19 +344,26 @@ class Checkpoint:
     cfg_hash: str
 
     def restore(self, seed: int | None = None) -> TrajectoryModel:
-        model = TrajectoryModel(
-            self.model_cfg, seed=self.train_cfg.seed if seed is None else seed
-        )
-        model.params.load_state(self.state)
+        try:
+            model = TrajectoryModel(
+                self.model_cfg, seed=self.train_cfg.seed if seed is None else seed
+            )
+            model.params.load_state(self.state)
+        except ValueError as e:  # config unbuildable, or state does not fit it
+            raise CheckpointError(str(e)) from None
         return model
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Inverse of save_checkpoint. Anything malformed, inconsistent or not
+    UTF-8 raises CheckpointError, with the 1-based line number where known."""
+    lines = read_text(path, CheckpointError).splitlines()
     if not lines or lines[0] != CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a {CKPT_MAGIC} file")
     i = 1
+
+    def fail(msg: str) -> CheckpointError:
+        return CheckpointError(f"{path}:{i}: {msg}")
 
     def take() -> str:
         nonlocal i
@@ -382,43 +372,64 @@ def load_checkpoint(path: str) -> Checkpoint:
         i += 1
         return lines[i - 1]
 
-    stored_hash = take().split()[1]
-    epoch = int(take().split()[1])
-    model_kv: dict[str, str] = {}
-    train_kv: dict[str, str] = {}
-    while True:
+    def count(raw: str) -> int:
+        if not raw.isdecimal():
+            raise fail(f"bad count {raw!r} in {lines[i - 1]!r}")
+        return int(raw)
+
+    def take_value(tag: str) -> str:
+        key, _, value = take().partition(" ")
+        if key != tag or not value:
+            raise fail(f"expected '{tag} <value>', got {lines[i - 1]!r}")
+        return value
+
+    def hex_floats(width: int) -> list[float]:
         line = take()
-        if line.startswith("model."):
-            k, v = line.split(" ", 1)
-            model_kv[k[len("model.") :]] = v
-        elif line.startswith("train."):
-            k, v = line.split(" ", 1)
-            train_kv[k[len("train.") :]] = v
-        elif line.startswith("history"):
-            n_hist = int(line.split()[1])
+        try:
+            row = [float.fromhex(v) for v in line.split()]
+        except ValueError:
+            raise fail(f"not float.hex() values: {line!r}") from None
+        if len(row) != width:
+            raise fail(f"expected {width} values, got {len(row)}")
+        return row
+
+    stored_hash = take_value("hash")
+    epoch = count(take_value("epoch"))
+    pairs: dict[str, list[tuple[str, str]]] = {"model": [], "train": []}
+    while True:
+        key, _, value = take().partition(" ")
+        if key == "history":
             break
-        else:
-            raise CheckpointError(f"{path}: unexpected line {line!r}")
-    history = [float.fromhex(take()) for _ in range(n_hist)]
-    model_cfg = _parse_typed(ModelConfig, model_kv)
-    train_cfg = _parse_typed(TrainConfig, train_kv)
+        section, _, name = key.partition(".")
+        if section not in pairs:
+            raise fail(f"unexpected line {lines[i - 1]!r}")
+        pairs[section].append((name, value))
+    history = [hex_floats(1)[0] for _ in range(count(value))]
+    model_cfg = _stored_config(ModelConfig, pairs["model"], path)
+    train_cfg = _stored_config(TrainConfig, pairs["train"], path)
     if config_hash(model_cfg, train_cfg) != stored_hash:
         raise CheckpointError(f"{path}: config hash mismatch")
 
-    n_params = int(take().split()[1])
     state: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
+    for _ in range(count(take_value("params"))):
         head = take().split()
-        if head[0] != "param":
-            raise CheckpointError(f"{path}: expected param header, got {head!r}")
-        name, rows, cols = head[1], int(head[2]), int(head[3])
-        arr = np.empty((rows, cols))
-        for r in range(rows):
-            vals = take().split()
-            if len(vals) != cols:
-                raise CheckpointError(f"{path}: bad row width in {name}")
-            arr[r] = [float.fromhex(v) for v in vals]
-        state[name] = arr
+        if len(head) != 4 or head[0] != "param":
+            raise fail(f"expected 'param <name> <rows> <cols>', got {lines[i - 1]!r}")
+        name, rows, cols = head[1], count(head[2]), count(head[3])
+        state[name] = np.array([hex_floats(cols) for _ in range(rows)])
     if take() != "end":
-        raise CheckpointError(f"{path}: missing end marker")
+        raise fail("missing end marker")
     return Checkpoint(model_cfg, train_cfg, epoch, history, state, stored_hash)
+
+
+def _stored_config(cls, pairs: list[tuple[str, str]], path: str):
+    """Config dataclass from a checkpoint's `section.key value` lines, every
+    field present."""
+    try:
+        kw = parse_fields(cls, pairs)
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+    missing = [f.name for f in fields(cls) if f.name not in kw]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint misses config field {missing[0]}")
+    return cls(**kw)

@@ -6,6 +6,8 @@ import pytest
 from g2k import data as da
 from g2k import training as tr
 from g2k.cli import entry
+from g2k.config import TrainConfig, desk_config
+from g2k.model import TrajectoryModel
 
 DESK_CFG = """\
 hidden_size = 8
@@ -271,3 +273,82 @@ def test_synth_roundtrip(ws, capsys):
     points = da.load_dataset(str(path))
     sc = da.load_scenario(str(ws / "walk.cfg"))
     assert points == da.scenario_points(sc)
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs end in their exit code, never a traceback
+
+
+@pytest.fixture
+def desk_ckpt(ws):
+    """Untrained mcr_n checkpoint whose windows match walk.cfg."""
+    path = ws / "ckpt"
+    model = TrajectoryModel(desk_config("mcr_n"), seed=7)
+    tr.save_checkpoint(str(path), model, TrainConfig(epochs=1), 1, [0.5])
+    return path
+
+
+def _replace(prefix, new):
+    def edit(lines):
+        idx = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+        lines[idx] = new(lines[idx]) if callable(new) else new
+    return edit
+
+
+def _non_hex_row(lines):
+    idx = next(i for i, l in enumerate(lines) if l.startswith("param "))
+    lines[idx + 1] = " ".join("zz" for _ in lines[idx + 1].split())
+
+
+def _extra_model_key(lines):
+    lines.insert(next(i for i, l in enumerate(lines) if l.startswith("train.")),
+                 "model.bogus 1")
+
+
+@pytest.mark.parametrize("edit", [
+    _replace("hash", "hash"),
+    _replace("epoch", "epoch x"),
+    _replace("history", "history x"),
+    _replace("model.hidden_size", "model.hidden_size eight"),
+    _replace("param ", lambda l: l.rsplit(" ", 1)[0]),
+    _non_hex_row,
+    _extra_model_key,
+], ids=["hash-no-value", "epoch-x", "history-x", "int-field-eight",
+        "param-header-short", "non-hex-row", "unknown-key"])
+def test_eval_malformed_ckpt_exits_4(ws, desk_ckpt, capsys, edit):
+    assert entry(["eval", "--ckpt", str(desk_ckpt),
+                  "--scenario", str(ws / "walk.cfg")]) == 0
+    lines = desk_ckpt.read_text().splitlines()
+    edit(lines)
+    desk_ckpt.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = entry(["eval", "--ckpt", str(desk_ckpt),
+                  "--scenario", str(ws / "walk.cfg")])
+    assert code == 4
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad,argv,code", [
+    ("config", ["train", "--variant", "g_lstm", "--config", "{bad}",
+                "--scenario", "{walk}", "--out", "{out}"], 2),
+    ("scenario", ["eval", "--baseline", "--scenario", "{bad}"], 2),
+    ("dataset", ["eval", "--baseline", "--dataset", "{bad}"], 2),
+    ("ckpt", ["eval", "--ckpt", "{bad}", "--scenario", "{walk}"], 4),
+], ids=["config", "scenario", "dataset", "ckpt"])
+def test_non_utf8_input_exit_code(ws, capsys, bad, argv, code):
+    path = ws / f"{bad}.bin"
+    path.write_bytes(b"kind = group_walk\n\xff\xfe\n")
+    names = {"bad": path, "walk": ws / "walk.cfg", "out": ws / "x"}
+    assert entry([a.format(**names) for a in argv]) == code
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_finite_flag_is_usage_error(ws, capsys):
+    assert run_train(ws, "--lambda", "nan") == 2
+    assert "lambda" in capsys.readouterr().err
+
+
+def test_bad_env_seed_is_usage_error(ws, monkeypatch, capsys):
+    monkeypatch.setenv("G2K_SEED", "seven")
+    assert run_train(ws) == 2
+    assert "G2K_SEED" in capsys.readouterr().err

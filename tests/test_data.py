@@ -226,34 +226,6 @@ def test_synthesize_referentially_transparent(kind, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# temporal graphs
-
-
-def test_temporal_graph_counts():
-    b = d.synthesize(cv_scenario(n_peds=3))[0]
-    g1 = d.build_temporal_graph(b, 1)
-    assert len(g1.ped_ids) == 3
-    assert len(g1.temporal_edges) == 3
-    g0 = d.build_temporal_graph(b, 0)
-    assert g0.temporal_edges == []
-    assert g0.adjacency is None
-
-
-def test_temporal_graph_positions_verbatim():
-    b = d.synthesize(cv_scenario(n_peds=2))[0]
-    g = d.build_temporal_graph(b, 4)
-    for i, w in enumerate(b.windows):
-        assert g.positions[i, 0] == w.obs[4].x
-        assert g.positions[i, 1] == w.obs[4].y
-
-
-def test_temporal_graph_range_check():
-    b = d.synthesize(cv_scenario())[0]
-    with pytest.raises(d.IntegrityError):
-        d.build_temporal_graph(b, 8)
-
-
-# ---------------------------------------------------------------------------
 # PGM
 
 

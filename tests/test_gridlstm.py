@@ -138,22 +138,6 @@ def test_determinism():
     assert np.array_equal(a.data, b.data)
 
 
-def test_encode_sequence_t1_equals_step():
-    cfg, _, params = make_cell(seed=11)
-    x = np.random.default_rng(12).normal(size=(3, 8))
-    feats, fstate = gl.encode_sequence(cfg, [ad.constant(x)], gl.init_state(cfg, 3), params)
-    out, sstate = gl.step(cfg, ad.constant(x), gl.init_state(cfg, 3), params)
-    assert len(feats) == 1
-    assert np.array_equal(feats[0].data, out.data)
-    assert np.array_equal(fstate.c.data, sstate.c.data)
-
-
-def test_encode_sequence_rejects_empty():
-    cfg, _, params = make_cell()
-    with pytest.raises(gl.GridConfigError):
-        gl.encode_sequence(cfg, [], gl.init_state(cfg, 2), params)
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), steps=st.integers(1, 6))
 def test_hidden_bounded_property(seed, steps):

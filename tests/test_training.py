@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from g2k import autodiff as ad
@@ -309,6 +309,36 @@ def test_checkpoint_truncated(tmp_path):
         fh.write("\n".join(lines[: len(lines) // 2]) + "\n")
     with pytest.raises(tr.CheckpointError):
         tr.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def desk_ckpt_lines(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("ckpt") / "ckpt")
+    model = md.TrajectoryModel(desk_config("mcr_n"), seed=7)
+    tr.save_checkpoint(path, model, TrainConfig(epochs=1), 1, [0.5, 0.25])
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_checkpoint_line(tmp_path, desk_ckpt_lines, data):
+    """Replacing any one line loads and restores, or raises CheckpointError."""
+    lines = list(desk_ckpt_lines)
+    idx = data.draw(st.integers(0, len(lines) - 1))
+    head = lines[idx].split(" ")[0]
+    lines[idx] = data.draw(st.one_of(
+        st.text(max_size=40),
+        st.text(max_size=20).map(lambda t: f"{head} {t}"),
+        st.integers(-2, 10**6).map(lambda n: f"{head} {n}"),
+    ))
+    path = tmp_path / "fuzz"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        tr.load_checkpoint(str(path)).restore()
+    except tr.CheckpointError:
+        pass
 
 
 def test_train_log_write(tmp_path):
