@@ -3,7 +3,8 @@
 Graphs are built dynamically (define-by-run): every operation returns a new
 DiffValue holding the forward result plus a closure that routes the upstream
 gradient to its parents. The op set is intentionally small, just enough for
-LSTM gate math, matrix products, softmax and the squared-error loss.
+matrix products, softmax and the squared-error loss; the grid-LSTM gate math
+is one fused node with its own backward (gridlstm.step).
 
 Broadcasting is never implicit. The only shape-relaxing ops are bias_add and
 row_mul, which take an explicit 1 x cols second operand.
@@ -253,7 +254,7 @@ def scale(a: DiffValue, s: float) -> DiffValue:
 def bias_add(a: DiffValue, b: DiffValue) -> DiffValue:
     """a + b with b a 1 x cols row vector added to every row of a.
 
-    The one sanctioned broadcast; keeps gate math free of silent shape bugs.
+    The one sanctioned broadcast; keeps affine layers free of silent shape bugs.
     """
     if b.data.shape != (1, a.data.shape[1]):
         raise ShapeMismatch(
@@ -284,32 +285,6 @@ def row_mul(a: DiffValue, r: DiffValue) -> DiffValue:
             a.grad += g * r.data
         if r.requires_grad:
             r.grad += (g * a.data).sum(axis=0, keepdims=True)
-
-    out._backward = _bw
-    return out
-
-
-def sigmoid(a: DiffValue) -> DiffValue:
-    x = a.data
-    # split form avoids overflow in exp for large |x|
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = DiffValue(y, parents=(a,))
-
-    def _bw(g):
-        if a.requires_grad:
-            a.grad += g * y * (1.0 - y)
-
-    out._backward = _bw
-    return out
-
-
-def tanh(a: DiffValue) -> DiffValue:
-    y = np.tanh(a.data)
-    out = DiffValue(y, parents=(a,))
-
-    def _bw(g):
-        if a.requires_grad:
-            a.grad += g * (1.0 - y * y)
 
     out._backward = _bw
     return out

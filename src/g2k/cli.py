@@ -337,7 +337,8 @@ def entry(argv: list[str] | None = None) -> int:
         return 4
     except (ConfigError, VariantError, da.ParseError, da.IntegrityError,
             da.ScenarioError, ev.MetricError, ev.AblationError,
-            FileNotFoundError, IsADirectoryError) as e:
+            FileNotFoundError, IsADirectoryError, FileExistsError,
+            NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -25,8 +25,9 @@ class ConfigError(ValueError):
 class ModelConfig:
     """Architecture hyperparameters.
 
-    hidden_size must divide evenly into num_blocks slices, and the cell input
-    width must divide by num_blocks * block_skip (checked in validate).
+    hidden_size and static_hidden must divide evenly into num_blocks slices
+    (checked in validate), and each cell input width must divide by
+    num_blocks * block_skip (checked in check_divisibility).
     """
 
     variant: str = "mcr_mp"
@@ -63,10 +64,12 @@ class ModelConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if self.hidden_size % self.num_blocks != 0:
-            raise ConfigError(
-                f"hidden_size {self.hidden_size} not divisible by num_blocks {self.num_blocks}"
-            )
+        for name in ("hidden_size", "static_hidden"):
+            if getattr(self, name) % self.num_blocks != 0:
+                raise ConfigError(
+                    f"{name} {getattr(self, name)} not divisible by "
+                    f"num_blocks {self.num_blocks}"
+                )
         if self.lambda_reg <= 0:
             raise ConfigError(f"lambda_reg must be positive, got {self.lambda_reg}")
         if self.tau != -1.0 and not (0.0 <= self.tau <= 1.0):

@@ -12,6 +12,13 @@ num_blocks=1 and cell_units=1 the cell reduces exactly to a textbook LSTM.
 
 All state is batched: rows are entities, columns the feature axis, so one
 step call advances every pedestrian (or grid cell) at once.
+
+A step is a single autodiff node. Its forward runs every block x unit gate
+update in plain NumPy and holds [h_new | c_new]; h and c are column slices of
+it, so a step adds 3 graph nodes. Its hand-written backward runs units and
+blocks in reverse: gradient flows through the c chain, through the wx_deep
+input of stacked units, and through the depth link, whose wd term is shared
+by all units of block b+1 and so collects their summed gate gradients.
 """
 
 from __future__ import annotations
@@ -129,26 +136,10 @@ def init_params(
     )
 
 
-def _gate_update(
-    x_term: DiffValue,
-    h_prev: DiffValue,
-    c_prev: DiffValue,
-    depth_term: DiffValue | None,
-    params: GridLSTMParams,
-    bh: int,
-) -> tuple[DiffValue, DiffValue]:
-    """One LSTM transform on a block slice; returns (h_new, c_new)."""
-    z = ad.bias_add(x_term, params.bias)
-    z = ad.add(z, ad.matmul(h_prev, params.wh))
-    if depth_term is not None:
-        z = ad.add(z, depth_term)
-    i = ad.sigmoid(ad.slice_cols(z, 0, bh))
-    f = ad.sigmoid(ad.slice_cols(z, bh, 2 * bh))
-    g = ad.tanh(ad.slice_cols(z, 2 * bh, 3 * bh))
-    o = ad.sigmoid(ad.slice_cols(z, 3 * bh, 4 * bh))
-    c_new = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # split form avoids overflow in exp for large |x|
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def step(
@@ -162,7 +153,8 @@ def step(
     inputs: n_entities x input_len. Returns the concatenated block hiddens
     (the per-step feature output) and the new state. Blocks run in index
     order; block b>0 sees block b-1's freshly computed hidden slice through
-    wd, block 0 has no depth predecessor.
+    wd, block 0 has no depth predecessor. Each gate update computes
+    x@wx + bias, then + h@wh, then + depth, in that order.
     """
     cfg.validate()
     n, width = inputs.data.shape
@@ -172,6 +164,7 @@ def step(
         )
     bi = cfg.block_input(width)
     bh = cfg.block_hidden
+    hs = cfg.hidden_size
     if bi != params.wx.data.shape[0]:
         raise GridConfigError(
             f"input width {width} gives block slices of {bi}, but weights "
@@ -180,24 +173,107 @@ def step(
     if cfg.cell_units > 1 and params.wx_deep is None:
         raise GridConfigError("cell_units > 1 requires wx_deep")
 
-    h_slices: list[DiffValue] = []
-    c_slices: list[DiffValue] = []
-    prev_block_h: DiffValue | None = None
+    x, wx, wh, wd = inputs.data, params.wx.data, params.wh.data, params.wd.data
+    bias = params.bias.data
+    wx_deep = None if params.wx_deep is None else params.wx_deep.data
+    xcols = [slice(b * bi, (b + 1) * bi) for b in range(cfg.num_blocks)]
+    hcols = [slice(b * bh, (b + 1) * bh) for b in range(cfg.num_blocks)]
+    out = np.empty((n, 2 * hs))
+    out_h, out_c = out[:, :hs], out[:, hs:]
+    # saved[b][u] = (h_prev, c_prev, i, f, g, o, tanh(c_new)) of unit u of block b
+    saved: list[list[tuple[np.ndarray, ...]]] = []
+    finals: list[np.ndarray] = []  # each block's last hidden, block b+1's depth input
     for b in range(cfg.num_blocks):
-        x_b = ad.slice_cols(inputs, b * bi, (b + 1) * bi)
-        h_b = ad.slice_cols(state.h, b * bh, (b + 1) * bh)
-        c_b = ad.slice_cols(state.c, b * bh, (b + 1) * bh)
-        depth = None if prev_block_h is None else ad.matmul(prev_block_h, params.wd)
-        h_b, c_b = _gate_update(ad.matmul(x_b, params.wx), h_b, c_b, depth, params, bh)
-        for _ in range(cfg.cell_units - 1):
-            h_b, c_b = _gate_update(
-                ad.matmul(h_b, params.wx_deep), h_b, c_b, depth, params, bh
-            )
-        h_slices.append(h_b)
-        c_slices.append(c_b)
-        prev_block_h = h_b
+        x_b = x[:, xcols[b]]
+        h = state.h.data[:, hcols[b]]
+        c = state.c.data[:, hcols[b]]
+        depth = None if b == 0 else finals[-1] @ wd
+        units = []
+        for u in range(cfg.cell_units):
+            z = (x_b @ wx if u == 0 else h @ wx_deep) + bias
+            z = z + h @ wh
+            if depth is not None:
+                z = z + depth
+            gates = _sigmoid(z)
+            i, f, o = gates[:, :bh], gates[:, bh : 2 * bh], gates[:, 3 * bh :]
+            g = np.tanh(z[:, 2 * bh : 3 * bh])
+            c_new = f * c + i * g
+            tc = np.tanh(c_new)
+            units.append((h, c, i, f, g, o, tc))
+            h, c = o * tc, c_new
+        saved.append(units)
+        finals.append(h)
+        out_h[:, hcols[b]] = h
+        out_c[:, hcols[b]] = c
 
-    h_new = h_slices[0] if cfg.num_blocks == 1 else ad.concat_cols(h_slices)
-    c_new = c_slices[0] if cfg.num_blocks == 1 else ad.concat_cols(c_slices)
+    def _bw(grad):
+        # operand rows and gate gradients per weight; each weight gradient is
+        # one product at the end
+        x_rows, dz_x = [], []  # first unit: x_b -> wx
+        h_rows, dz_h = [], []  # every unit: h_prev -> wh (and bias)
+        deep_rows, dz_deep = [], []  # later units: h_prev -> wx_deep
+        depth_rows, dz_depth = [], []  # block b > 0: finals[b-1] -> wd
+        w_back_deep = None if wx_deep is None else (wh + wx_deep).T
+        grad_h, grad_c = grad[:, :hs], grad[:, hs:]
+        dh_depth = None
+        for b in reversed(range(cfg.num_blocks)):
+            dh = grad_h[:, hcols[b]]
+            if dh_depth is not None:
+                dh = dh + dh_depth
+            dc = grad_c[:, hcols[b]]
+            dz_sum = None
+            for u in reversed(range(cfg.cell_units)):
+                h, c, i, f, g, o, tc = saved[b][u]
+                dc = dc + dh * o * (1.0 - tc * tc)
+                dz = np.concatenate(
+                    (
+                        dc * g * i * (1.0 - i),
+                        dc * c * f * (1.0 - f),
+                        dc * i * (1.0 - g * g),
+                        dh * tc * o * (1.0 - o),
+                    ),
+                    axis=1,
+                )
+                dc = dc * f
+                h_rows.append(h)
+                dz_h.append(dz)
+                if u > 0:  # h_prev fed both wh and wx_deep
+                    deep_rows.append(h)
+                    dz_deep.append(dz)
+                    dh = dz @ w_back_deep
+                else:
+                    x_rows.append(x[:, xcols[b]])
+                    dz_x.append(dz)
+                    dh = dz @ wh.T
+                    if inputs.requires_grad:
+                        inputs.grad[:, xcols[b]] += dz @ wx.T
+                dz_sum = dz if dz_sum is None else dz_sum + dz
+            if state.h.requires_grad:
+                state.h.grad[:, hcols[b]] += dh
+            if state.c.requires_grad:
+                state.c.grad[:, hcols[b]] += dc
+            if b > 0:  # every unit of block b added the same depth term
+                depth_rows.append(finals[b - 1])
+                dz_depth.append(dz_sum)
+                dh_depth = dz_sum @ wd.T
+
+        for w, rows, dzs in (
+            (params.wx, x_rows, dz_x),
+            (params.wh, h_rows, dz_h),
+            (params.wd, depth_rows, dz_depth),
+            (params.wx_deep, deep_rows, dz_deep),
+        ):
+            if w is not None and w.requires_grad and rows:
+                w.grad += np.concatenate(rows).T @ np.concatenate(dzs)
+        if params.bias.requires_grad:
+            params.bias.grad += np.concatenate(dz_h).sum(axis=0, keepdims=True)
+
+    weights = [params.wx, params.wh, params.wd, params.bias]
+    if params.wx_deep is not None:
+        weights.append(params.wx_deep)
+    node = DiffValue(
+        out, parents=(inputs, state.h, state.c, *weights), backward=_bw
+    )
+    h_new = ad.slice_cols(node, 0, hs)
+    c_new = ad.slice_cols(node, hs, 2 * hs)
     return h_new, GridState(h=h_new, c=c_new)
-

@@ -352,3 +352,23 @@ def test_bad_env_seed_is_usage_error(ws, monkeypatch, capsys):
     monkeypatch.setenv("G2K_SEED", "seven")
     assert run_train(ws) == 2
     assert "G2K_SEED" in capsys.readouterr().err
+
+
+def test_static_hidden_not_divisible_by_blocks_is_usage_error(ws, capsys):
+    # desk.cfg has num_blocks = 2
+    assert run_train(ws, "--static-hidden", "7", variant="mcr_mp") == 2
+    assert "static_hidden" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["train", "viz"])
+def test_out_not_a_directory_is_usage_error(ws, desk_ckpt, capsys, command, out):
+    (ws / "taken").write_text("keep\n")
+    if command == "train":
+        code = run_train(ws, out=out)
+    else:
+        code = entry(["viz", "--ckpt", str(desk_ckpt),
+                      "--scenario", str(ws / "walk.cfg"), "--out", str(ws / out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert (ws / "taken").read_text() == "keep\n"

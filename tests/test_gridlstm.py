@@ -1,5 +1,6 @@
-"""Grid cell checks: textbook-LSTM equivalence when the grid collapses,
-finite-difference gradients through an unroll, state bookkeeping."""
+"""Grid cell checks: textbook-LSTM equivalence when the grid collapses, the
+fused step against a composed-op reference graph, finite-difference
+gradients through an unroll, state bookkeeping."""
 
 import numpy as np
 import pytest
@@ -37,6 +38,181 @@ def textbook_lstm(x_seq, h, c, wx, wh, b, bh):
         h = o * np.tanh(c)
         outs.append(h.copy())
     return outs, h, c
+
+
+def _sigmoid_op(a):
+    x = a.data
+    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+    def bw(g):
+        if a.requires_grad:
+            a.grad += g * y * (1.0 - y)
+
+    return ad.DiffValue(y, parents=(a,), backward=bw)
+
+
+def _tanh_op(a):
+    y = np.tanh(a.data)
+
+    def bw(g):
+        if a.requires_grad:
+            a.grad += g * (1.0 - y * y)
+
+    return ad.DiffValue(y, parents=(a,), backward=bw)
+
+
+def _gate_update(x_term, h_prev, c_prev, depth_term, params, bh):
+    """One LSTM transform on a block slice, built from generic ops."""
+    z = ad.bias_add(x_term, params.bias)
+    z = ad.add(z, ad.matmul(h_prev, params.wh))
+    if depth_term is not None:
+        z = ad.add(z, depth_term)
+    i = _sigmoid_op(ad.slice_cols(z, 0, bh))
+    f = _sigmoid_op(ad.slice_cols(z, bh, 2 * bh))
+    g = _tanh_op(ad.slice_cols(z, 2 * bh, 3 * bh))
+    o = _sigmoid_op(ad.slice_cols(z, 3 * bh, 4 * bh))
+    c_new = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    h_new = ad.mul(o, _tanh_op(c_new))
+    return h_new, c_new
+
+
+def composed_step(cfg, inputs, state, params):
+    """Reference for gl.step: the same cell as a graph of generic ops."""
+    bi = cfg.block_input(inputs.data.shape[1])
+    bh = cfg.block_hidden
+    h_slices, c_slices = [], []
+    prev_block_h = None
+    for b in range(cfg.num_blocks):
+        x_b = ad.slice_cols(inputs, b * bi, (b + 1) * bi)
+        h_b = ad.slice_cols(state.h, b * bh, (b + 1) * bh)
+        c_b = ad.slice_cols(state.c, b * bh, (b + 1) * bh)
+        depth = None if prev_block_h is None else ad.matmul(prev_block_h, params.wd)
+        h_b, c_b = _gate_update(ad.matmul(x_b, params.wx), h_b, c_b, depth, params, bh)
+        for _ in range(cfg.cell_units - 1):
+            h_b, c_b = _gate_update(
+                ad.matmul(h_b, params.wx_deep), h_b, c_b, depth, params, bh
+            )
+        h_slices.append(h_b)
+        c_slices.append(c_b)
+        prev_block_h = h_b
+    h_new = ad.concat_cols(h_slices)
+    return h_new, gl.GridState(h=h_new, c=ad.concat_cols(c_slices))
+
+
+GRID_SHAPES = [(nb, u) for nb in (1, 2, 4) for u in (1, 2, 3)]
+
+
+def unroll_setup(blocks, units, n=3, seed=0):
+    """Cell (block_hidden 2, block input 2) plus a ParameterSet that also
+    holds two steps of inputs and the initial h and c as leaves."""
+    cfg = gl.GridLSTMConfig(2 * blocks, blocks, 1, units)
+    pset = ad.ParameterSet()
+    g = np.random.default_rng(seed)
+    params = gl.init_params(cfg, 2 * blocks, pset, "cell", g, std=0.5)
+    xs = [pset.register(f"x{t}", g.normal(size=(n, 2 * blocks))).value
+          for t in range(2)]
+    h0 = pset.register("h0", g.normal(size=(n, cfg.hidden_size))).value
+    c0 = pset.register("c0", g.normal(size=(n, cfg.hidden_size))).value
+    probe_h = ad.constant(g.normal(size=(n, cfg.hidden_size)))
+    probe_c = ad.constant(g.normal(size=(n, cfg.hidden_size)))
+
+    def build(step_fn=gl.step):
+        state = gl.GridState(h=h0, c=c0)
+        for x in xs:
+            _, state = step_fn(cfg, x, state, params)
+        return ad.add(ad.sum_all(ad.mul(state.h, probe_h)),
+                      ad.sum_all(ad.mul(state.c, probe_c)))
+
+    return cfg, pset, params, build
+
+
+@pytest.mark.parametrize("blocks,units", GRID_SHAPES)
+def test_fused_step_forward_matches_composed_graph(blocks, units):
+    cfg, _, params, _ = unroll_setup(blocks, units, n=4, seed=blocks * 10 + units)
+    g = np.random.default_rng(units)
+    state = ref = gl.GridState(
+        h=ad.constant(g.normal(size=(4, cfg.hidden_size))),
+        c=ad.constant(g.normal(size=(4, cfg.hidden_size))),
+    )
+    for _ in range(3):
+        x = ad.constant(g.normal(size=(4, 2 * blocks)) * 3.0)
+        out, state = gl.step(cfg, x, state, params)
+        ref_out, ref = composed_step(cfg, x, ref, params)
+        assert np.max(np.abs(out.data - ref_out.data)) < 1e-12
+        assert np.max(np.abs(state.c.data - ref.c.data)) < 1e-12
+
+
+@pytest.mark.parametrize("blocks,units", GRID_SHAPES)
+def test_fused_step_gradients(blocks, units):
+    _, pset, _, build = unroll_setup(blocks, units, seed=blocks * 10 + units)
+    report = ad.grad_check(build, pset)
+    assert report.passed(1e-4), report.format()
+    assert {"x0", "x1", "h0", "c0", "cell.wd"} <= set(report.per_param)
+
+    # and against the composed graph's backward
+    fused = {p.name: p.value.grad.copy() for p in pset}
+    pset.zero_grad()
+    ad.backward(build(composed_step))
+    for p in pset:
+        scale = max(1.0, float(np.max(np.abs(p.value.grad), initial=0.0)))
+        assert np.max(np.abs(fused[p.name] - p.value.grad)) < 1e-12 * scale, p.name
+
+
+def test_zero_entity_batch():
+    cfg, pset, params = make_cell(units=2)
+    out, state = gl.step(cfg, ad.constant(np.zeros((0, 8))), gl.init_state(cfg, 0),
+                         params)
+    assert out.data.shape == (0, 8) and state.c.data.shape == (0, 8)
+    ad.backward(ad.sum_all(ad.add(out, state.c)))
+    for p in pset:
+        assert np.all(p.value.grad == 0.0), p.name
+
+
+def test_constant_operands_get_no_gradient():
+    cfg, pset, params = make_cell(units=2, seed=2)
+    g = np.random.default_rng(3)
+    x = ad.constant(g.normal(size=(3, 8)))
+    state = gl.GridState(h=ad.constant(g.normal(size=(3, 8))),
+                         c=ad.constant(g.normal(size=(3, 8))))
+    out, new_state = gl.step(cfg, x, state, params)
+    ad.backward(ad.sum_all(ad.add(out, new_state.c)))
+    for const in (x, state.h, state.c):
+        assert np.all(const.grad == 0.0)
+    assert np.any(params.wx.grad != 0.0)
+
+
+def test_step_adds_three_nodes():
+    cfg, _, params = make_cell(blocks=2, units=2)
+    x = ad.constant(np.ones((3, 8)))
+    state = gl.init_state(cfg, 3)
+    out, new_state = gl.step(cfg, x, state, params)
+    operands = {id(v) for v in (x, state.h, state.c, params.wx, params.wh,
+                                params.wd, params.bias, params.wx_deep)}
+    nodes = {id(v) for root in (out, new_state.c) for v in ad._topo_order(root)}
+    assert len(nodes - operands) == 3  # the fused node and its h and c slices
+
+
+def test_sigmoid_saturation_is_finite():
+    cfg, pset, params = make_cell(units=2, seed=4)
+    x = ad.leaf(np.tile([800.0, -800.0], (2, 4)))
+    out, state = gl.step(cfg, x, gl.init_state(cfg, 2), params)
+    ad.backward(ad.sum_all(ad.add(out, state.c)))
+    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(state.c.data))
+    assert np.all(np.isfinite(x.grad))
+    for p in pset:
+        assert np.all(np.isfinite(p.value.grad)), p.name
+
+
+def test_zero_preactivation_gates_are_half():
+    # all-zero weights: i = f = o = sigmoid(0) = 0.5 and g = tanh(0) = 0
+    cfg, _, params = make_cell(units=1)
+    zero_params(params)
+    c0 = np.random.default_rng(5).normal(size=(3, 8))
+    state = gl.GridState(h=ad.constant(np.zeros((3, 8))), c=ad.constant(c0))
+    out, new_state = gl.step(cfg, ad.constant(np.zeros((3, 8))), state, params)
+    assert np.array_equal(new_state.c.data, 0.5 * c0)
+    assert np.array_equal(out.data, 0.5 * np.tanh(0.5 * c0))
 
 
 def test_init_state_shapes_and_zeros():

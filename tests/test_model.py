@@ -9,7 +9,7 @@ from g2k import autodiff as ad
 from g2k import data as da
 from g2k import model as md
 from g2k import training as tr
-from g2k.config import VARIANTS, desk_config
+from g2k.config import VARIANTS, ModelConfig, desk_config
 
 
 def desk_batch(kind="group_walk", n=3, seed=11, noise=0.0):
@@ -355,6 +355,15 @@ def test_same_seed_same_model():
     b = desk_model("mcr_mp", seed=21)
     batch = desk_batch(seed=41)
     assert np.array_equal(a.run(batch).predictions, b.run(batch).predictions)
+
+
+def test_paper_scale_node_budget():
+    # each grid-LSTM step, social and static, is one fused node and two slices
+    sc = da.SyntheticScenario(kind="group_walk", n_peds=16, seed=3)
+    batch = da.synthesize(sc)[0]
+    model = md.TrajectoryModel(ModelConfig(), seed=0)
+    loss = tr.loss_graph(model.run(batch), da.target_positions(batch))
+    assert len(ad._topo_order(loss)) <= 600
 
 
 # ---------------------------------------------------------------------------
