@@ -6,12 +6,21 @@ gradient to its parents. The op set is intentionally small, just enough for
 matrix products, softmax and the squared-error loss; the grid-LSTM gate math
 is one fused node with its own backward (gridlstm.step).
 
+Gradients are allocated lazily. A trainable leaf (leaf(), parameters) gets
+its gradient array when it is made; constants and nodes that need no
+gradient keep grad None; an interior node that requires grad gets a fresh
+zero gradient at the start of each backward(). Forward-only work runs under
+no_grad(): its nodes record no parents and keep no backward closure, so
+each one is freed as soon as nothing reads it. Forward values are the same
+either way.
+
 Broadcasting is never implicit. The only shape-relaxing ops are bias_add and
 row_mul, which take an explicit 1 x cols second operand.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,24 +49,51 @@ def _as_matrix(data) -> np.ndarray:
     return arr
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build forward-only graphs: inside the block, op results record no
+    parents, require no grad and keep no backward closure. Leaves made with
+    leaf() still require grad. The switch is process-wide, not per thread."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 class DiffValue:
     """One node of the computation graph: value, gradient, backward rule.
 
-    grad always has the same shape as data. Nodes without parents are leaves
-    (parameters or inputs); backward() accumulates into leaf grads and leaves
-    them for the optimizer, so repeated backward calls without zero_grad sum.
+    data must be a 2-D float64 array and is kept as is; constant() and
+    leaf() convert anything else. grad is None unless the node requires
+    grad: an explicit requires_grad=True leaf gets a zero array of data's
+    shape at once, an interior node one at each backward(). Nodes without
+    parents are leaves (parameters or inputs); backward() accumulates into
+    leaf grads and leaves them for the optimizer, so repeated backward calls
+    without zero_grad sum. Under no_grad() parents and backward are dropped.
     """
 
     __slots__ = ("data", "grad", "parents", "requires_grad", "_backward")
 
     def __init__(self, data, parents=(), requires_grad=False, backward=None):
-        self.data = _as_matrix(data)
-        self.grad = np.zeros_like(self.data)
-        self.parents = tuple(parents)
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in self.parents
-        )
-        self._backward = backward
+        self.data = data
+        self.grad = np.zeros(data.shape) if requires_grad else None
+        if _grad_enabled and parents:
+            self.parents = tuple(parents)
+            self._backward = backward
+            if not requires_grad:
+                for p in self.parents:
+                    if p.requires_grad:
+                        requires_grad = True
+                        break
+        else:
+            self.parents = ()
+            self._backward = None
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -82,12 +118,12 @@ class DiffValue:
 
 def constant(data) -> DiffValue:
     """Leaf that never receives gradient (inputs, fixed masks)."""
-    return DiffValue(data, requires_grad=False)
+    return DiffValue(_as_matrix(data))
 
 
 def leaf(data) -> DiffValue:
-    """Trainable leaf."""
-    return DiffValue(data, requires_grad=True)
+    """Trainable leaf; requires grad also under no_grad()."""
+    return DiffValue(_as_matrix(data), requires_grad=True)
 
 
 @dataclass
@@ -169,7 +205,6 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
         raise ShapeMismatch(
             f"matmul: inner dimensions differ, {a.data.shape} @ {b.data.shape}"
         )
-    out = DiffValue(a.data @ b.data, parents=(a, b))
 
     def _bw(g):
         if a.requires_grad:
@@ -177,19 +212,15 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
         if b.requires_grad:
             b.grad += a.data.T @ g
 
-    out._backward = _bw
-    return out
+    return DiffValue(a.data @ b.data, (a, b), backward=_bw)
 
 
 def transpose(a: DiffValue) -> DiffValue:
-    out = DiffValue(a.data.T.copy(), parents=(a,))
-
     def _bw(g):
         if a.requires_grad:
             a.grad += g.T
 
-    out._backward = _bw
-    return out
+    return DiffValue(a.data.T.copy(), (a,), backward=_bw)
 
 
 def _require_same_shape(op, a, b):
@@ -199,7 +230,6 @@ def _require_same_shape(op, a, b):
 
 def add(a: DiffValue, b: DiffValue) -> DiffValue:
     _require_same_shape("add", a, b)
-    out = DiffValue(a.data + b.data, parents=(a, b))
 
     def _bw(g):
         if a.requires_grad:
@@ -207,13 +237,11 @@ def add(a: DiffValue, b: DiffValue) -> DiffValue:
         if b.requires_grad:
             b.grad += g
 
-    out._backward = _bw
-    return out
+    return DiffValue(a.data + b.data, (a, b), backward=_bw)
 
 
 def sub(a: DiffValue, b: DiffValue) -> DiffValue:
     _require_same_shape("sub", a, b)
-    out = DiffValue(a.data - b.data, parents=(a, b))
 
     def _bw(g):
         if a.requires_grad:
@@ -221,13 +249,11 @@ def sub(a: DiffValue, b: DiffValue) -> DiffValue:
         if b.requires_grad:
             b.grad -= g
 
-    out._backward = _bw
-    return out
+    return DiffValue(a.data - b.data, (a, b), backward=_bw)
 
 
 def mul(a: DiffValue, b: DiffValue) -> DiffValue:
     _require_same_shape("mul", a, b)
-    out = DiffValue(a.data * b.data, parents=(a, b))
 
     def _bw(g):
         if a.requires_grad:
@@ -235,20 +261,17 @@ def mul(a: DiffValue, b: DiffValue) -> DiffValue:
         if b.requires_grad:
             b.grad += g * a.data
 
-    out._backward = _bw
-    return out
+    return DiffValue(a.data * b.data, (a, b), backward=_bw)
 
 
 def scale(a: DiffValue, s: float) -> DiffValue:
     s = float(s)
-    out = DiffValue(a.data * s, parents=(a,))
 
     def _bw(g):
         if a.requires_grad:
             a.grad += g * s
 
-    out._backward = _bw
-    return out
+    return DiffValue(a.data * s, (a,), backward=_bw)
 
 
 def bias_add(a: DiffValue, b: DiffValue) -> DiffValue:
@@ -260,7 +283,6 @@ def bias_add(a: DiffValue, b: DiffValue) -> DiffValue:
         raise ShapeMismatch(
             f"bias_add: bias must be (1, {a.data.shape[1]}), got {b.data.shape}"
         )
-    out = DiffValue(a.data + b.data, parents=(a, b))
 
     def _bw(g):
         if a.requires_grad:
@@ -268,8 +290,7 @@ def bias_add(a: DiffValue, b: DiffValue) -> DiffValue:
         if b.requires_grad:
             b.grad += g.sum(axis=0, keepdims=True)
 
-    out._backward = _bw
-    return out
+    return DiffValue(a.data + b.data, (a, b), backward=_bw)
 
 
 def row_mul(a: DiffValue, r: DiffValue) -> DiffValue:
@@ -278,7 +299,6 @@ def row_mul(a: DiffValue, r: DiffValue) -> DiffValue:
         raise ShapeMismatch(
             f"row_mul: row must be (1, {a.data.shape[1]}), got {r.data.shape}"
         )
-    out = DiffValue(a.data * r.data, parents=(a, r))
 
     def _bw(g):
         if a.requires_grad:
@@ -286,8 +306,7 @@ def row_mul(a: DiffValue, r: DiffValue) -> DiffValue:
         if r.requires_grad:
             r.grad += (g * a.data).sum(axis=0, keepdims=True)
 
-    out._backward = _bw
-    return out
+    return DiffValue(a.data * r.data, (a, r), backward=_bw)
 
 
 def stable_softmax(x: DiffValue) -> DiffValue:
@@ -297,7 +316,6 @@ def stable_softmax(x: DiffValue) -> DiffValue:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
-    out = DiffValue(y, parents=(x,))
 
     def _bw(g):
         if x.requires_grad:
@@ -305,8 +323,7 @@ def stable_softmax(x: DiffValue) -> DiffValue:
             dot = (g * y).sum(axis=1, keepdims=True)
             x.grad += y * (g - dot)
 
-    out._backward = _bw
-    return out
+    return DiffValue(y, (x,), backward=_bw)
 
 
 def concat_cols(parts) -> DiffValue:
@@ -317,16 +334,17 @@ def concat_cols(parts) -> DiffValue:
             raise ShapeMismatch(
                 f"concat_cols: row counts differ, {rows} vs {p.data.shape[0]}"
             )
-    out = DiffValue(np.concatenate([p.data for p in parts], axis=1), parents=parts)
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
+    offsets = [0]
+    for p in parts:
+        offsets.append(offsets[-1] + p.data.shape[1])
 
     def _bw(g):
-        for p, j0, j1 in zip(parts, offsets[:-1], offsets[1:]):
+        for p, j0, j1 in zip(parts, offsets, offsets[1:]):
             if p.requires_grad:
                 p.grad += g[:, j0:j1]
 
-    out._backward = _bw
-    return out
+    data = np.concatenate([p.data for p in parts], axis=1)
+    return DiffValue(data, parts, backward=_bw)
 
 
 def slice_cols(a: DiffValue, j0: int, j1: int) -> DiffValue:
@@ -334,25 +352,20 @@ def slice_cols(a: DiffValue, j0: int, j1: int) -> DiffValue:
         raise ShapeMismatch(
             f"slice_cols: [{j0}:{j1}] out of range for width {a.data.shape[1]}"
         )
-    out = DiffValue(a.data[:, j0:j1].copy(), parents=(a,))
 
     def _bw(g):
         if a.requires_grad:
             a.grad[:, j0:j1] += g
 
-    out._backward = _bw
-    return out
+    return DiffValue(a.data[:, j0:j1].copy(), (a,), backward=_bw)
 
 
 def sum_all(a: DiffValue) -> DiffValue:
-    out = DiffValue(np.array([[a.data.sum()]]), parents=(a,))
-
     def _bw(g):
         if a.requires_grad:
             a.grad += g[0, 0]
 
-    out._backward = _bw
-    return out
+    return DiffValue(np.array([[a.data.sum()]]), (a,), backward=_bw)
 
 
 def mean_rows(a: DiffValue) -> DiffValue:
@@ -390,15 +403,23 @@ def _topo_order(root: DiffValue) -> list[DiffValue]:
 def backward(loss: DiffValue) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf with requires_grad.
 
-    Interior node grads are reset at the start of each call; leaf grads are
-    not, so two backward calls without zero_grad double the leaf gradients.
+    Interior nodes that require grad get a fresh zero gradient at the start
+    of each call; leaf grads are not reset, so two backward calls without
+    zero_grad double the leaf gradients. A loss that requires no grad (built
+    under no_grad(), or from constants only) raises ContractError: it would
+    leave every gradient at zero.
     """
     if loss.data.shape != (1, 1):
         raise ContractError(f"backward: loss must be 1x1, got {loss.data.shape}")
+    if not loss.requires_grad:
+        raise ContractError(
+            "backward: loss does not require grad (built under no_grad(), "
+            "or from constants only)"
+        )
     order = _topo_order(loss)
     for node in order:
-        if node.parents:
-            node.grad[...] = 0.0
+        if node.parents and node.requires_grad:
+            node.grad = np.zeros(node.data.shape)
     loss.grad[...] = 1.0
     for node in reversed(order):
         if node._backward is not None and node.requires_grad:
@@ -440,8 +461,9 @@ def grad_check(build_loss, params, eps: float = 1e-5) -> GradCheckReport:
     """Compare backward() gradients against central finite differences.
 
     build_loss must rebuild the graph from the current parameter values and
-    return the scalar loss; it is called once per perturbed element, so keep
-    the instance desk-scale. Relative error per element is
+    return the scalar loss; it is called once for the analytic pass and,
+    under no_grad(), twice per perturbed element, so keep the instance
+    desk-scale. Relative error per element is
     |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).
     """
     params = list(params)
@@ -451,23 +473,24 @@ def grad_check(build_loss, params, eps: float = 1e-5) -> GradCheckReport:
     analytic = {p.name: p.value.grad.copy() for p in params}
 
     report = GradCheckReport(eps=eps)
-    for p in params:
-        arr = p.value.data
-        numeric = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            lo_plus = float(build_loss().data[0, 0])
-            arr[idx] = orig - eps
-            lo_minus = float(build_loss().data[0, 0])
-            arr[idx] = orig
-            numeric[idx] = (lo_plus - lo_minus) / (2.0 * eps)
-            it.iternext()
-        ga = analytic[p.name]
-        denom = np.maximum(np.maximum(np.abs(ga), np.abs(numeric)), 1e-8)
-        report.per_param[p.name] = (
-            float(np.max(np.abs(ga - numeric) / denom)) if arr.size else 0.0
-        )
+    with no_grad():
+        for p in params:
+            arr = p.value.data
+            numeric = np.zeros_like(arr)
+            it = np.nditer(arr, flags=["multi_index"])
+            while not it.finished:
+                idx = it.multi_index
+                orig = arr[idx]
+                arr[idx] = orig + eps
+                lo_plus = float(build_loss().data[0, 0])
+                arr[idx] = orig - eps
+                lo_minus = float(build_loss().data[0, 0])
+                arr[idx] = orig
+                numeric[idx] = (lo_plus - lo_minus) / (2.0 * eps)
+                it.iternext()
+            ga = analytic[p.name]
+            denom = np.maximum(np.maximum(np.abs(ga), np.abs(numeric)), 1e-8)
+            report.per_param[p.name] = (
+                float(np.max(np.abs(ga - numeric) / denom)) if arr.size else 0.0
+            )
     return report

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as da
 from . import evaluation as ev
 from . import training as tr
@@ -262,7 +263,8 @@ def cmd_viz(args) -> int:
         print(f"error: --scene {args.scene} out of range "
               f"(have {len(batches)} batches)", file=sys.stderr)
         return 2
-    run = model.run(batches[args.scene])
+    with ad.no_grad():
+        run = model.run(batches[args.scene])
     diag = run.diagnostics
     if not diag.adjacency:
         print(f"error: variant {ck.model_cfg.variant} infers no adjacency; "

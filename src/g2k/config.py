@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields
 
 VARIANTS = ("g_lstm", "mc", "mcr_n", "mcr_mp", "mcr_mpc")
@@ -212,6 +213,26 @@ def read_text(path: str, error: type[Exception] = ConfigError) -> str:
             return fh.read()
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
+def write_text(path: str, text: str) -> None:
+    """Write UTF-8 text atomically: into a temp file beside path, then
+    os.replace it onto path. On any failure the previous file at path is
+    left as it was, the temp file is removed and OS errors name path."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException as e:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        if isinstance(e, OSError) and e.filename == tmp:
+            e.filename = path
+        raise
 
 
 def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig | None = None) -> str:

@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as da
-from .config import ModelConfig, TrainConfig, config_hash
+from .config import ModelConfig, TrainConfig, config_hash, write_text
 from .data import SceneBatch, TrajectoryWindow
 from .model import TrajectoryModel
 from .training import TrainResult, train
@@ -156,7 +157,8 @@ def evaluate(
     for name, group in groups.items():
         if not group:
             raise MetricError(f"no scenes under label {name!r}")
-        preds = [model.run(b).predictions for b in group]
+        with ad.no_grad():
+            preds = [model.run(b).predictions for b in group]
         gts = [np.transpose(da.target_positions(b), (1, 0, 2)) for b in group]
         rows.append(_pooled_row(name, preds, gts))
     return EvalReport(
@@ -198,8 +200,7 @@ def report_csv(report: EvalReport) -> str:
 
 
 def write_report_csv(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_csv(report))
+    write_text(path, report_csv(report))
 
 
 def report_table(report: EvalReport) -> str:

@@ -18,7 +18,9 @@ update in plain NumPy and holds [h_new | c_new]; h and c are column slices of
 it, so a step adds 3 graph nodes. Its hand-written backward runs units and
 blocks in reverse: gradient flows through the c chain, through the wx_deep
 input of stacked units, and through the depth link, whose wd term is shared
-by all units of block b+1 and so collects their summed gate gradients.
+by all units of block b+1 and so collects their summed gate gradients. The
+per-unit activations the backward reads are saved only when the node
+requires grad, so a step under ad.no_grad() keeps none.
 """
 
 from __future__ import annotations
@@ -173,14 +175,23 @@ def step(
     if cfg.cell_units > 1 and params.wx_deep is None:
         raise GridConfigError("cell_units > 1 requires wx_deep")
 
+    weights = [params.wx, params.wh, params.wd, params.bias]
+    if params.wx_deep is not None:
+        weights.append(params.wx_deep)
+    # the node comes first so the loop below fills its data in place and
+    # saves activations only when a backward pass can read them
+    node = DiffValue(
+        np.empty((n, 2 * hs)), parents=(inputs, state.h, state.c, *weights)
+    )
+    keep = node.requires_grad
     x, wx, wh, wd = inputs.data, params.wx.data, params.wh.data, params.wd.data
     bias = params.bias.data
     wx_deep = None if params.wx_deep is None else params.wx_deep.data
     xcols = [slice(b * bi, (b + 1) * bi) for b in range(cfg.num_blocks)]
     hcols = [slice(b * bh, (b + 1) * bh) for b in range(cfg.num_blocks)]
-    out = np.empty((n, 2 * hs))
-    out_h, out_c = out[:, :hs], out[:, hs:]
-    # saved[b][u] = (h_prev, c_prev, i, f, g, o, tanh(c_new)) of unit u of block b
+    out_h, out_c = node.data[:, :hs], node.data[:, hs:]
+    # saved[b][u] = (h_prev, c_prev, i, f, g, o, tanh(c_new)) of unit u of
+    # block b; saved[b] stays empty when not keep
     saved: list[list[tuple[np.ndarray, ...]]] = []
     finals: list[np.ndarray] = []  # each block's last hidden, block b+1's depth input
     for b in range(cfg.num_blocks):
@@ -199,7 +210,8 @@ def step(
             g = np.tanh(z[:, 2 * bh : 3 * bh])
             c_new = f * c + i * g
             tc = np.tanh(c_new)
-            units.append((h, c, i, f, g, o, tc))
+            if keep:
+                units.append((h, c, i, f, g, o, tc))
             h, c = o * tc, c_new
         saved.append(units)
         finals.append(h)
@@ -268,12 +280,8 @@ def step(
         if params.bias.requires_grad:
             params.bias.grad += np.concatenate(dz_h).sum(axis=0, keepdims=True)
 
-    weights = [params.wx, params.wh, params.wd, params.bias]
-    if params.wx_deep is not None:
-        weights.append(params.wx_deep)
-    node = DiffValue(
-        out, parents=(inputs, state.h, state.c, *weights), backward=_bw
-    )
+    if keep:
+        node._backward = _bw
     h_new = ad.slice_cols(node, 0, hs)
     c_new = ad.slice_cols(node, hs, 2 * hs)
     return h_new, GridState(h=h_new, c=c_new)

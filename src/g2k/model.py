@@ -221,14 +221,11 @@ class TrajectoryModel:
             np.fill_diagonal(off, -1e30)
             logits = ad.add(logits, ad.constant(off))
         a = ad.stable_softmax(logits)
-        tau = self.cfg.resolve_tau(max(n_peds, 1))
-        nu = [
-            (i, j)
-            for i in range(n_peds)
-            for j in range(n_peds)
-            if a.data[i, j] >= tau and (self.cfg.self_loops or i != j)
-        ]
-        return a, nu
+        edges = a.data >= self.cfg.resolve_tau(max(n_peds, 1))
+        if not self.cfg.self_loops:
+            np.fill_diagonal(edges, False)
+        # argwhere walks row-major; tolist() gives Python ints
+        return a, list(map(tuple, np.argwhere(edges).tolist()))
 
     # -- full unroll ---------------------------------------------------------
 

@@ -17,22 +17,27 @@ from . import autodiff as ad
 from . import data as da
 from .autodiff import DiffValue
 from .config import (ConfigError, ModelConfig, TrainConfig, config_hash,
-                     config_items, desk_config, parse_fields, read_text)
+                     config_items, desk_config, parse_fields, read_text,
+                     write_text)
 from .model import KernelRun, TrajectoryModel
 
 CKPT_MAGIC = "g2k-ckpt-v1"
 
 
 class DivergenceError(RuntimeError):
-    """Loss left the finite range; carries recent history for the dump."""
+    """Loss or gradient norm left the finite range; carries recent history
+    for the dump. what names the quantity: for "loss", batch is the index of
+    the scene batch; for "gradient norm", the step within the epoch (the
+    log's batch=)."""
 
-    def __init__(self, epoch: int, batch: int, history: list[float]):
+    def __init__(self, epoch: int, batch: int, history: list[float],
+                 what: str = "loss"):
         self.epoch = epoch
         self.batch = batch
         self.history = history
         tail = ", ".join(f"{v:.6g}" for v in history[-5:])
         super().__init__(
-            f"loss is not finite at epoch {epoch} batch {batch}; "
+            f"{what} is not finite at epoch {epoch} batch {batch}; "
             f"recent losses: [{tail}]"
         )
 
@@ -213,13 +218,14 @@ def make_optimizer(cfg: TrainConfig):
 
 
 def clip_gradients(params: ad.ParameterSet, clip_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most clip_norm.
-    Returns the pre-clip norm."""
+    """Scale all gradients so their joint L2 norm is at most clip_norm
+    (0 disables scaling). Returns the pre-clip norm; a non-finite norm
+    leaves the gradients as they are."""
     total = 0.0
     for p in params:
         total += float((p.value.grad ** 2).sum())
     norm = total ** 0.5
-    if clip_norm > 0.0 and norm > clip_norm:
+    if 0.0 < clip_norm < norm < np.inf:
         scale = clip_norm / norm
         for p in params:
             p.value.grad *= scale
@@ -240,8 +246,7 @@ class TrainLog:
         self.lines.append(" ".join(f"{k}={v}" for k, v in kv.items()))
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.lines) + "\n")
+        write_text(path, "\n".join(self.lines) + "\n")
 
 
 @dataclass
@@ -260,7 +265,8 @@ def train(
 
     Scene batches are shuffled each epoch with a seeded generator and grouped
     in runs of batch_size; each group accumulates mean gradients before one
-    optimizer step. NaN loss aborts with the recent history attached.
+    optimizer step. A non-finite loss, or a non-finite gradient norm before
+    the step, aborts with the recent history attached.
     """
     model_cfg.validate()
     train_cfg.validate()
@@ -289,10 +295,12 @@ def train(
                     raise DivergenceError(epoch, int(bi), history + epoch_losses)
                 group_loss += lv
                 ad.backward(ad.scale(loss, 1.0 / len(group)))
-            if train_cfg.clip_norm > 0.0:
-                clip_gradients(model.params, train_cfg.clip_norm)
-            opt.step(model.params)
             epoch_losses.append(group_loss / len(group))
+            norm = clip_gradients(model.params, train_cfg.clip_norm)
+            if not np.isfinite(norm):
+                raise DivergenceError(epoch, g0 // train_cfg.batch_size,
+                                      history + epoch_losses, "gradient norm")
+            opt.step(model.params)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             log.record(
                 epoch=epoch, batch=g0 // train_cfg.batch_size,
@@ -330,8 +338,7 @@ def save_checkpoint(
         lines.append(f"param {name} {arr.shape[0]} {arr.shape[1]}")
         lines.extend(" ".join(v.hex() for v in row) for row in arr.tolist())
     lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass

@@ -183,8 +183,54 @@ def test_constant_receives_no_grad():
     c = ad.constant(np.ones((2, 2)))
     x = ad.leaf(np.ones((2, 2)))
     ad.backward(ad.sum_all(ad.mul(c, x)))
-    assert np.all(c.grad == 0.0)
+    assert c.grad is None
     assert np.all(x.grad == 1.0)
+
+
+def test_interior_grad_is_allocated_by_backward():
+    x = ad.leaf(np.ones((2, 2)))
+    c = ad.constant(np.ones((2, 2)))
+    assert x.grad is not None and c.grad is None
+    y = ad.mul(x, x)
+    z = ad.mul(c, c)
+    assert y.requires_grad and y.grad is None
+    ad.backward(ad.sum_all(ad.add(y, z)))
+    assert np.all(y.grad == 1.0)
+    assert not z.requires_grad and z.grad is None
+
+
+def test_no_grad_records_no_graph():
+    x = ad.leaf(np.ones((2, 2)))
+    with ad.no_grad():
+        y = ad.matmul(x, x)
+        inner = ad.leaf(np.ones((1, 1)))
+    assert y.parents == () and y._backward is None
+    assert not y.requires_grad and y.grad is None
+    np.testing.assert_array_equal(y.data, np.full((2, 2), 2.0))
+    assert inner.requires_grad and inner.grad is not None  # explicit leaf
+    assert ad.matmul(x, x).parents  # recording again after the block
+
+
+def test_no_grad_restores_recording_after_error():
+    with pytest.raises(ad.ShapeMismatch):
+        with ad.no_grad():
+            ad.add(ad.constant(np.ones((1, 2))), ad.constant(np.ones((2, 1))))
+    assert ad.add(ad.leaf([[1.0]]), ad.leaf([[2.0]])).requires_grad
+
+
+def test_backward_rejects_loss_built_under_no_grad():
+    x = ad.leaf(np.ones((2, 2)))
+    with ad.no_grad():
+        loss = ad.sum_all(ad.mul(x, x))
+    with pytest.raises(ad.ContractError, match="require grad"):
+        ad.backward(loss)
+    assert np.all(x.grad == 0.0)
+
+
+def test_backward_rejects_constant_loss():
+    c = ad.constant(np.ones((2, 2)))
+    with pytest.raises(ad.ContractError, match="require grad"):
+        ad.backward(ad.sum_all(ad.mul(c, c)))
 
 
 def test_deep_chain_does_not_recurse():
@@ -247,6 +293,20 @@ def test_grad_check_passes_on_correct_graph():
 
     report = ad.grad_check(build, ps)
     assert report.passed(1e-4), report.format()
+
+
+def test_grad_check_records_only_the_analytic_pass():
+    ps = ad.ParameterSet()
+    w = ps.register("w", rng(14).normal(size=(2, 2)))
+    recorded = []
+
+    def build():
+        loss = ad.sum_all(ad.mul(w.value, w.value))
+        recorded.append(loss.requires_grad)
+        return loss
+
+    ad.grad_check(build, ps)
+    assert recorded == [True] + [False] * (2 * w.value.data.size)
 
 
 def test_grad_check_catches_wrong_gradient():

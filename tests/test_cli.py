@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from g2k import autodiff as ad
 from g2k import data as da
 from g2k import training as tr
 from g2k.cli import entry
@@ -94,6 +95,19 @@ def test_train_divergence_exits_3(ws, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "not finite" in err
+
+
+def test_train_non_finite_gradient_exits_3(ws, capsys, monkeypatch):
+    zero_grad = ad.ParameterSet.zero_grad
+
+    def poisoned(pset):
+        zero_grad(pset)
+        next(iter(pset)).value.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(ad.ParameterSet, "zero_grad", poisoned)
+    assert run_train(ws) == 3
+    assert "gradient norm is not finite" in capsys.readouterr().err
+    assert not (ws / "run" / "ckpt").exists()
 
 
 def test_flag_beats_config_file(ws):

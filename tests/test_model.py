@@ -145,6 +145,22 @@ def test_adjacency_self_loop_flag():
     assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
+def test_adjacency_edges_match_double_loop_oracle(self_loops):
+    m = desk_model(self_loops=self_loops, tau=-1.0)
+    g = np.random.default_rng(8)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            h = g.normal(size=(n, m.cfg.hidden_size)) * g.uniform(0.1, 3.0)
+            a, nu = m.adjacency(ad.constant(h), n)
+            tau = m.cfg.resolve_tau(max(n, 1))
+            oracle = [(i, j) for i in range(n) for j in range(n)
+                      if a.data[i, j] >= tau and (self_loops or i != j)]
+            assert nu == oracle
+            assert all(type(e) is tuple and type(e[0]) is int
+                       and type(e[1]) is int for e in nu)
+
+
 def test_update_states_cases():
     # state mixing H* = A @ H, as run() applies it with ad.matmul
     g = np.random.default_rng(6)
@@ -297,6 +313,25 @@ def test_permutation_equivariance(variant):
         p = np.eye(3)[perm]
         for a_base, a_perm in zip(base.diagnostics.adjacency, swapped.diagnostics.adjacency):
             assert np.max(np.abs(p @ a_base @ p.T - a_perm)) < 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:no scene image")
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_grad_run_is_bit_identical(variant):
+    m = desk_model(variant, seed=5)
+    batch = desk_batch(seed=19)
+    targets = da.target_positions(batch)
+    run = m.run(batch)
+    loss = tr.loss_graph(run, targets)
+    with ad.no_grad():
+        free = m.run(batch)
+        free_loss = tr.loss_graph(free, targets)
+    assert free.predictions.tobytes() == run.predictions.tobytes()
+    assert free_loss.data.tobytes() == loss.data.tobytes()
+    for node in (*free.positions, *free.offsets, free_loss):
+        assert node.parents == () and not node.requires_grad
+        assert node.grad is None and node._backward is None
+    assert loss.requires_grad and loss.parents
 
 
 def test_adjacency_diagnostics_row_stochastic():

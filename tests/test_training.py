@@ -1,6 +1,8 @@
 """Loss oracles, optimizer update rules, the training loop, checkpoints."""
 
+import contextlib
 import dataclasses
+import errno
 import math
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from g2k import autodiff as ad
+from g2k import config
 from g2k import data as da
+from g2k import evaluation as ev
 from g2k import model as md
 from g2k import training as tr
 from g2k.config import ConfigError, TrainConfig, desk_config
@@ -203,6 +207,29 @@ def test_divergence_aborts_with_history():
     assert "not finite" in str(exc.value)
 
 
+@pytest.mark.parametrize("clip_norm,value", [(0.0, float("nan")), (1.0, float("inf"))],
+                         ids=["noclip-nan", "clip-inf"])
+def test_non_finite_gradient_aborts_before_step(monkeypatch, clip_norm, value):
+    # zero_grad leaves value in one gradient and backward() adds to it:
+    # a non-finite gradient behind a finite loss
+    zero_grad = ad.ParameterSet.zero_grad
+
+    def poisoned(pset):
+        zero_grad(pset)
+        next(iter(pset)).value.grad[0, 0] = value
+
+    monkeypatch.setattr(ad.ParameterSet, "zero_grad", poisoned)
+    steps = []
+    monkeypatch.setattr(tr.Adam, "step", lambda opt, params: steps.append(1))
+    with pytest.raises(tr.DivergenceError) as exc:
+        tr.train(cv_batches(), desk_config("g_lstm"),
+                 TrainConfig(epochs=1, batch_size=2, lr=0.01, seed=0,
+                             clip_norm=clip_norm))
+    assert "gradient norm is not finite at epoch 0 batch 0" in str(exc.value)
+    assert len(exc.value.history) == 1 and math.isfinite(exc.value.history[0])
+    assert steps == []
+
+
 def test_sgd_loss_monotone_after_warmup():
     batches = cv_batches()
     tc = TrainConfig(epochs=25, batch_size=4, lr=0.3, optimizer="sgd", seed=3)
@@ -230,6 +257,17 @@ def test_gradient_accumulation_is_group_mean():
     for p in model.params:
         want = 0.5 * (singles[0][p.name] + singles[1][p.name])
         assert np.max(np.abs(p.value.grad - want)) < 1e-14, p.name
+
+
+@pytest.mark.parametrize("variant", ["g_lstm", "mcr_n"])
+def test_grad_check_no_grad_forwards_match_recording(monkeypatch, variant):
+    def errors():
+        rep = tr.quick_grad_check(variant)
+        return {k: v.hex() for k, v in rep.per_param.items()}
+
+    free = errors()
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    assert errors() == free
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +377,54 @@ def test_fuzz_checkpoint_line(tmp_path, desk_ckpt_lines, data):
         tr.load_checkpoint(str(path)).restore()
     except tr.CheckpointError:
         pass
+
+
+def half_then_disk_full(real_open=open):
+    """open() whose files take half of a write, then fail with ENOSPC."""
+
+    def opener(path, mode="r", **kw):
+        fh = real_open(path, mode, **kw)
+
+        class HalfWriter:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, text):
+                fh.write(text[: len(text) // 2])
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        return HalfWriter()
+
+    return opener
+
+
+@pytest.mark.parametrize("writer", ["checkpoint", "log", "report"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    target = tmp_path / "out"
+    target.write_text("previous\n")
+    model = md.TrajectoryModel(desk_config("g_lstm"), seed=1)
+    log = tr.TrainLog()
+    log.record(epoch=0, loss="0.5")
+    report = ev.EvalReport("g_lstm", "h", [ev.EvalRow("x", 1.0, 2.0, [1.0], 1, 2)])
+    write = {
+        "checkpoint": lambda: tr.save_checkpoint(str(target), model,
+                                                 TrainConfig(), 1, [0.5]),
+        "log": lambda: log.write(str(target)),
+        "report": lambda: ev.write_report_csv(report, str(target)),
+    }[writer]
+    with monkeypatch.context() as mp:
+        mp.setattr(config, "open", half_then_disk_full(), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write()
+    assert target.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    write()  # the same write succeeds once the disk has room
+    assert target.read_text() != "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_train_log_write(tmp_path):
