@@ -368,14 +368,6 @@ def sum_all(a: DiffValue) -> DiffValue:
     return DiffValue(np.array([[a.data.sum()]]), (a,), backward=_bw)
 
 
-def mean_rows(a: DiffValue) -> DiffValue:
-    """Column means as a 1 x cols row. Zero rows give a zero row, not NaN."""
-    n = a.data.shape[0]
-    if n == 0:
-        return constant(np.zeros((1, a.data.shape[1])))
-    return matmul(constant(np.full((1, n), 1.0 / n)), a)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 

@@ -19,7 +19,7 @@ from . import data as da
 from . import evaluation as ev
 from . import training as tr
 from .config import (VARIANTS, ConfigError, ModelConfig, TrainConfig,
-                     parse_fields, read_key_values, read_text)
+                     parse_fields, read_key_values, read_text, write_text)
 from .model import TrajectoryModel, VariantError
 
 # flag -> field; argparse converts each value with parse_fields
@@ -249,10 +249,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _matrix_csv(arr: np.ndarray, cfg_hash: str) -> str:
+def write_matrix_csv(path: str, arr: np.ndarray, cfg_hash: str) -> None:
+    """One repr() float row per matrix row under a config header, written
+    atomically."""
     lines = [f"# config {cfg_hash}"]
     lines.extend(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(arr))
-    return "\n".join(lines) + "\n"
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_viz(args) -> int:
@@ -275,8 +277,7 @@ def cmd_viz(args) -> int:
 
     def save(name: str, arr: np.ndarray) -> None:
         path = os.path.join(args.out, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_matrix_csv(arr, h))
+        write_matrix_csv(path, arr, h)
         print(f"wrote {path}")
 
     save("adjacency.csv", diag.adjacency[-1])

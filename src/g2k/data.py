@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, read_key_values, read_text
+from .config import ConfigError, read_key_values, read_text, write_text
 
 DT_SECONDS = 0.4  # sampling period the window lengths are quoted in
 
@@ -164,14 +164,15 @@ def load_dataset(path: str, fmt: str = "canonical_tsv") -> list[TrackPoint]:
 
 def write_dataset(points: list[TrackPoint], path: str) -> None:
     """Inverse of load_dataset up to whitespace and row order: floats are
-    written with repr so values round-trip bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# frame_id ped_id x y [pan]\n")
-        for p in sorted(points, key=lambda p: (p.ped_id, p.frame_id)):
-            cols = [str(p.frame_id), str(p.ped_id), repr(p.x), repr(p.y)]
-            if p.pan is not None:
-                cols.append(repr(p.pan))
-            fh.write("\t".join(cols) + "\n")
+    written with repr so values round-trip bit-exactly. The file is
+    replaced atomically."""
+    lines = ["# frame_id ped_id x y [pan]"]
+    for p in sorted(points, key=lambda p: (p.ped_id, p.frame_id)):
+        cols = [str(p.frame_id), str(p.ped_id), repr(p.x), repr(p.y)]
+        if p.pan is not None:
+            cols.append(repr(p.pan))
+        lines.append("\t".join(cols))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,8 @@ def make_windows(
 
     A batch is emitted per span start where at least one pedestrian has full
     contiguous coverage; pedestrians with gaps in that span are dropped from
-    it. More than max_peds co-present keeps the lowest ped_ids.
+    it. More than max_peds co-present keeps the lowest ped_ids. Each span
+    start tests only the pedestrians present at its first frame.
     """
     if obs_len < 2 or pred_len < 1:
         raise IntegrityError("obs_len >= 2 and pred_len >= 1 required")
@@ -214,15 +216,16 @@ def make_windows(
     s = infer_stride(points) if stride is None else stride
     total = obs_len + pred_len
     by_ped: dict[int, dict[int, TrackPoint]] = {}
+    at_frame: dict[int, set[int]] = {}  # pedestrians present, by frame
     for p in points:
         by_ped.setdefault(p.ped_id, {})[p.frame_id] = p
+        at_frame.setdefault(p.frame_id, set()).add(p.ped_id)
 
-    starts = sorted({p.frame_id for p in points})
     batches: list[SceneBatch] = []
-    for f0 in starts:
+    for f0 in sorted(at_frame):
         span = [f0 + k * s for k in range(total)]
         windows: list[TrajectoryWindow] = []
-        for ped_id in sorted(by_ped):
+        for ped_id in sorted(at_frame[f0]):
             track = by_ped[ped_id]
             if all(f in track for f in span):
                 pts = [track[f] for f in span]
@@ -420,12 +423,13 @@ def read_pgm(path: str) -> np.ndarray:
                 f"{path}: expected {width * height} samples, got {len(vals)}"
             )
         try:
-            img = np.array([int(v) for v in vals], dtype=np.int64)
+            samples = [int(v) for v in vals]
         except ValueError:
             raise ParseError(f"{path}: non-numeric sample") from None
-        if img.min() < 0 or img.max() > maxval:
+        # range-checked as Python ints: a sample past int64 must not overflow
+        if min(samples) < 0 or max(samples) > maxval:
             raise ParseError(f"{path}: sample outside [0, {maxval}]")
-        img = img.astype(np.uint8)
+        img = np.array(samples, dtype=np.uint8)
     return img.reshape(height, width)
 
 

@@ -139,9 +139,10 @@ def init_params(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split form avoids overflow in exp for large |x|
+    # split form avoids overflow in exp for large |x|: 1 / (1 + e) for
+    # x >= 0 and e / (1 + e) below, with e = exp(-|x|) and one division
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def step(
@@ -201,10 +202,13 @@ def step(
         depth = None if b == 0 else finals[-1] @ wd
         units = []
         for u in range(cfg.cell_units):
-            z = (x_b @ wx if u == 0 else h @ wx_deep) + bias
-            z = z + h @ wh
+            z = x_b @ wx if u == 0 else h @ wx_deep
+            z += bias
+            z += h @ wh
             if depth is not None:
-                z = z + depth
+                z += depth
+            # one sigmoid call over all four blocks: the g block's share is
+            # discarded, but below ~50 rows a second call costs more
             gates = _sigmoid(z)
             i, f, o = gates[:, :bh], gates[:, bh : 2 * bh], gates[:, 3 * bh :]
             g = np.tanh(z[:, 2 * bh : 3 * bh])

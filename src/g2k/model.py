@@ -9,6 +9,12 @@ Variants
   mcr_mp   adds the static scene grid and message passing with thresholding.
   mcr_mpc  adds convolutional scene context from an image to the static grid.
 
+run() unrolls one scene or several packed into one graph: pedestrians are
+stacked row-wise, each scene keeps its own static grid rows, and
+block-diagonal masks and per-scene averaging matrices (nb.SceneBlocks) keep
+the scenes from interacting, so a packed run predicts what running each
+scene alone would.
+
 Two stability departures from the source formulas, both load-bearing:
 attention uses one numerically stable softmax instead of a softmax applied to
 already-exponentiated scores (the double exponential overflows around 700 and
@@ -20,6 +26,7 @@ output for arbitrary N.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +53,10 @@ STATIC = ("mcr_mp", "mcr_mpc")
 
 @dataclass
 class Diagnostics:
-    """Per-observed-step intermediates for export and inspection."""
+    """Per-observed-step intermediates for export and inspection. A packed
+    run stacks its scenes' rows: the adjacency is block-diagonal, the cell
+    entries hold k rows per scene and the edge pairs use packed row
+    indices."""
 
     adjacency: list[np.ndarray] = field(default_factory=list)
     attention: list[np.ndarray] = field(default_factory=list)
@@ -61,16 +71,23 @@ class KernelRun:
     """Decoded trajectory with its graph nodes still attached.
 
     positions[k] is the (N, 2) node for predicted step k, built by adding the
-    k-th offset onto the previous step, so offsets telescope exactly.
+    k-th offset onto the previous step, so offsets telescope exactly. sizes
+    holds the pedestrian count of each packed scene, in row order; empty
+    means one scene.
     """
 
     positions: list[DiffValue]
     offsets: list[DiffValue]
     diagnostics: Diagnostics
+    sizes: list[int] = field(default_factory=list)
 
     @property
     def predictions(self) -> np.ndarray:
         return np.stack([p.data for p in self.positions], axis=1)
+
+    def scene_predictions(self) -> list[np.ndarray]:
+        """(n_s, pred_len, 2) predictions of each scene, in pack order."""
+        return np.split(self.predictions, np.cumsum(self.sizes[:-1]))
 
 
 class TrajectoryModel:
@@ -182,10 +199,13 @@ class TrajectoryModel:
         v_emb: DiffValue,
         rel_feat: DiffValue,
         c_mat: DiffValue | None = None,
+        blocks: nb.SceneBlocks | None = None,
     ) -> DiffValue:
         """Fused relational embedding: (W_v [f_S || V] + b_v) ⊙ (W_r ℱ),
         with ℱ the social features (mcr_n) or the pedestrian-cell score map
-        (static variants); conv context enters as a multiplicative row term."""
+        (static variants); conv context enters as a multiplicative row term,
+        the mean of each scene's cell context rows (blocks lays them out;
+        without it c_mat holds one scene's cells)."""
         if self.cfg.variant not in RELATIONAL:
             raise VariantError(f"fuse_features not wired for {self.cfg.variant}")
         u = ad.bias_add(ad.matmul(ad.concat_cols([f_s, v_emb]), self.w_v), self.b_v)
@@ -193,7 +213,9 @@ class TrajectoryModel:
         if c_mat is not None:
             if self.cfg.variant != "mcr_mpc":
                 raise VariantError("conv context only enters the mcr_mpc fusion")
-            f_prime = ad.row_mul(f_prime, ad.matmul(ad.mean_rows(c_mat), self.w_c))
+            blocks = blocks or nb.SceneBlocks([f_s.data.shape[0]], c_mat.data.shape[0])
+            mean = ad.matmul(ad.constant(blocks.cell_mean), c_mat)
+            f_prime = blocks.scene_row_mul(f_prime, ad.matmul(mean, self.w_c))
         return f_prime
 
     def attention(self, scores: DiffValue) -> DiffValue:
@@ -213,15 +235,25 @@ class TrajectoryModel:
         keep = (mixed.data >= tau).astype(np.float64)
         return ad.mul(mixed, ad.constant(keep))
 
-    def adjacency(self, h_in: DiffValue, n_peds: int) -> tuple[DiffValue, list[tuple[int, int]]]:
-        """A = row_softmax(H @ W_A @ H^T) plus the surviving edge pairs."""
+    def adjacency(
+        self, h_in: DiffValue, n_peds: int, blocks: nb.SceneBlocks | None = None,
+    ) -> tuple[DiffValue, list[tuple[int, int]]]:
+        """A = row_softmax(H @ W_A @ H^T) plus the surviving edge pairs.
+
+        n_peds rows form one scene unless blocks packs several; links
+        between scenes are masked to exactly zero weight and never edges,
+        and each row's threshold is resolved for its own crowd size."""
+        blocks = blocks or nb.SceneBlocks([n_peds], 0)
         logits = ad.matmul(ad.matmul(h_in, self.w_a), ad.transpose(h_in))
-        if not self.cfg.self_loops and n_peds > 1:
-            off = np.zeros((n_peds, n_peds))
-            np.fill_diagonal(off, -1e30)
-            logits = ad.add(logits, ad.constant(off))
+        mask = blocks.link_mask(self.cfg.self_loops)
+        if mask is not None:
+            logits = ad.add(logits, ad.constant(mask))
         a = ad.stable_softmax(logits)
-        edges = a.data >= self.cfg.resolve_tau(max(n_peds, 1))
+        if blocks.count == 1:
+            edges = a.data >= self.cfg.resolve_tau(max(n_peds, 1))
+        else:
+            taus = np.array([self.cfg.resolve_tau(n) for n in blocks.sizes])
+            edges = (a.data >= taus[blocks.scene_of, None]) & blocks.same_scene
         if not self.cfg.self_loops:
             np.fill_diagonal(edges, False)
         # argwhere walks row-major; tolist() gives Python ints
@@ -235,28 +267,60 @@ class TrajectoryModel:
             1.0 / self.cfg.hidden_size if self.cfg.tau == -1.0 else self.cfg.tau
         )
 
-    def _scene_map(self, batch: da.SceneBatch) -> np.ndarray:
-        if batch.scene_image is None:
+    def _scene_maps(self, scenes: list[da.SceneBatch]) -> np.ndarray:
+        """(S, g, g) downsampled scene images; a scene without one gets a
+        constant map, and the run warns once, naming how many fell back."""
+        g = self.cfg.grid_size
+        missing = sum(b.scene_image is None for b in scenes)
+        if missing:
             warnings.warn(
-                "no scene image in batch; using a constant fallback map",
+                f"no scene image in {missing} of {len(scenes)} scenes; "
+                "using a constant fallback map",
                 stacklevel=3,
             )
-            return np.full((self.cfg.grid_size, self.cfg.grid_size), 0.5)
-        return nb.downsample_image(batch.scene_image, self.cfg.grid_size)
+        return np.stack([
+            np.full((g, g), 0.5) if b.scene_image is None
+            else nb.downsample_image(b.scene_image, g)
+            for b in scenes
+        ])
 
-    def run(self, batch: da.SceneBatch) -> KernelRun:
-        """Unroll the observed steps, then decode pred_len offsets from the
-        final social state through one linear head."""
+    def _cells(self, obs: np.ndarray, blocks: nb.SceneBlocks) -> np.ndarray:
+        """(obs_len, N) static row of every pedestrian at every observed
+        step, from bounds fitted to its own scene's observed positions."""
+        cells = np.empty(obs.shape[:2], dtype=np.int64)
+        start = 0
+        for s, n in enumerate(blocks.sizes):
+            pts = obs[:, start : start + n]
+            idx = nb.assign_cells(pts.reshape(-1, 2), nb.bounds_from_positions(pts),
+                                  self.cfg.grid_size)
+            cells[:, start : start + n] = s * blocks.k + idx.reshape(-1, n)
+            start += n
+        return cells
+
+    def run(self, scenes: da.SceneBatch | Sequence[da.SceneBatch]) -> KernelRun:
+        """Unroll the observed steps of one scene, or of several packed into
+        one graph, then decode pred_len offsets from the final social state
+        through one linear head. Packed scenes keep their own crowd, static
+        grid and attention; the predictions of a packed run are those of
+        running each scene alone, up to float rounding."""
         cfg = self.cfg
-        obs = da.obs_positions(batch)
-        if obs.shape[0] != cfg.obs_len:
-            raise InputError(
-                f"batch has {obs.shape[0]} observed steps, config wants {cfg.obs_len}"
-            )
-        n = obs.shape[1]
-        vis = da.obs_vislets(batch)
+        if isinstance(scenes, da.SceneBatch):
+            scenes = [scenes]
+        if not scenes:
+            raise InputError("no scenes to run")
+        parts = [da.obs_positions(b) for b in scenes]
+        for o in parts:
+            if o.shape[0] != cfg.obs_len:
+                raise InputError(
+                    f"batch has {o.shape[0]} observed steps, config wants {cfg.obs_len}"
+                )
+        obs = np.concatenate(parts, axis=1)
+        vis_parts = [da.obs_vislets(b) for b in scenes]
+        vis = None if any(v is None for v in vis_parts) else np.concatenate(vis_parts, axis=1)
         if cfg.variant != "g_lstm" and vis is None:
             raise InputError(f"variant {cfg.variant} needs vislets on every window")
+        blocks = nb.SceneBlocks([o.shape[1] for o in parts], cfg.num_cells)
+        n = blocks.n
 
         relational = cfg.variant in RELATIONAL
         static_on = cfg.variant in STATIC and cfg.static_grid_enabled
@@ -265,12 +329,12 @@ class TrajectoryModel:
 
         if static_on:
             k = cfg.num_cells
-            bounds = nb.bounds_from_positions(obs)
-            static_state = gl.init_state(self.static_cfg, k)
-            a_cells = nb.uniform_cell_attention(k)
+            cells = self._cells(obs, blocks)
+            static_state = gl.init_state(self.static_cfg, blocks.count * k)
+            a_cells = nb.uniform_cell_attention(k, blocks.count)
             f_s_prev: DiffValue | None = None
             if cfg.variant == "mcr_mpc":
-                down = self._scene_map(batch)
+                down = self._scene_maps(scenes)
 
         for t in range(cfg.obs_len):
             x_emb = self.embed_positions(ad.constant(obs[t]))
@@ -290,11 +354,9 @@ class TrajectoryModel:
                 if cfg.variant == "mcr_mpc":
                     base = nb.conv_encode(down, self.w_conv, self.b_conv, self.mask)
                 else:
-                    base = nb.mask_features(self.mask, cfg.cell_channels)
-                c_mat = nb.append_social_context(base, f_s_prev, k, cfg.feature_dim)
-                v_pool = nb.occupancy_pool(
-                    v_emb, nb.assign_cells(obs[t], bounds, cfg.grid_size), k
-                )
+                    base = nb.mask_features(self.mask, cfg.cell_channels, blocks.count)
+                c_mat = nb.append_social_context(base, f_s_prev, blocks, cfg.feature_dim)
+                v_pool = nb.occupancy_pool(v_emb, cells[t], blocks.count * k)
                 static_in = ad.matmul(
                     ad.concat_cols([c_mat, v_pool]), self.w_static_in
                 )
@@ -304,9 +366,10 @@ class TrajectoryModel:
                 f_o = ad.matmul(f_o_raw, self.w_fo)
                 f_o_prime = nb.regularize(f_o, cfg.lambda_reg)
                 f_o_dd = nb.attend_cells(f_o_prime, static_state.h, a_cells, self.w_ho)
-                fused = nb.fuse_mask(f_s, f_o_prime)
+                fused = blocks.own_cells(nb.fuse_mask(f_s, f_o_prime))
                 a_ped = self.attention(fused)
-                a_cells = nb.cell_attention_from_ped(a_ped)
+                a_ped_rows = blocks.spread_cells(a_ped)
+                a_cells = nb.cell_attention_from_ped(a_ped_rows, blocks)
                 f_s_prev = f_s
                 rel_feat = fused
             else:
@@ -315,6 +378,7 @@ class TrajectoryModel:
             f_prime = self.fuse_features(
                 f_s, v_emb, rel_feat,
                 c_mat if (cfg.variant == "mcr_mpc" and static_on) else None,
+                blocks,
             )
 
             a_z = self.attention(f_prime)
@@ -322,12 +386,12 @@ class TrajectoryModel:
             h_pre = ad.mul(imp, f_raw)
 
             if static_on:
-                static_imp = ad.matmul(ad.matmul(a_ped, f_o_dd), self.w_mp)
+                static_imp = ad.matmul(ad.matmul(a_ped_rows, f_o_dd), self.w_mp)
                 h_in = self.message_pass(h_pre, static_imp, self._resolve_mp_tau())
             else:
                 h_in = ad.stable_softmax(h_pre)  # node softmax
 
-            a_mat, nu = self.adjacency(h_in, n)
+            a_mat, nu = self.adjacency(h_in, n, blocks)
             h_star = ad.matmul(a_mat, h_in)  # state mixing H* = A @ H
             state = gl.GridState(h=h_star, c=state.c)
 
@@ -339,9 +403,10 @@ class TrajectoryModel:
                 diag.cell_attention.append(a_cells.data.copy().ravel())
                 diag.static_features.append(f_o_dd.data.copy())
 
-        return self._decode(state.h, obs[-1], diag)
+        return self._decode(state.h, obs[-1], diag, blocks.sizes)
 
-    def _decode(self, h_final: DiffValue, last_obs: np.ndarray, diag: Diagnostics) -> KernelRun:
+    def _decode(self, h_final: DiffValue, last_obs: np.ndarray, diag: Diagnostics,
+                sizes: list[int]) -> KernelRun:
         flat = ad.bias_add(ad.matmul(h_final, self.w_out), self.b_out)
         positions: list[DiffValue] = []
         offsets: list[DiffValue] = []
@@ -351,4 +416,5 @@ class TrajectoryModel:
             prev = ad.add(prev, off)
             offsets.append(off)
             positions.append(prev)
-        return KernelRun(positions=positions, offsets=offsets, diagnostics=diag)
+        return KernelRun(positions=positions, offsets=offsets, diagnostics=diag,
+                         sizes=sizes)

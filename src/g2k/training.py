@@ -2,8 +2,9 @@
 
 The objective is the squared Euclidean prediction error, mean-reduced over
 pedestrians and predicted steps so the learning rate does not depend on crowd
-size. Checkpoints are a text format ("g2k-ckpt-v1") storing every float as
-float.hex(), which round-trips bit-exactly.
+size, then averaged over the scenes of a training group. Checkpoints are a
+text format ("g2k-ckpt-v1") storing every float as float.hex(), which
+round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,11 +24,18 @@ from .model import KernelRun, TrajectoryModel
 
 CKPT_MAGIC = "g2k-ckpt-v1"
 
+# pedestrian rows per training graph. At paper scale a recorded graph and
+# its gradients take about 0.6 MB per row, so a group of 16 scenes of up to
+# 24 pedestrians runs as several packs whose gradients add up before the
+# one optimizer step; one graph per such group would peak near 230 MB
+TRAIN_PACK_ROWS = 40
+
 
 class DivergenceError(RuntimeError):
     """Loss or gradient norm left the finite range; carries recent history
-    for the dump. what names the quantity: for "loss", batch is the index of
-    the scene batch; for "gradient norm", the step within the epoch (the
+    for the dump. what names the quantity: for "loss", batch is the index
+    (into train()'s scene list) of the first scene of the group whose own
+    loss is not finite; for "gradient norm", the step within the epoch (the
     log's batch=)."""
 
     def __init__(self, epoch: int, batch: int, history: list[float],
@@ -49,17 +57,26 @@ class CheckpointError(ValueError):
 def loss_graph(run: KernelRun, targets: np.ndarray) -> DiffValue:
     """Scalar graph node: sum of squared coordinate errors over all steps and
     pedestrians, divided by N * pred_len. A constant 1 m offset at every step
-    yields exactly 1.0."""
+    yields exactly 1.0. targets is (pred_len, N, 2); for a packed run its
+    rows follow the run's scenes and the loss is the mean of the per-scene
+    losses, each pedestrian of scene s weighted by N / (S * n_s)."""
     pred_len = len(run.positions)
     if targets.shape[0] != pred_len:
         raise ConfigError(
             f"targets have {targets.shape[0]} steps, run decoded {pred_len}"
         )
     n = run.positions[0].data.shape[0]
+    weights = None
+    if len(run.sizes) > 1:
+        per_scene = n / (len(run.sizes) * np.array(run.sizes, dtype=np.float64))
+        weights = ad.constant(np.repeat(per_scene, run.sizes)[:, None] * np.ones((1, 2)))
     total = None
     for k, pos in enumerate(run.positions):
         diff = ad.sub(pos, ad.constant(targets[k]))
-        sq = ad.sum_all(ad.mul(diff, diff))
+        sq = ad.mul(diff, diff)
+        if weights is not None:
+            sq = ad.mul(sq, weights)
+        sq = ad.sum_all(sq)
         total = sq if total is None else ad.add(total, sq)
     return ad.scale(total, 1.0 / (n * pred_len))
 
@@ -264,9 +281,13 @@ def train(
     """Optimize on scene batches; deterministic for a fixed seed.
 
     Scene batches are shuffled each epoch with a seeded generator and grouped
-    in runs of batch_size; each group accumulates mean gradients before one
-    optimizer step. A non-finite loss, or a non-finite gradient norm before
-    the step, aborts with the recent history attached.
+    in runs of batch_size. Each group is one minibatch with one optimizer
+    step on the mean of its per-scene losses. Its scenes are packed, in
+    order, into graphs of at most TRAIN_PACK_ROWS pedestrians (a group that
+    fits is one graph and one backward pass), and the packs' gradients add
+    up to the group mean. A non-finite loss, or a non-finite gradient norm
+    before the step, aborts with the recent history attached; a non-finite
+    loss names the first scene of the group whose own loss is not finite.
     """
     model_cfg.validate()
     train_cfg.validate()
@@ -276,6 +297,11 @@ def train(
     opt = make_optimizer(train_cfg)
     order_rng = np.random.default_rng(train_cfg.seed)
     targets = [da.target_positions(b) for b in batches]
+    for t in targets:
+        if t.shape[0] != model_cfg.pred_len:
+            raise ConfigError(
+                f"targets have {t.shape[0]} steps, config predicts {model_cfg.pred_len}"
+            )
 
     history: list[float] = []
     log = TrainLog()
@@ -287,15 +313,16 @@ def train(
             t0 = time.perf_counter()
             model.params.zero_grad()
             group_loss = 0.0
-            for bi in group:
-                run = model.run(batches[bi])
-                loss = loss_graph(run, targets[bi])
-                lv = float(loss.data[0, 0])
+            for pack in _packs(group, batches):
+                share = len(pack) / len(group)
+                lv = _backward_pack(model, [batches[bi] for bi in pack],
+                                    [targets[bi] for bi in pack], share)
                 if not np.isfinite(lv):
-                    raise DivergenceError(epoch, int(bi), history + epoch_losses)
-                group_loss += lv
-                ad.backward(ad.scale(loss, 1.0 / len(group)))
-            epoch_losses.append(group_loss / len(group))
+                    raise DivergenceError(
+                        epoch, _first_diverging(model, batches, targets, pack),
+                        history + epoch_losses)
+                group_loss += share * lv
+            epoch_losses.append(group_loss)
             norm = clip_gradients(model.params, train_cfg.clip_norm)
             if not np.isfinite(norm):
                 raise DivergenceError(epoch, g0 // train_cfg.batch_size,
@@ -310,6 +337,46 @@ def train(
         if epoch % train_cfg.log_every == 0:
             log.record(epoch=epoch, summary_loss=f"{history[-1]:.10g}")
     return TrainResult(model=model, history=history, log=log)
+
+
+def _packs(group: np.ndarray, batches: list[da.SceneBatch]) -> list[list[int]]:
+    """Split a group, in order, into packs of at most TRAIN_PACK_ROWS
+    pedestrians; a larger scene forms a pack of its own."""
+    packs: list[list[int]] = [[]]
+    rows = 0
+    for bi in map(int, group):
+        n = batches[bi].n_peds
+        if packs[-1] and rows + n > TRAIN_PACK_ROWS:
+            packs.append([])
+            rows = 0
+        packs[-1].append(bi)
+        rows += n
+    return packs
+
+
+def _backward_pack(model: TrajectoryModel, scenes: list[da.SceneBatch],
+                   targets: list[np.ndarray], share: float) -> float:
+    """Run scenes as one graph and backpropagate share times its loss (the
+    mean of their per-scene losses); return that loss. A non-finite loss is
+    returned without a backward pass. The graph is freed on return."""
+    loss = loss_graph(model.run(scenes), np.concatenate(targets, axis=1))
+    lv = float(loss.data[0, 0])
+    if np.isfinite(lv):
+        ad.backward(ad.scale(loss, share))
+    return lv
+
+
+def _first_diverging(model: TrajectoryModel, batches: list[da.SceneBatch],
+                     targets: list[np.ndarray], pack: list[int]) -> int:
+    """Index of the first scene in pack whose loss, run on its own, is not
+    finite. Inside a packed graph a non-finite value reaches the other
+    scenes through zero-weight links (0 * inf), so each is rerun alone."""
+    with ad.no_grad():
+        for bi in pack:
+            lv = float(loss_graph(model.run(batches[bi]), targets[bi]).data[0, 0])
+            if not np.isfinite(lv):
+                return bi
+    return pack[0]
 
 
 # ---------------------------------------------------------------------------

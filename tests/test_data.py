@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from g2k import data as d
+from g2k.cli import entry
 
 
 def write(tmp_path, text, name="t.tsv"):
@@ -116,6 +117,53 @@ def test_neighborhood_cap_keeps_lowest_ids():
     pts = track(3, 20) + track(1, 20) + track(2, 20)
     b = d.make_windows(pts, max_peds=2)[0]
     assert [w.ped_id for w in b.windows] == [1, 2]
+
+
+def windows_oracle(points, obs_len, pred_len, max_peds, stride):
+    """The original windowing loop: every pedestrian tested at every start."""
+    total = obs_len + pred_len
+    by_ped = {}
+    for p in points:
+        by_ped.setdefault(p.ped_id, {})[p.frame_id] = p
+    out = []
+    for f0 in sorted({p.frame_id for p in points}):
+        span = [f0 + k * stride for k in range(total)]
+        wins = []
+        for ped in sorted(by_ped):
+            if all(f in by_ped[ped] for f in span):
+                pts = [by_ped[ped][f] for f in span]
+                wins.append((ped, pts[:obs_len], pts[obs_len:]))
+        if wins:
+            out.append(wins[:max_peds])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([1, 3, 10]))
+def test_make_windows_matches_double_loop_oracle(seed, n_peds, stride):
+    # random tracks with gaps, staggered starts, more than max_peds
+    # pedestrians present at once and repeated (frame, ped) keys, of which
+    # the last point wins
+    g = np.random.default_rng(seed)
+    points = []
+    for ped in g.permutation(n_peds):
+        start = int(g.integers(0, 8)) * stride
+        for k in range(int(g.integers(2, 16))):
+            for _ in range(1 + (g.random() < 0.05)):
+                if g.random() > 0.1:
+                    pan = float(g.uniform(-3.0, 3.0)) if g.random() > 0.2 else None
+                    points.append(d.TrackPoint(start + k * stride, int(ped),
+                                               float(g.normal()), float(g.normal()), pan))
+    got = d.make_windows(points, obs_len=2, pred_len=3, max_peds=3, stride=stride)
+    want = windows_oracle(points, 2, 3, 3, stride)
+    assert [[(w.ped_id, w.obs, w.target) for w in b.windows] for b in got] == want
+    for b in got:
+        for w in b.windows:
+            if all(p.pan is not None for p in w.obs):
+                assert np.array_equal(
+                    w.vislets, [[math.cos(p.pan), math.sin(p.pan)] for p in w.obs])
+            else:
+                assert w.vislets is None
 
 
 def test_batch_windows_share_frames():
@@ -284,3 +332,90 @@ def test_parse_scenario_rejects_unknown_key():
 def test_parse_scenario_rejects_bad_value():
     with pytest.raises(d.ScenarioError, match="bad value"):
         d.parse_scenario("kind = group_walk\nn_peds = many\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: only the typed errors may escape the readers
+
+FIELD = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "0x1p3", "1_0", "3.5", "",
+                     "#", "+2", "-0"]),
+    st.text(max_size=6),
+)
+TSV_TEXT = st.lists(
+    st.one_of(st.lists(FIELD, max_size=6).map(" ".join), st.text(max_size=20)),
+    max_size=12,
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=TSV_TEXT)
+def test_fuzz_load_dataset(tmp_path, capsys, text):
+    path = tmp_path / "fuzz.tsv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        d.load_dataset(str(path))
+    except (d.ParseError, d.IntegrityError):
+        pass
+    # twelve lines never hold a complete window, so the CLI always exits 2
+    assert entry(["eval", "--baseline", "--dataset", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+SAMPLE = st.one_of(st.integers(-5, 300), st.integers(-10**30, 10**30),
+                   st.sampled_from([0, 255, 256, 70000, 2**63, 10**9])).map(lambda v: str(v).encode())
+HEADER_FIELD = st.one_of(
+    SAMPLE, st.sampled_from([b"1.5", b"nan", b"inf", b"1e3", b"0x10", b"\xff"]),
+    st.binary(max_size=4),
+)
+
+
+@st.composite
+def pgm_blobs(draw):
+    """Mostly well-formed headers with a raster of the declared size, so the
+    sample checks are reached, plus corrupt headers, bodies and truncations."""
+    magic = draw(st.sampled_from([b"P2", b"P2", b"P5", b"P5", b"P6", b"P", b"p2"])
+                 | st.binary(max_size=3))
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    maxval = draw(st.sampled_from([b"255", b"255", b"7", b"0", b"70000", b"-1"]))
+    header = [str(w).encode(), str(h).encode(), maxval]
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.lists(HEADER_FIELD, max_size=3))
+    comment = draw(st.sampled_from([b"", b"# note\n", b"#"]))
+    if draw(st.booleans()):
+        count = draw(st.sampled_from([w * h, w * h, w * h + 1, w * h - 1]))
+        body = draw(st.lists(SAMPLE, min_size=count, max_size=count).map(b" ".join))
+    else:
+        body = draw(st.binary(min_size=w * h, max_size=w * h + 2) | st.binary(max_size=40))
+    blob = b"\n".join([magic, comment + b" ".join(header), body])
+    if draw(st.integers(0, 3)) == 0:
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    return blob
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=pgm_blobs())
+@example(blob=b"P2\n1 1\n255\n" + b"9" * 30)  # a sample past int64
+@example(blob=b"P2\n2 1\n255\n7 -99999999999999999999999")
+@example(blob=b"P5\n99999999999 99999999999\n255\n\x00")
+@example(blob=b"P2\n1 1\n0\n0")
+@example(blob=b"P5\n1 1\n70000\n\x00")
+def test_fuzz_read_pgm(tmp_path, capsys, blob):
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(blob)
+    scenario = tmp_path / "walk.cfg"
+    scenario.write_text("kind = group_walk\nobs_len = 3\npred_len = 2\n")
+    code = entry(["eval", "--baseline", "--scenario", str(scenario),
+                  "--image", str(path)])
+    capsys.readouterr()
+    try:
+        img = d.read_pgm(str(path))
+    except d.ParseError:
+        assert code == 2
+        return
+    assert img.dtype == np.uint8 and img.ndim == 2
+    assert code == 0

@@ -230,6 +230,20 @@ def test_fuse_features_wr_zero_annihilates():
     assert np.all(out.data == 0.0)
 
 
+def test_fuse_features_conv_context_term():
+    m = desk_model("mcr_mpc", seed=3)
+    g = np.random.default_rng(10)
+    f_s = g.normal(size=(2, m.cfg.feature_dim))
+    v = g.normal(size=(2, m.cfg.embed_vis))
+    rel = g.normal(size=(2, m.cfg.num_cells))
+    c_mat = g.normal(size=(m.cfg.num_cells, m.cfg.cell_channels + m.cfg.feature_dim))
+    out = m.fuse_features(ad.constant(f_s), ad.constant(v), ad.constant(rel),
+                          ad.constant(c_mat))
+    u = np.hstack([f_s, v]) @ m.w_v.data + m.b_v.data
+    ctx = c_mat.mean(axis=0, keepdims=True) @ m.w_c.data
+    assert np.max(np.abs(out.data - u * (rel @ m.w_r.data) * ctx)) < 1e-12
+
+
 def test_fuse_features_guards_variant():
     m = desk_model("g_lstm")
     with pytest.raises(md.VariantError):

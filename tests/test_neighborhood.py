@@ -108,13 +108,14 @@ def test_conv_zero_mask_gates_everything():
     out = nb.conv_encode(down, w, ad.constant(np.zeros((1, 3))),
                          ad.constant(np.zeros((16, 1))))
     assert np.all(out.data == 0.0)
-    c = nb.append_social_context(out, ad.constant(np.ones((2, 4))), 16, 4)
+    c = nb.append_social_context(out, ad.constant(np.ones((2, 4))),
+                                 nb.SceneBlocks([2], 16), 4)
     assert np.all(c.data[:, 3:] == 1.0)  # only the social mean survives
 
 
 def test_append_social_context_first_step_zeros():
     base = ad.constant(np.ones((4, 2)))
-    c = nb.append_social_context(base, None, 4, 3)
+    c = nb.append_social_context(base, None, nb.SceneBlocks([1], 4), 3)
     assert c.data.shape == (4, 5)
     assert np.all(c.data[:, 2:] == 0.0)
 
@@ -178,7 +179,7 @@ def test_attend_cells_one_hot_selects():
 def test_cell_attention_from_ped_preserves_mass():
     g = np.random.default_rng(6)
     a_ped = ad.stable_softmax(ad.constant(g.normal(size=(5, 4))))
-    a_cells = nb.cell_attention_from_ped(a_ped)
+    a_cells = nb.cell_attention_from_ped(a_ped, nb.SceneBlocks([5], 4))
     assert a_cells.data.shape == (4, 1)
     assert a_cells.data.sum() == pytest.approx(1.0, abs=1e-12)
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from g2k import autodiff as ad
-from g2k import config
+from g2k import cli, config
 from g2k import data as da
 from g2k import evaluation as ev
 from g2k import model as md
@@ -402,7 +402,7 @@ def half_then_disk_full(real_open=open):
     return opener
 
 
-@pytest.mark.parametrize("writer", ["checkpoint", "log", "report"])
+@pytest.mark.parametrize("writer", ["checkpoint", "log", "report", "viz", "tsv"])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     target = tmp_path / "out"
     target.write_text("previous\n")
@@ -415,6 +415,9 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
                                                  TrainConfig(), 1, [0.5]),
         "log": lambda: log.write(str(target)),
         "report": lambda: ev.write_report_csv(report, str(target)),
+        "viz": lambda: cli.write_matrix_csv(str(target), np.eye(2), "h"),
+        "tsv": lambda: da.write_dataset(cv_batches(seeds=(1,))[0].windows[0].obs,
+                                        str(target)),
     }[writer]
     with monkeypatch.context() as mp:
         mp.setattr(config, "open", half_then_disk_full(), raising=False)
