@@ -11,10 +11,9 @@ here; on real data it is the axis that matters.
 import argparse
 import sys
 
-from dataclasses import replace
-
 from g2k import evaluation as ev
 from g2k import training as tr
+from g2k.config import write_text
 
 
 def main() -> int:
@@ -35,8 +34,7 @@ def main() -> int:
     print(result.table())
 
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(ev.ablation_csv(result))
+        write_text(args.out, ev.ablation_csv(result))
         print(f"\nwrote {args.out}")
 
     failed = [o for o in result.outcomes if o.report is None]

@@ -102,19 +102,6 @@ class DiffValue:
     def __repr__(self):
         return f"DiffValue(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # thin operator sugar over the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def constant(data) -> DiffValue:
     """Leaf that never receives gradient (inputs, fixed masks)."""

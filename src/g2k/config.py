@@ -215,15 +215,15 @@ def read_text(path: str, error: type[Exception] = ConfigError) -> str:
         raise error(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
-def write_text(path: str, text: str) -> None:
-    """Write UTF-8 text atomically: into a temp file beside path, then
-    os.replace it onto path. On any failure the previous file at path is
-    left as it was, the temp file is removed and OS errors name path."""
+def write_bytes(path: str, data: bytes) -> None:
+    """Write data atomically: into a temp file beside path, then os.replace
+    it onto path. On any failure the previous file at path is left as it
+    was, the temp file is removed and OS errors name path."""
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException as e:
         try:
@@ -233,6 +233,11 @@ def write_text(path: str, text: str) -> None:
         if isinstance(e, OSError) and e.filename == tmp:
             e.filename = path
         raise
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text as UTF-8 through write_bytes, atomically."""
+    write_bytes(path, text.encode("utf-8"))
 
 
 def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig | None = None) -> str:

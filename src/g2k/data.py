@@ -6,7 +6,7 @@ are world meters (pre-projected; homography application is a preprocessing
 requirement, not handled here). pan is a head-pose angle in radians, world
 frame, in (-pi, pi].
 
-Scene images ride along as PGM grayscale (both P2 and P5 read; P5 written).
+Scene images ride along as PGM grayscale (P2 and P5, read and written).
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, read_key_values, read_text, write_text
+from .config import (ConfigError, read_key_values, read_text, write_bytes,
+                     write_text)
 
 DT_SECONDS = 0.4  # sampling period the window lengths are quoted in
 
@@ -127,9 +128,7 @@ def _wrap_angle(a: float) -> float:
 # canonical TSV
 
 
-def load_dataset(path: str, fmt: str = "canonical_tsv") -> list[TrackPoint]:
-    if fmt != "canonical_tsv":
-        raise ParseError(f"unknown format {fmt!r}")
+def load_dataset(path: str) -> list[TrackPoint]:
     points: list[TrackPoint] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(read_text(path, ParseError).splitlines(), start=1):
@@ -435,6 +434,8 @@ def read_pgm(path: str) -> np.ndarray:
 
 def write_pgm(path: str, img: np.ndarray, magic: str = "P5",
               comment: str | None = None) -> None:
+    """Binary (P5) or plain (P2) 8-bit PGM, values rounded and clipped to
+    0..255; the file is replaced atomically."""
     arr = np.asarray(img)
     if arr.ndim != 2:
         raise ParseError("PGM image must be 2-D")
@@ -444,12 +445,10 @@ def write_pgm(path: str, img: np.ndarray, magic: str = "P5",
     h, w = arr.shape
     note = f"# {comment}\n" if comment else ""
     header = f"{magic}\n{note}{w} {h}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        if magic == "P5":
-            fh.write(header + arr.tobytes())
-        elif magic == "P2":
-            fh.write(header)
-            for row in arr:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n").encode("ascii"))
-        else:
-            raise ParseError(f"unsupported PGM magic {magic!r}")
+    if magic == "P5":
+        body = arr.tobytes()
+    elif magic == "P2":
+        body = "".join(" ".join(map(str, r)) + "\n" for r in arr.tolist()).encode("ascii")
+    else:
+        raise ParseError(f"unsupported PGM magic {magic!r}")
+    write_bytes(path, header + body)

@@ -37,14 +37,17 @@ class GridConfigError(ValueError):
     """Cell geometry that cannot be realized (divisibility, bad counts)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridLSTMConfig:
+    """Cell geometry, checked once on construction; frozen, so it stays
+    valid and step() need not check it again."""
+
     hidden_size: int = 128
     num_blocks: int = 4
     block_skip: int = 4
     cell_units: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("hidden_size", "num_blocks", "block_skip", "cell_units"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
@@ -82,7 +85,6 @@ class GridState:
 
 
 def init_state(cfg: GridLSTMConfig, n_entities: int) -> GridState:
-    cfg.validate()
     if n_entities < 0:
         raise GridConfigError(f"n_entities must be >= 0, got {n_entities}")
     z = np.zeros((n_entities, cfg.hidden_size))
@@ -117,7 +119,6 @@ def init_params(
     """Register cell weights under prefix. Forget-gate bias starts at 1.0,
     everything else N(0, std^2); parameter count does not depend on
     num_blocks because blocks share weights."""
-    cfg.validate()
     bi = cfg.block_input(input_len)
     bh = cfg.block_hidden
 
@@ -159,7 +160,6 @@ def step(
     wd, block 0 has no depth predecessor. Each gate update computes
     x@wx + bias, then + h@wh, then + depth, in that order.
     """
-    cfg.validate()
     n, width = inputs.data.shape
     if n != state.n_entities:
         raise GridConfigError(

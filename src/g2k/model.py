@@ -53,17 +53,16 @@ STATIC = ("mcr_mp", "mcr_mpc")
 
 @dataclass
 class Diagnostics:
-    """Per-observed-step intermediates for export and inspection. A packed
-    run stacks its scenes' rows: the adjacency is block-diagonal, the cell
-    entries hold k rows per scene and the edge pairs use packed row
-    indices."""
+    """The maps of every observed step, as the forward's own arrays rather
+    than copies: only parameter leaves are written in place, so nothing
+    changes a map once its step returns. A packed run stacks its scenes'
+    rows: the adjacency is block-diagonal and the cell entries hold k rows
+    per scene. TrajectoryModel.edges thresholds a kept adjacency."""
 
     adjacency: list[np.ndarray] = field(default_factory=list)
     attention: list[np.ndarray] = field(default_factory=list)
     ped_cell_attention: list[np.ndarray] = field(default_factory=list)
     cell_attention: list[np.ndarray] = field(default_factory=list)
-    static_features: list[np.ndarray] = field(default_factory=list)
-    edge_sets: list[list[tuple[int, int]]] = field(default_factory=list)
 
 
 @dataclass
@@ -73,7 +72,9 @@ class KernelRun:
     positions[k] is the (N, 2) node for predicted step k, built by adding the
     k-th offset onto the previous step, so offsets telescope exactly. sizes
     holds the pedestrian count of each packed scene, in row order; empty
-    means one scene.
+    means one scene. diagnostics holds the maps of each observed step;
+    model.edges(run.diagnostics.adjacency[t], run.sizes) gives step t's
+    edges.
     """
 
     positions: list[DiffValue]
@@ -235,29 +236,28 @@ class TrajectoryModel:
         keep = (mixed.data >= tau).astype(np.float64)
         return ad.mul(mixed, ad.constant(keep))
 
-    def adjacency(
-        self, h_in: DiffValue, n_peds: int, blocks: nb.SceneBlocks | None = None,
-    ) -> tuple[DiffValue, list[tuple[int, int]]]:
-        """A = row_softmax(H @ W_A @ H^T) plus the surviving edge pairs.
-
-        n_peds rows form one scene unless blocks packs several; links
-        between scenes are masked to exactly zero weight and never edges,
-        and each row's threshold is resolved for its own crowd size."""
-        blocks = blocks or nb.SceneBlocks([n_peds], 0)
+    def adjacency_map(self, h_in: DiffValue, blocks: nb.SceneBlocks) -> DiffValue:
+        """A = row_softmax(H @ W_A @ H^T) over the rows blocks lays out;
+        links between packed scenes are masked to exactly zero weight."""
         logits = ad.matmul(ad.matmul(h_in, self.w_a), ad.transpose(h_in))
         mask = blocks.link_mask(self.cfg.self_loops)
         if mask is not None:
             logits = ad.add(logits, ad.constant(mask))
-        a = ad.stable_softmax(logits)
-        if blocks.count == 1:
-            edges = a.data >= self.cfg.resolve_tau(max(n_peds, 1))
-        else:
-            taus = np.array([self.cfg.resolve_tau(n) for n in blocks.sizes])
-            edges = (a.data >= taus[blocks.scene_of, None]) & blocks.same_scene
+        return ad.stable_softmax(logits)
+
+    def edges(self, a: np.ndarray, sizes: Sequence[int]) -> list[tuple[int, int]]:
+        """Surviving edges of an adjacency map a kept in Diagnostics, for a
+        run whose scenes hold sizes pedestrians (KernelRun.sizes). Each
+        scene is thresholded at its own resolve_tau(n_s), no edge crosses
+        scenes and the diagonal is dropped without self loops. Pairs are
+        packed row indices, row-major, as Python ints."""
+        blocks = nb.SceneBlocks(sizes, 0)
+        taus = np.array([self.cfg.resolve_tau(n) for n in blocks.sizes])
+        keep = (a >= taus[blocks.scene_of, None]) & blocks.same_scene
         if not self.cfg.self_loops:
-            np.fill_diagonal(edges, False)
+            np.fill_diagonal(keep, False)
         # argwhere walks row-major; tolist() gives Python ints
-        return a, list(map(tuple, np.argwhere(edges).tolist()))
+        return list(map(tuple, np.argwhere(keep).tolist()))
 
     # -- full unroll ---------------------------------------------------------
 
@@ -320,12 +320,11 @@ class TrajectoryModel:
         if cfg.variant != "g_lstm" and vis is None:
             raise InputError(f"variant {cfg.variant} needs vislets on every window")
         blocks = nb.SceneBlocks([o.shape[1] for o in parts], cfg.num_cells)
-        n = blocks.n
 
         relational = cfg.variant in RELATIONAL
         static_on = cfg.variant in STATIC and cfg.static_grid_enabled
         diag = Diagnostics()
-        state = gl.init_state(self.social_cfg, n)
+        state = gl.init_state(self.social_cfg, blocks.n)
 
         if static_on:
             k = cfg.num_cells
@@ -391,17 +390,15 @@ class TrajectoryModel:
             else:
                 h_in = ad.stable_softmax(h_pre)  # node softmax
 
-            a_mat, nu = self.adjacency(h_in, n, blocks)
+            a_mat = self.adjacency_map(h_in, blocks)
             h_star = ad.matmul(a_mat, h_in)  # state mixing H* = A @ H
             state = gl.GridState(h=h_star, c=state.c)
 
-            diag.adjacency.append(a_mat.data.copy())
-            diag.attention.append(a_z.data.copy())
-            diag.edge_sets.append(nu)
+            diag.adjacency.append(a_mat.data)
+            diag.attention.append(a_z.data)
             if static_on:
-                diag.ped_cell_attention.append(a_ped.data.copy())
-                diag.cell_attention.append(a_cells.data.copy().ravel())
-                diag.static_features.append(f_o_dd.data.copy())
+                diag.ped_cell_attention.append(a_ped.data)
+                diag.cell_attention.append(a_cells.data.ravel())
 
         return self._decode(state.h, obs[-1], diag, blocks.sizes)
 

@@ -81,14 +81,6 @@ def loss_graph(run: KernelRun, targets: np.ndarray) -> DiffValue:
     return ad.scale(total, 1.0 / (n * pred_len))
 
 
-def loss_value(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Numeric twin of loss_graph on (N, T, 2) arrays."""
-    if pred.shape != gt.shape:
-        raise ConfigError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    n, t = pred.shape[0], pred.shape[1]
-    return float(((pred - gt) ** 2).sum() / (n * t))
-
-
 def quick_grad_check(variant: str, model_seed: int = 9,
                      data_seed: int = 43) -> "ad.GradCheckReport":
     """Gradient check of a full forward/backward pass at desk scale.

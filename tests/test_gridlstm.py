@@ -226,9 +226,9 @@ def test_init_state_shapes_and_zeros():
 
 def test_config_validation():
     with pytest.raises(gl.GridConfigError):
-        gl.GridLSTMConfig(10, 4, 1, 1).validate()  # 10 % 4 != 0
+        gl.GridLSTMConfig(10, 4, 1, 1)  # 10 % 4 != 0
     with pytest.raises(gl.GridConfigError):
-        gl.GridLSTMConfig(8, 0, 1, 1).validate()
+        gl.GridLSTMConfig(8, 0, 1, 1)
     with pytest.raises(gl.GridConfigError):
         gl.GridLSTMConfig(8, 2, 3, 1).block_input(8)  # 8 % 6 != 0
 

@@ -8,6 +8,7 @@ import pytest
 from g2k import autodiff as ad
 from g2k import data as da
 from g2k import model as md
+from g2k import neighborhood as nb
 from g2k import training as tr
 from g2k.config import VARIANTS, ModelConfig, desk_config
 
@@ -23,6 +24,13 @@ def desk_model(variant="mcr_n", seed=0, **overrides):
     for k, v in overrides.items():
         setattr(cfg, k, v)
     return md.TrajectoryModel(cfg, seed=seed)
+
+
+def adjacency(m, h):
+    """One scene's adjacency map over node states h, and its edges."""
+    n = h.data.shape[0]
+    a = m.adjacency_map(h, nb.SceneBlocks([n], 0))
+    return a, m.edges(a.data, [n])
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +114,14 @@ def test_adjacency_rows_sum_to_one():
     m = desk_model()
     g = np.random.default_rng(3)
     h = ad.constant(g.normal(size=(5, m.cfg.hidden_size)))
-    a, nu = m.adjacency(h, 5)
+    a, nu = adjacency(m, h)
     assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-9)
     assert all(0 <= i < 5 and 0 <= j < 5 for i, j in nu)
 
 
 def test_adjacency_single_node():
     m = desk_model()
-    a, nu = m.adjacency(ad.constant(np.ones((1, m.cfg.hidden_size))), 1)
+    a, nu = adjacency(m, ad.constant(np.ones((1, m.cfg.hidden_size))))
     assert a.data.shape == (1, 1)
     assert a.data[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert nu == [(0, 0)]
@@ -122,7 +130,7 @@ def test_adjacency_single_node():
 def test_adjacency_identical_rows_uniform():
     m = desk_model()
     h = ad.constant(np.tile(np.linspace(0, 1, m.cfg.hidden_size), (3, 1)))
-    a, _ = m.adjacency(h, 3)
+    a, _ = adjacency(m, h)
     assert np.allclose(a.data, 1.0 / 3.0, atol=1e-12)
 
 
@@ -130,7 +138,7 @@ def test_adjacency_matches_bilinear_oracle():
     m = desk_model()
     g = np.random.default_rng(4)
     h = g.normal(size=(3, m.cfg.hidden_size))
-    a, _ = m.adjacency(ad.constant(h), 3)
+    a, _ = adjacency(m, ad.constant(h))
     logits = h @ m.w_a.data @ h.T
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     assert np.max(np.abs(a.data - e / e.sum(axis=1, keepdims=True))) < 1e-12
@@ -139,7 +147,7 @@ def test_adjacency_matches_bilinear_oracle():
 def test_adjacency_self_loop_flag():
     m = desk_model(self_loops=False)
     g = np.random.default_rng(5)
-    a, nu = m.adjacency(ad.constant(g.normal(size=(3, m.cfg.hidden_size))), 3)
+    a, nu = adjacency(m, ad.constant(g.normal(size=(3, m.cfg.hidden_size))))
     assert np.allclose(np.diag(a.data), 0.0, atol=1e-12)
     assert all(i != j for i, j in nu)
     assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-9)
@@ -152,7 +160,7 @@ def test_adjacency_edges_match_double_loop_oracle(self_loops):
     for n in (1, 2, 3, 5, 8):
         for _ in range(4):
             h = g.normal(size=(n, m.cfg.hidden_size)) * g.uniform(0.1, 3.0)
-            a, nu = m.adjacency(ad.constant(h), n)
+            a, nu = adjacency(m, ad.constant(h))
             tau = m.cfg.resolve_tau(max(n, 1))
             oracle = [(i, j) for i in range(n) for j in range(n)
                       if a.data[i, j] >= tau and (self_loops or i != j)]
@@ -359,17 +367,40 @@ def test_adjacency_diagnostics_row_stochastic():
 
 
 def test_static_diagnostics_present_only_with_grid():
-    with_grid = desk_model("mcr_mp", seed=8).run(desk_batch(seed=23))
-    assert len(with_grid.diagnostics.static_features) == 3
-    assert all(np.isfinite(f).all() for f in with_grid.diagnostics.static_features)
+    diag = desk_model("mcr_mp", seed=8).run(desk_batch(seed=23)).diagnostics
+    assert len(diag.ped_cell_attention) == len(diag.cell_attention) == 3
+    for a_ped, a_cells in zip(diag.ped_cell_attention, diag.cell_attention):
+        assert np.allclose(a_ped.sum(axis=1), 1.0, atol=1e-9)
+        assert a_cells.shape == (4,) and abs(a_cells.sum() - 1.0) < 1e-9
     no_grid = desk_model("mcr_n", seed=8).run(desk_batch(seed=23))
-    assert no_grid.diagnostics.static_features == []
+    assert no_grid.diagnostics.ped_cell_attention == []
+    assert no_grid.diagnostics.cell_attention == []
+
+
+def test_recorded_maps_survive_backward_update_and_rerun():
+    # the maps are the forward's own arrays, not copies: nothing may write
+    # them once recorded
+    m = desk_model("mcr_mp", seed=8, lambda_reg=1.0, init_scale=0.3)
+    batch = desk_batch(seed=23)
+
+    def maps(run):
+        d = run.diagnostics
+        return [*d.adjacency, *d.attention, *d.ped_cell_attention, *d.cell_attention]
+
+    run = m.run(batch)
+    before = [a.copy() for a in maps(run)]
+    ad.backward(tr.loss_graph(run, da.target_positions(batch)))
+    tr.Adam(lr=0.1).step(m.params)
+    again = maps(m.run(batch))
+    for a, b, c in zip(maps(run), before, again):
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != c.tobytes()  # the update moved every map
 
 
 def test_static_grid_ablated_falls_back_to_node_softmax():
     a = desk_model("mcr_mp", seed=9, static_grid_enabled=False)
     run = a.run(desk_batch(seed=29))
-    assert run.diagnostics.static_features == []
+    assert run.diagnostics.cell_attention == []
     assert run.predictions.shape == (3, 2, 2)
 
 

@@ -77,7 +77,7 @@ def test_packed_run_matches_per_scene_loop(variant, overrides):
         ad.backward(loss)
         preds.append(run.predictions)
         losses.append(float(loss.data[0, 0]))
-        edges.append(run.diagnostics.edge_sets)
+        edges.append([model.edges(a, run.sizes) for a in run.diagnostics.adjacency])
         g = grads(model)
         want = g if want is None else {k: want[k] + g[k] for k in g}
 
@@ -96,7 +96,8 @@ def test_packed_run_matches_per_scene_loop(variant, overrides):
 
     # edges stay inside each scene's block, and are that scene's own edges
     starts = np.cumsum([0, *CROWDS])
-    for t, packed in enumerate(run.diagnostics.edge_sets):
+    for t, a in enumerate(run.diagnostics.adjacency):
+        packed = model.edges(a, run.sizes)
         shifted = [(i + s0, j + s0) for s0, per_scene in zip(starts, edges)
                    for i, j in per_scene[t]]
         assert packed == sorted(shifted)
