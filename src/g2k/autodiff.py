@@ -20,7 +20,10 @@ row_mul, which take an explicit 1 x cols second operand.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import os
+import pickle
+import signal
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -440,10 +443,14 @@ def grad_check(build_loss, params, eps: float = 1e-5) -> GradCheckReport:
     """Compare backward() gradients against central finite differences.
 
     build_loss must rebuild the graph from the current parameter values and
-    return the scalar loss; it is called once for the analytic pass and,
-    under no_grad(), twice per perturbed element, so keep the instance
-    desk-scale. Relative error per element is
-    |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).
+    return the scalar loss. It is called once, in the caller, for the
+    analytic pass, then under no_grad() twice per perturbed element. The
+    perturbed elements are dealt round-robin to one worker per CPU the
+    process may use: worker 0 is the caller, the others are forked child
+    processes. So build_loss must be a pure function of the parameters (its
+    side effects in a child are lost), and the instance should stay
+    desk-scale. The report is the same for any number of workers. Relative
+    error per element is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).
     """
     params = list(params)
     for p in params:
@@ -451,25 +458,120 @@ def grad_check(build_loss, params, eps: float = 1e-5) -> GradCheckReport:
     backward(build_loss())
     analytic = {p.name: p.value.grad.copy() for p in params}
 
+    sites = [(p.value.data, idx) for p in params for idx in np.ndindex(p.value.data.shape)]
+    numeric = _central_differences(build_loss, sites, eps)
+
     report = GradCheckReport(eps=eps)
+    start = 0
+    for p in params:
+        arr, ga = p.value.data, analytic[p.name]
+        num = numeric[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+        denom = np.maximum(np.maximum(np.abs(ga), np.abs(num)), 1e-8)
+        report.per_param[p.name] = (
+            float(np.max(np.abs(ga - num) / denom)) if arr.size else 0.0
+        )
+    return report
+
+
+def _central_differences(build_loss, sites, eps: float) -> np.ndarray:
+    """(L(x + eps) - L(x - eps)) / 2eps for each (array, index) site.
+
+    Site j goes to worker j % w, with w the number of usable CPUs (at most
+    one per site). Workers 1..w-1 are forked before the caller perturbs
+    anything, so they start from the caller's parameters, and each sends
+    its values back through a pipe. Every child is reaped on every path.
+    """
+    w = _workers(len(sites))
+    children: list[tuple[int, int]] = []  # (pid, read end), in worker order
+    try:
+        for j in range(1, w):
+            children.append(_fork(lambda j=j: _differences(build_loss, sites[j::w], eps)))
+        out = np.empty(len(sites))
+        out[0::w] = _differences(build_loss, sites[0::w], eps)
+        for j in range(1, w):
+            pid, fd = children[0]
+            with open(fd, "rb", closefd=False) as f:
+                blob = f.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            os.close(fd)
+            out[j::w] = _reply(blob, pid, status)
+        return out
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _differences(build_loss, sites, eps: float) -> np.ndarray:
+    out = np.empty(len(sites))
     with no_grad():
-        for p in params:
-            arr = p.value.data
-            numeric = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = arr[idx]
+        for n, (arr, idx) in enumerate(sites):
+            orig = arr[idx]
+            try:
                 arr[idx] = orig + eps
                 lo_plus = float(build_loss().data[0, 0])
                 arr[idx] = orig - eps
                 lo_minus = float(build_loss().data[0, 0])
+            finally:
                 arr[idx] = orig
-                numeric[idx] = (lo_plus - lo_minus) / (2.0 * eps)
-                it.iternext()
-            ga = analytic[p.name]
-            denom = np.maximum(np.maximum(np.abs(ga), np.abs(numeric)), 1e-8)
-            report.per_param[p.name] = (
-                float(np.max(np.abs(ga - numeric) / denom)) if arr.size else 0.0
-            )
-    return report
+            out[n] = (lo_plus - lo_minus) / (2.0 * eps)
+    return out
+
+
+def _workers(n_sites: int) -> int:
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_sites))
+
+
+def _fork(work) -> tuple[int, int]:
+    """Run work() in a forked child; return its pid and the read end of the
+    pipe that carries (True, result) or (False, exception) back. The child
+    leaves through os._exit, so it runs no atexit hook, no test teardown and
+    flushes no stdio buffer inherited from the caller."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                reply = (True, work())
+            except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+                reply = (False, _portable(exc))
+            with open(w, "wb") as f:
+                f.write(pickle.dumps(reply))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """exc if it survives a pickle round trip, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:  # noqa: BLE001
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _reply(blob: bytes, pid: int, status: int):
+    if status != 0 or not blob:
+        raise RuntimeError(
+            f"grad_check worker {pid} exited with status "
+            f"{os.waitstatus_to_exitcode(status)} without sending its results"
+        )
+    ok, value = pickle.loads(blob)
+    if not ok:
+        raise value
+    return value

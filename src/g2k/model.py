@@ -308,6 +308,9 @@ class TrajectoryModel:
             scenes = [scenes]
         if not scenes:
             raise InputError("no scenes to run")
+        for i, b in enumerate(scenes):
+            if not b.windows:
+                raise InputError(f"scene {i} of the pack has no pedestrians")
         parts = [da.obs_positions(b) for b in scenes]
         for o in parts:
             if o.shape[0] != cfg.obs_len:

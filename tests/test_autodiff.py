@@ -1,6 +1,9 @@
 """Engine-level checks: op forward values against hand oracles, backward
 against finite differences, graph bookkeeping rules."""
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,18 +298,109 @@ def test_grad_check_passes_on_correct_graph():
     assert report.passed(1e-4), report.format()
 
 
-def test_grad_check_records_only_the_analytic_pass():
+def use_cpus(monkeypatch, n):
+    """Make grad_check see n usable CPUs, so it runs n workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@contextlib.contextmanager
+def only_caller_returns(log):
+    """A forked worker that leaves grad_check logs itself and exits here,
+    instead of running the rest of the test session."""
+    caller = os.getpid()
+    try:
+        yield
+    finally:
+        if os.getpid() != caller:
+            with open(log, "a") as f:
+                f.write(f"escaped {os.getpid()}\n")
+            os._exit(0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_grad_check_records_only_the_analytic_pass(monkeypatch, tmp_path):
+    # perturbed forwards run in forked workers, so every call records its
+    # pid and requires_grad in a file that all processes append to
+    use_cpus(monkeypatch, 3)
     ps = ad.ParameterSet()
     w = ps.register("w", rng(14).normal(size=(2, 2)))
-    recorded = []
+    log = tmp_path / "calls.txt"
 
     def build():
         loss = ad.sum_all(ad.mul(w.value, w.value))
-        recorded.append(loss.requires_grad)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {loss.requires_grad}\n")
         return loss
 
-    ad.grad_check(build, ps)
-    assert recorded == [True] + [False] * (2 * w.value.data.size)
+    with only_caller_returns(log):
+        ad.grad_check(build, ps)
+    assert_no_child_left()
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert [pid for pid, rec in calls if rec == "True"] == [str(os.getpid())]
+    assert [rec for _, rec in calls if rec != "True"] == ["False"] * (2 * w.value.data.size)
+    assert len({pid for pid, _ in calls}) == 3
+
+
+def test_grad_check_leaves_parameters_bit_identical(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    ps = ad.ParameterSet()
+    g = rng(16)
+    w = ps.register("w", g.normal(size=(3, 2)))
+    b = ps.register("b", g.normal(size=(1, 2)))
+    before = [p.value.data.tobytes() for p in ps]
+
+    def build():
+        h = ad.stable_softmax(ad.bias_add(w.value, b.value))
+        return ad.sum_all(ad.mul(h, h))
+
+    assert ad.grad_check(build, ps).passed(1e-4)
+    assert [p.value.data.tobytes() for p in ps] == before
+
+
+@pytest.mark.parametrize("element, where", [(0, "caller"), (1, "child")])
+def test_grad_check_raises_a_worker_error_and_reaps_every_child(
+        monkeypatch, tmp_path, element, where):
+    # with three workers, element 0 is the caller's, element 1 a child's
+    use_cpus(monkeypatch, 3)
+    ps = ad.ParameterSet()
+    w = ps.register("w", rng(15).normal(size=(2, 3)))
+    before = w.value.data.copy()
+    caller = os.getpid()
+
+    def build():
+        if w.value.data.flat[element] != before.flat[element]:
+            raise ad.NumericError(f"perturbed forward in {os.getpid()}")
+        return ad.sum_all(ad.mul(w.value, w.value))
+
+    with pytest.raises(ad.NumericError) as err, only_caller_returns(tmp_path / "log"):
+        ad.grad_check(build, ps)
+    raised_in = int(str(err.value).split()[-1])
+    assert (raised_in == caller) == (where == "caller")
+    assert_no_child_left()
+    assert w.value.data.tobytes() == before.tobytes()
+    assert not (tmp_path / "log").exists()
+
+
+def test_grad_check_names_the_status_of_a_child_that_died(monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 3)
+    ps = ad.ParameterSet()
+    w = ps.register("w", rng(15).normal(size=(2, 3)))
+    before = w.value.data.copy()
+    caller = os.getpid()
+
+    def build():
+        if os.getpid() != caller and w.value.data[0, 1] != before[0, 1]:
+            os._exit(7)
+        return ad.sum_all(ad.mul(w.value, w.value))
+
+    with pytest.raises(RuntimeError, match="status 7"), only_caller_returns(tmp_path / "log"):
+        ad.grad_check(build, ps)
+    assert_no_child_left()
+    assert w.value.data.tobytes() == before.tobytes()
 
 
 def test_grad_check_catches_wrong_gradient():

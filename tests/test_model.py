@@ -320,6 +320,15 @@ def test_obs_length_mismatch_rejected():
         m.run(da.synthesize(sc)[0])
 
 
+def test_empty_scene_rejected_alone_and_in_pack():
+    m = desk_model("mcr_n")
+    empty = da.SceneBatch(windows=[])
+    with pytest.raises(md.InputError, match="scene 0 of the pack has no pedestrians"):
+        m.run(empty)
+    with pytest.raises(md.InputError, match="scene 1 of the pack has no pedestrians"):
+        m.run([desk_batch(), empty, desk_batch(seed=12)])
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_permutation_equivariance(variant):
     m = desk_model(variant, seed=4)

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -273,6 +274,16 @@ def test_grad_check_no_grad_forwards_match_recording(monkeypatch, variant):
     free = errors()
     monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
     assert errors() == free
+
+
+@pytest.mark.parametrize("variant", ["g_lstm", "mcr_n"])
+def test_grad_check_report_same_for_any_worker_count(monkeypatch, variant):
+    def errors(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        rep = tr.quick_grad_check(variant)
+        return {k: v.hex() for k, v in rep.per_param.items()}
+
+    assert errors(1) == errors(3)
 
 
 # ---------------------------------------------------------------------------
