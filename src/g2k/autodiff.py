@@ -20,9 +20,13 @@ row_mul, which take an explicit 1 x cols second operand.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import pickle
 import signal
+import sys
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
@@ -445,12 +449,11 @@ def grad_check(build_loss, params, eps: float = 1e-5) -> GradCheckReport:
     build_loss must rebuild the graph from the current parameter values and
     return the scalar loss. It is called once, in the caller, for the
     analytic pass, then under no_grad() twice per perturbed element. The
-    perturbed elements are dealt round-robin to one worker per CPU the
-    process may use: worker 0 is the caller, the others are forked child
-    processes. So build_loss must be a pure function of the parameters (its
-    side effects in a child are lost), and the instance should stay
-    desk-scale. The report is the same for any number of workers. Relative
-    error per element is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).
+    perturbed elements are spread over the process's CPUs (spread()), so
+    build_loss must be a pure function of the parameters (its side effects
+    in a forked worker are lost), and the instance should stay desk-scale.
+    The report is the same for any number of workers. Relative error per
+    element is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).
     """
     params = list(params)
     for p in params:
@@ -459,7 +462,7 @@ def grad_check(build_loss, params, eps: float = 1e-5) -> GradCheckReport:
     analytic = {p.name: p.value.grad.copy() for p in params}
 
     sites = [(p.value.data, idx) for p in params for idx in np.ndindex(p.value.data.shape)]
-    numeric = _central_differences(build_loss, sites, eps)
+    numeric = np.array(spread(lambda site: _difference(build_loss, site, eps), sites))
 
     report = GradCheckReport(eps=eps)
     start = 0
@@ -474,21 +477,55 @@ def grad_check(build_loss, params, eps: float = 1e-5) -> GradCheckReport:
     return report
 
 
-def _central_differences(build_loss, sites, eps: float) -> np.ndarray:
-    """(L(x + eps) - L(x - eps)) / 2eps for each (array, index) site.
+def _difference(build_loss, site, eps: float) -> float:
+    """(L(x + eps) - L(x - eps)) / 2eps at one (array, index) site, under
+    no_grad(); the element is restored on every path."""
+    arr, idx = site
+    orig = arr[idx]
+    with no_grad():
+        try:
+            arr[idx] = orig + eps
+            lo_plus = float(build_loss().data[0, 0])
+            arr[idx] = orig - eps
+            lo_minus = float(build_loss().data[0, 0])
+        finally:
+            arr[idx] = orig
+    return (lo_plus - lo_minus) / (2.0 * eps)
 
-    Site j goes to worker j % w, with w the number of usable CPUs (at most
-    one per site). Workers 1..w-1 are forked before the caller perturbs
-    anything, so they start from the caller's parameters, and each sends
-    its values back through a pipe. Every child is reaped on every path.
+
+# ---------------------------------------------------------------------------
+# fan-out over forked workers
+
+
+def spread(work, items) -> list:
+    """[work(item) for item in items], computed on the CPUs the process may
+    use.
+
+    Item j goes to worker j % w, w = _workers(len(items)). Worker 0 is the
+    caller; workers 1..w-1 are forked before the caller runs any item, so
+    they start from its state, and each sends its results back through a
+    pipe. work's side effects in a child are lost, except its warnings:
+    every worker holds the warnings its items raise, and the caller shows
+    them in item order once all results are in (a child's through the
+    caller's filters). While workers run, BLAS is pinned to one thread in
+    every process, since the w workers already fill w CPUs. The caller's
+    exception is raised first, then the children's in worker order; every
+    child is reaped on every path. With one worker nothing is forked and
+    work runs in the caller, item by item.
     """
-    w = _workers(len(sites))
+    items = list(items)
+    w = _workers(len(items))
+    if w == 1:
+        return [work(item) for item in items]
+    get_threads, set_threads = _blas()
+    threads = get_threads()
     children: list[tuple[int, int]] = []  # (pid, read end), in worker order
     try:
+        set_threads(1)
         for j in range(1, w):
-            children.append(_fork(lambda j=j: _differences(build_loss, sites[j::w], eps)))
-        out = np.empty(len(sites))
-        out[0::w] = _differences(build_loss, sites[0::w], eps)
+            _fork(lambda j=j: _held(work, items[j::w]), children)
+        out: list = [None] * len(items)
+        out[0::w] = _held(work, items[0::w])
         for j in range(1, w):
             pid, fd = children[0]
             with open(fd, "rb", closefd=False) as f:
@@ -497,63 +534,128 @@ def _central_differences(build_loss, sites, eps: float) -> np.ndarray:
             del children[0]
             os.close(fd)
             out[j::w] = _reply(blob, pid, status)
-        return out
+        results = []
+        for j, (result, caught) in enumerate(out):
+            for message in caught:
+                (warnings.showwarning if j % w == 0 else _warn_again)(*message)
+            results.append(result)
+        return results
     finally:
         for pid, fd in children:
             os.close(fd)
             with suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        set_threads(threads)
 
 
-def _differences(build_loss, sites, eps: float) -> np.ndarray:
-    out = np.empty(len(sites))
-    with no_grad():
-        for n, (arr, idx) in enumerate(sites):
-            orig = arr[idx]
-            try:
-                arr[idx] = orig + eps
-                lo_plus = float(build_loss().data[0, 0])
-                arr[idx] = orig - eps
-                lo_minus = float(build_loss().data[0, 0])
-            finally:
-                arr[idx] = orig
-            out[n] = (lo_plus - lo_minus) / (2.0 * eps)
-    return out
+def _held(work, share) -> list:
+    """(work(item), warnings it raised) for each item of share. Warnings
+    pass the process's filters as usual but are held, not shown."""
+    caught: list = []
+
+    def hold(message, category, filename, lineno, file=None, line=None):
+        caught.append((message, category, filename, lineno))
+
+    shown, warnings.showwarning = warnings.showwarning, hold
+    try:
+        out = []
+        for item in share:
+            out.append((work(item), caught[:]))
+            caught.clear()
+        return out
+    finally:
+        warnings.showwarning = shown
 
 
-def _workers(n_sites: int) -> int:
+def _warn_again(message, category, filename, lineno) -> None:
+    """Re-emit a child's warning as warnings.warn would from the module
+    whose file it names, so the caller's filters and that module's
+    once-per-location registry apply."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__file__", None) == filename:
+            g = vars(module)
+            warnings.warn_explicit(message, category, filename, lineno, g["__name__"],
+                                   g.setdefault("__warningregistry__", {}))
+            return
+    warnings.warn_explicit(message, category, filename, lineno)
+
+
+def _workers(n_items: int) -> int:
+    """Usable CPUs, at most one per item; 1 where the process cannot fork
+    or NumPy's BLAS offers no thread control."""
     if not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_sites))
+    w = max(1, min(cpus, n_items))
+    return w if w == 1 or _blas() is not None else 1
 
 
-def _fork(work) -> tuple[int, int]:
-    """Run work() in a forked child; return its pid and the read end of the
-    pipe that carries (True, result) or (False, exception) back. The child
-    leaves through os._exit, so it runs no atexit hook, no test teardown and
-    flushes no stdio buffer inherited from the caller."""
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
+@functools.cache
+def _blas():
+    """(get, set) of the thread count of the OpenBLAS that NumPy links, or
+    None. Looked up on first use, through NumPy's own extension module."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                           ("openblas_", "")):
         try:
-            os.close(r)
-            try:
-                reply = (True, work())
-            except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
-                reply = (False, _portable(exc))
-            with open(w, "wb") as f:
-                f.write(pickle.dumps(reply))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _fork(work, children: list) -> None:
+    """Run work() in a forked child and append (pid, read end of the pipe
+    that carries (True, result) or (False, exception) back) to children.
+    SIGINT is blocked from just before the fork until the pid is recorded,
+    so an interrupt cannot leave the child unreaped; the child restores the
+    caller's mask. The child leaves through os._exit, so it runs no atexit
+    hook, no test teardown and flushes no stdio buffer inherited from the
+    caller."""
+    r, w = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _child(work, r, w, mask)
+        children.append((pid, r))
+    except OSError:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _child(work, r: int, w: int, mask) -> None:
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(r)
+        try:
+            reply = (True, work())
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+            reply = (False, _portable(exc))
+        with open(w, "wb") as f:
+            f.write(pickle.dumps(reply))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -568,7 +670,7 @@ def _portable(exc: BaseException) -> BaseException:
 def _reply(blob: bytes, pid: int, status: int):
     if status != 0 or not blob:
         raise RuntimeError(
-            f"grad_check worker {pid} exited with status "
+            f"worker {pid} exited with status "
             f"{os.waitstatus_to_exitcode(status)} without sending its results"
         )
     ok, value = pickle.loads(blob)

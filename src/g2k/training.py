@@ -27,7 +27,9 @@ CKPT_MAGIC = "g2k-ckpt-v1"
 # pedestrian rows per training graph. At paper scale a recorded graph and
 # its gradients take about 0.6 MB per row, so a group of 16 scenes of up to
 # 24 pedestrians runs as several packs whose gradients add up before the
-# one optimizer step; one graph per such group would peak near 230 MB
+# one optimizer step; one graph per such group would peak near 230 MB. The
+# cap also sets the parallel grain: a group's packs are spread over the
+# process's CPUs, so a group that fits one pack runs in the caller alone
 TRAIN_PACK_ROWS = 40
 
 
@@ -276,10 +278,14 @@ def train(
     in runs of batch_size. Each group is one minibatch with one optimizer
     step on the mean of its per-scene losses. Its scenes are packed, in
     order, into graphs of at most TRAIN_PACK_ROWS pedestrians (a group that
-    fits is one graph and one backward pass), and the packs' gradients add
-    up to the group mean. A non-finite loss, or a non-finite gradient norm
-    before the step, aborts with the recent history attached; a non-finite
-    loss names the first scene of the group whose own loss is not finite.
+    fits is one graph and one backward pass). The packs run on the CPUs the
+    process may use (ad.spread: forked workers, BLAS on one thread each),
+    each from zeroed gradients, and their gradients are summed in pack
+    order to the group mean, so the result is bit-identical for any number
+    of workers. Each step's log record holds the loss and the pre-clip
+    gradient norm. A non-finite loss, or a non-finite gradient norm before
+    the step, aborts with the recent history attached; a non-finite loss
+    names the first scene of the group whose own loss is not finite.
     """
     model_cfg.validate()
     train_cfg.validate()
@@ -303,17 +309,23 @@ def train(
         for g0 in range(0, len(order), train_cfg.batch_size):
             group = order[g0 : g0 + train_cfg.batch_size]
             t0 = time.perf_counter()
+            packs = _packs(group, batches)
+            results = ad.spread(
+                lambda pack: _pack_gradient(
+                    model, [batches[bi] for bi in pack], [targets[bi] for bi in pack],
+                    len(pack) / len(group)),
+                packs)
             model.params.zero_grad()
             group_loss = 0.0
-            for pack in _packs(group, batches):
+            for pack, (lv, grads) in zip(packs, results):
                 share = len(pack) / len(group)
-                lv = _backward_pack(model, [batches[bi] for bi in pack],
-                                    [targets[bi] for bi in pack], share)
                 if not np.isfinite(lv):
                     raise DivergenceError(
                         epoch, _first_diverging(model, batches, targets, pack),
                         history + epoch_losses)
                 group_loss += share * lv
+                for p, g in zip(model.params, grads):
+                    p.value.grad += g
             epoch_losses.append(group_loss)
             norm = clip_gradients(model.params, train_cfg.clip_norm)
             if not np.isfinite(norm):
@@ -323,7 +335,8 @@ def train(
             wall_ms = (time.perf_counter() - t0) * 1000.0
             log.record(
                 epoch=epoch, batch=g0 // train_cfg.batch_size,
-                loss=f"{epoch_losses[-1]:.10g}", wall_ms=f"{wall_ms:.1f}",
+                loss=f"{epoch_losses[-1]:.10g}", grad_norm=f"{norm:.10g}",
+                wall_ms=f"{wall_ms:.1f}",
             )
         history.append(float(np.mean(epoch_losses)))
         if epoch % train_cfg.log_every == 0:
@@ -346,16 +359,19 @@ def _packs(group: np.ndarray, batches: list[da.SceneBatch]) -> list[list[int]]:
     return packs
 
 
-def _backward_pack(model: TrajectoryModel, scenes: list[da.SceneBatch],
-                   targets: list[np.ndarray], share: float) -> float:
-    """Run scenes as one graph and backpropagate share times its loss (the
-    mean of their per-scene losses); return that loss. A non-finite loss is
-    returned without a backward pass. The graph is freed on return."""
+def _pack_gradient(model: TrajectoryModel, scenes: list[da.SceneBatch],
+                   targets: list[np.ndarray], share: float):
+    """Run scenes as one graph and return its loss (the mean of their
+    per-scene losses) with the gradient of share times that loss, one array
+    per parameter, taken from zeroed leaf grads. A non-finite loss comes
+    back with no gradient and no backward pass."""
     loss = loss_graph(model.run(scenes), np.concatenate(targets, axis=1))
     lv = float(loss.data[0, 0])
-    if np.isfinite(lv):
-        ad.backward(ad.scale(loss, share))
-    return lv
+    if not np.isfinite(lv):
+        return lv, None
+    model.params.zero_grad()
+    ad.backward(ad.scale(loss, share))
+    return lv, [p.value.grad.copy() for p in model.params]
 
 
 def _first_diverging(model: TrajectoryModel, batches: list[da.SceneBatch],

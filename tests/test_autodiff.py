@@ -1,8 +1,9 @@
 """Engine-level checks: op forward values against hand oracles, backward
 against finite differences, graph bookkeeping rules."""
 
-import contextlib
 import os
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2k import autodiff as ad
+
+from forking import assert_no_child_left, only_caller_returns, use_cpus
 
 
 def rng(seed=0):
@@ -298,30 +301,6 @@ def test_grad_check_passes_on_correct_graph():
     assert report.passed(1e-4), report.format()
 
 
-def use_cpus(monkeypatch, n):
-    """Make grad_check see n usable CPUs, so it runs n workers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@contextlib.contextmanager
-def only_caller_returns(log):
-    """A forked worker that leaves grad_check logs itself and exits here,
-    instead of running the rest of the test session."""
-    caller = os.getpid()
-    try:
-        yield
-    finally:
-        if os.getpid() != caller:
-            with open(log, "a") as f:
-                f.write(f"escaped {os.getpid()}\n")
-            os._exit(0)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_grad_check_records_only_the_analytic_pass(monkeypatch, tmp_path):
     # perturbed forwards run in forked workers, so every call records its
     # pid and requires_grad in a file that all processes append to
@@ -401,6 +380,129 @@ def test_grad_check_names_the_status_of_a_child_that_died(monkeypatch, tmp_path)
         ad.grad_check(build, ps)
     assert_no_child_left()
     assert w.value.data.tobytes() == before.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# spread: the fan-out behind grad_check and train
+
+
+def test_spread_returns_results_in_item_order(monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 3)
+    with only_caller_returns(tmp_path / "log"):
+        out = ad.spread(lambda i: (i * i, os.getpid()), range(8))
+    assert_no_child_left()
+    assert [v for v, _ in out] == [i * i for i in range(8)]
+    pids = [pid for _, pid in out]
+    assert pids[0::3] == [os.getpid()] * 3
+    assert len(set(pids)) == 3 and len(set(pids[1::3])) == len(set(pids[2::3])) == 1
+
+
+@pytest.fixture
+def three_blas_threads():
+    """The BLAS thread count at 3 for the test (so pinning to 1 shows),
+    restored after it."""
+    get_threads, set_threads = ad._blas()
+    before = get_threads()
+    set_threads(3)
+    yield get_threads
+    set_threads(before)
+
+
+def test_spread_pins_blas_to_one_thread_per_worker(monkeypatch, tmp_path, three_blas_threads):
+    use_cpus(monkeypatch, 2)
+    with only_caller_returns(tmp_path / "log"):
+        out = ad.spread(lambda i: (os.getpid(), three_blas_threads()), range(4))
+    assert_no_child_left()
+    assert [n for _, n in out] == [1, 1, 1, 1]
+    assert len({pid for pid, _ in out}) == 2
+    assert three_blas_threads() == 3
+
+
+def test_spread_restores_blas_threads_after_a_worker_error(monkeypatch, tmp_path,
+                                                           three_blas_threads):
+    use_cpus(monkeypatch, 2)
+
+    def work(i):
+        if i == 1:
+            raise ad.NumericError(f"item {i}")
+        return i
+
+    with pytest.raises(ad.NumericError, match="item 1"), only_caller_returns(tmp_path / "log"):
+        ad.spread(work, range(4))
+    assert_no_child_left()
+    assert three_blas_threads() == 3
+
+
+def test_spread_forks_nothing_without_blas_thread_control(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(ad, "_blas", lambda: None)
+    assert ad.spread(lambda i: (i, os.getpid()), range(5)) == [(i, os.getpid()) for i in range(5)]
+
+
+def test_spread_interrupted_at_fork_reaps_the_child(monkeypatch, tmp_path, three_blas_threads):
+    # SIGINT right after the real fork returns in the caller, before the
+    # child's pid can be recorded: it must wait until the pid is recorded
+    use_cpus(monkeypatch, 3)
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    try:
+        with pytest.raises(KeyboardInterrupt), only_caller_returns(tmp_path / "log"):
+            ad.spread(lambda i: i, range(6))
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert_no_child_left()
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
+    assert three_blas_threads() == 3
+    assert not (tmp_path / "log").exists()
+
+
+def warn_each(i):
+    warnings.warn(f"item {i}", UserWarning)
+    if i % 2:
+        warnings.warn(f"odd item {i}", RuntimeWarning)
+    return i
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_spread_shows_workers_warnings_in_item_order(monkeypatch, tmp_path, cpus):
+    use_cpus(monkeypatch, cpus)
+    with warnings.catch_warnings(record=True) as caught, \
+            only_caller_returns(tmp_path / "log"):
+        warnings.simplefilter("always")
+        assert ad.spread(warn_each, range(7)) == list(range(7))
+    assert_no_child_left()
+    want = []
+    for i in range(7):
+        want.append((f"item {i}", UserWarning))
+        if i % 2:
+            want.append((f"odd item {i}", RuntimeWarning))
+    assert [(str(w.message), w.category) for w in caught] == want
+    assert {(w.filename, w.lineno) for w in caught if w.category is UserWarning} == {
+        (__file__, warn_each.__code__.co_firstlineno + 1)}
+
+
+def test_spread_applies_the_callers_warning_filters(monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 3)
+    with warnings.catch_warnings(record=True) as caught, \
+            only_caller_returns(tmp_path / "log"):
+        warnings.simplefilter("default")
+        warnings.filterwarnings("ignore", "odd item")
+        ad.spread(lambda i: warn_each(i % 2), range(6))
+        # once per text and location, as from one process
+        assert [str(w.message) for w in caught] == ["item 0", "item 1"]
+        warnings.filterwarnings("error", "item 5")
+        with pytest.raises(UserWarning, match="item 5"):
+            ad.spread(warn_each, range(6))
+    assert_no_child_left()
 
 
 def test_grad_check_catches_wrong_gradient():

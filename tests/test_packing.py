@@ -2,6 +2,8 @@
 backpropagate exactly what running each scene alone does (to float
 rounding), and one scene must build the unpacked graph."""
 
+import os
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +16,8 @@ from g2k import model as md
 from g2k import neighborhood as nb
 from g2k import training as tr
 from g2k.config import VARIANTS, TrainConfig, desk_config
+
+from forking import assert_no_child_left, only_caller_returns, use_cpus
 
 CROWDS = (1, 24, 3, 2, 7)  # rows 0, 1..24, 25..27, 28..29, 30..36
 TOL = 1e-10
@@ -175,9 +179,9 @@ def test_evaluate_packs_match_scene_by_scene(monkeypatch):
     assert packed.rows[0].n_peds == alone.rows[0].n_peds == 23
 
 
-def train_bytes(tmp_path, tag, budget, monkeypatch):
+def train_bytes(tmp_path, tag, budget, monkeypatch, optimizer="adam"):
     monkeypatch.setattr(tr, "TRAIN_PACK_ROWS", budget)
-    tc = TrainConfig(epochs=2, batch_size=4, lr=0.01, seed=3)
+    tc = TrainConfig(epochs=2, batch_size=4, lr=0.01, seed=3, optimizer=optimizer)
     res = tr.train(scenes((2, 5, 1, 3, 4, 2, 6), seed=4), desk_config("mcr_n"), tc)
     path = tmp_path / tag
     tr.save_checkpoint(str(path), res.model, tc, 2, res.history)
@@ -203,16 +207,133 @@ def test_pack_budget_does_not_change_the_step(tmp_path, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("budget", [100, 4], ids=["one-pack", "split"])
-def test_divergence_names_first_bad_scene_of_a_pack(monkeypatch, budget):
+def test_divergence_names_first_bad_scene_of_a_pack(monkeypatch, tmp_path, budget):
     monkeypatch.setattr(tr, "TRAIN_PACK_ROWS", budget)
     batch_list = scenes((2, 3, 2, 1))
     for bad in (1, 3):
         w = batch_list[bad].windows[0]
         w.obs = [da.TrackPoint(p.frame_id, p.ped_id, 1e200, p.y, p.pan) for p in w.obs]
-    with pytest.raises(tr.DivergenceError) as exc:
-        tr.train(batch_list, desk_config("mcr_n"),
-                 TrainConfig(epochs=1, batch_size=4, lr=0.01, seed=0))
-    # the group runs in shuffled order; the first bad scene in it is named
+    # the group runs in shuffled order [2, 0, 1, 3]; the first bad scene in
+    # it is named. Split, the bad scenes share the second pack, a child's
+    # when there are several workers
     order = list(np.random.default_rng(0).permutation(4))
-    assert exc.value.batch == next(i for i in order if i in (1, 3))
-    assert exc.value.epoch == 0 and "loss is not finite" in str(exc.value)
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(tr.DivergenceError) as exc, only_caller_returns(tmp_path / "log"):
+            tr.train(batch_list, desk_config("mcr_n"),
+                     TrainConfig(epochs=1, batch_size=4, lr=0.01, seed=0))
+        assert_no_child_left()
+        assert exc.value.batch == next(i for i in order if i in (1, 3))
+        assert exc.value.epoch == 0 and "loss is not finite" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# training packs spread over workers
+
+
+def log_pack_pids(monkeypatch, log):
+    """Every pack's gradient appends its worker's pid to log."""
+    pack_gradient = tr._pack_gradient
+
+    def logged(*args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return pack_gradient(*args)
+
+    monkeypatch.setattr(tr, "_pack_gradient", logged)
+
+
+def steps_without_timing(res):
+    return [re.sub(r" wall_ms=\S+", "", line) for line in res.log.lines]
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_training_is_bit_identical_for_any_worker_count(tmp_path, monkeypatch, optimizer):
+    pids = tmp_path / "pids"
+    log_pack_pids(monkeypatch, pids)
+    runs, workers = [], []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        pids.write_text("")
+        with only_caller_returns(tmp_path / "log"):
+            res, ckpt = train_bytes(tmp_path, f"{optimizer}-{cpus}", 8, monkeypatch,
+                                    optimizer=optimizer)
+        assert_no_child_left()
+        runs.append((ckpt, steps_without_timing(res)))
+        workers.append(len(set(pids.read_text().split())))
+    assert runs[0] == runs[1] == runs[2]
+    # each step forks anew: a step of three or more packs forks two children
+    assert workers[0] == 1 < workers[1] < workers[2]
+    steps = [line for line in runs[0][1] if "summary_loss" not in line]
+    assert len(steps) == 4 and all(" grad_norm=" in line for line in steps)
+
+
+def test_step_log_records_the_pre_clip_gradient_norm(monkeypatch):
+    norms = []
+    clip = tr.clip_gradients
+
+    def recorded(params, clip_norm):
+        norms.append(clip(params, clip_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(tr, "clip_gradients", recorded)
+    tc = TrainConfig(epochs=2, batch_size=2, lr=0.01, seed=3, clip_norm=1e-3)
+    res = tr.train(scenes((2, 5, 1)), desk_config("mcr_n"), tc)
+    logged = [float(re.search(r"grad_norm=(\S+)", line).group(1))
+              for line in res.log.lines if "grad_norm=" in line]
+    assert logged == [float(f"{n:.10g}") for n in norms] and len(logged) == 4
+    assert min(logged) > 1e-3  # above the clip, so the norm is taken before it
+
+
+def test_training_forks_nothing_without_blas_thread_control(tmp_path, monkeypatch):
+    pids = tmp_path / "pids"
+    log_pack_pids(monkeypatch, pids)
+    use_cpus(monkeypatch, 3)
+    _, forked = train_bytes(tmp_path, "forked", 8, monkeypatch)
+    assert len(set(pids.read_text().split())) > 1
+    pids.write_text("")
+    monkeypatch.setattr(ad, "_blas", lambda: None)
+    _, alone = train_bytes(tmp_path, "alone", 8, monkeypatch)
+    assert set(pids.read_text().split()) == {str(os.getpid())}
+    assert alone == forked
+
+
+@pytest.mark.parametrize("how", ["raise", "exit"])
+def test_training_reports_a_failed_child_and_reaps_every_child(tmp_path, monkeypatch, how):
+    use_cpus(monkeypatch, 3)
+    caller = os.getpid()
+    pack_gradient = tr._pack_gradient
+
+    def failing(*args):
+        if os.getpid() != caller:
+            if how == "exit":
+                os._exit(7)
+            raise ad.NumericError(f"pack in {os.getpid()}")
+        return pack_gradient(*args)
+
+    monkeypatch.setattr(tr, "_pack_gradient", failing)
+    want = (RuntimeError, "status 7") if how == "exit" else (ad.NumericError, "pack in")
+    with pytest.raises(want[0], match=want[1]), only_caller_returns(tmp_path / "log"):
+        train_bytes(tmp_path, how, 8, monkeypatch)
+    assert_no_child_left()
+    assert not (tmp_path / "log").exists()
+
+
+def test_training_shows_pack_warnings_in_pack_order(tmp_path, monkeypatch):
+    # image-less mcr_mpc scenes warn once per pack; five packs per group
+    def warned(cpus):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(tr, "TRAIN_PACK_ROWS", 6)
+        batch_list = with_images(scenes((2, 5, 1, 3, 4, 2, 6, 3), seed=4), every=3)
+        with warnings.catch_warnings(record=True) as caught, \
+                only_caller_returns(tmp_path / "log"):
+            warnings.simplefilter("always")
+            tr.train(batch_list, desk_config("mcr_mpc"),
+                     TrainConfig(epochs=2, batch_size=8, lr=0.01, seed=3))
+        assert_no_child_left()
+        return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    alone = warned(1)
+    assert len(alone) > 4 and all("no scene image in" in w[0] for w in alone)
+    assert len({w[0] for w in alone}) > 1
+    assert warned(3) == alone
