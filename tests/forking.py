@@ -5,6 +5,13 @@ import os
 
 import pytest
 
+from g2k import autodiff as ad
+
+# spread forks only where the process can fork and NumPy's BLAS thread count
+# can be pinned; elsewhere it runs every item in the caller
+forks = pytest.mark.skipif(not hasattr(os, "fork") or ad._blas() is None,
+                           reason="spread forks no worker here")
+
 
 def use_cpus(monkeypatch, n):
     """Make spread see n usable CPUs, so it runs up to n workers."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from g2k import autodiff as ad
 
-from forking import assert_no_child_left, only_caller_returns, use_cpus
+from forking import assert_no_child_left, forks, only_caller_returns, use_cpus
 
 
 def rng(seed=0):
@@ -301,6 +301,7 @@ def test_grad_check_passes_on_correct_graph():
     assert report.passed(1e-4), report.format()
 
 
+@forks
 def test_grad_check_records_only_the_analytic_pass(monkeypatch, tmp_path):
     # perturbed forwards run in forked workers, so every call records its
     # pid and requires_grad in a file that all processes append to
@@ -340,6 +341,7 @@ def test_grad_check_leaves_parameters_bit_identical(monkeypatch):
     assert [p.value.data.tobytes() for p in ps] == before
 
 
+@forks
 @pytest.mark.parametrize("element, where", [(0, "caller"), (1, "child")])
 def test_grad_check_raises_a_worker_error_and_reaps_every_child(
         monkeypatch, tmp_path, element, where):
@@ -364,6 +366,7 @@ def test_grad_check_raises_a_worker_error_and_reaps_every_child(
     assert not (tmp_path / "log").exists()
 
 
+@forks
 def test_grad_check_names_the_status_of_a_child_that_died(monkeypatch, tmp_path):
     use_cpus(monkeypatch, 3)
     ps = ad.ParameterSet()
@@ -386,6 +389,7 @@ def test_grad_check_names_the_status_of_a_child_that_died(monkeypatch, tmp_path)
 # spread: the fan-out behind grad_check and train
 
 
+@forks
 def test_spread_returns_results_in_item_order(monkeypatch, tmp_path):
     use_cpus(monkeypatch, 3)
     with only_caller_returns(tmp_path / "log"):
@@ -408,6 +412,7 @@ def three_blas_threads():
     set_threads(before)
 
 
+@forks
 def test_spread_pins_blas_to_one_thread_per_worker(monkeypatch, tmp_path, three_blas_threads):
     use_cpus(monkeypatch, 2)
     with only_caller_returns(tmp_path / "log"):
@@ -418,6 +423,7 @@ def test_spread_pins_blas_to_one_thread_per_worker(monkeypatch, tmp_path, three_
     assert three_blas_threads() == 3
 
 
+@forks
 def test_spread_restores_blas_threads_after_a_worker_error(monkeypatch, tmp_path,
                                                            three_blas_threads):
     use_cpus(monkeypatch, 2)
@@ -439,6 +445,7 @@ def test_spread_forks_nothing_without_blas_thread_control(monkeypatch):
     assert ad.spread(lambda i: (i, os.getpid()), range(5)) == [(i, os.getpid()) for i in range(5)]
 
 
+@forks
 def test_spread_interrupted_at_fork_reaps_the_child(monkeypatch, tmp_path, three_blas_threads):
     # SIGINT right after the real fork returns in the caller, before the
     # child's pid can be recorded: it must wait until the pid is recorded

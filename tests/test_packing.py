@@ -17,7 +17,7 @@ from g2k import neighborhood as nb
 from g2k import training as tr
 from g2k.config import VARIANTS, TrainConfig, desk_config
 
-from forking import assert_no_child_left, only_caller_returns, use_cpus
+from forking import assert_no_child_left, forks, only_caller_returns, use_cpus
 
 CROWDS = (1, 24, 3, 2, 7)  # rows 0, 1..24, 25..27, 28..29, 30..36
 TOL = 1e-10
@@ -247,6 +247,7 @@ def steps_without_timing(res):
     return [re.sub(r" wall_ms=\S+", "", line) for line in res.log.lines]
 
 
+@forks
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_training_is_bit_identical_for_any_worker_count(tmp_path, monkeypatch, optimizer):
     pids = tmp_path / "pids"
@@ -285,6 +286,7 @@ def test_step_log_records_the_pre_clip_gradient_norm(monkeypatch):
     assert min(logged) > 1e-3  # above the clip, so the norm is taken before it
 
 
+@forks
 def test_training_forks_nothing_without_blas_thread_control(tmp_path, monkeypatch):
     pids = tmp_path / "pids"
     log_pack_pids(monkeypatch, pids)
@@ -298,6 +300,7 @@ def test_training_forks_nothing_without_blas_thread_control(tmp_path, monkeypatc
     assert alone == forked
 
 
+@forks
 @pytest.mark.parametrize("how", ["raise", "exit"])
 def test_training_reports_a_failed_child_and_reaps_every_child(tmp_path, monkeypatch, how):
     use_cpus(monkeypatch, 3)
@@ -320,7 +323,8 @@ def test_training_reports_a_failed_child_and_reaps_every_child(tmp_path, monkeyp
 
 
 def test_training_shows_pack_warnings_in_pack_order(tmp_path, monkeypatch):
-    # image-less mcr_mpc scenes warn once per pack; five packs per group
+    # a pack of mcr_mpc scenes warns when some lack an image; packs of at
+    # most 6 rows put several in each group, most of them in children
     def warned(cpus):
         use_cpus(monkeypatch, cpus)
         monkeypatch.setattr(tr, "TRAIN_PACK_ROWS", 6)
