@@ -24,8 +24,10 @@ import ctypes
 import functools
 import os
 import pickle
+import select
 import signal
 import sys
+import types
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -493,65 +495,208 @@ def _difference(build_loss, site, eps: float) -> float:
     return (lo_plus - lo_minus) / (2.0 * eps)
 
 
+
 # ---------------------------------------------------------------------------
 # fan-out over forked workers
 
 
 def spread(work, items) -> list:
-    """[work(item) for item in items], computed on the CPUs the process may
-    use.
-
-    Item j goes to worker j % w, w = _workers(len(items)). Worker 0 is the
-    caller; workers 1..w-1 are forked before the caller runs any item, so
-    they start from its state, and each sends its results back through a
-    pipe. work's side effects in a child are lost, except its warnings:
-    every worker holds the warnings its items raise, and the caller shows
-    them in item order once all results are in (a child's through the
-    caller's filters). While workers run, BLAS is pinned to one thread in
-    every process, since the w workers already fill w CPUs. The caller's
-    exception is raised first, then the children's in worker order; every
-    child is reaped on every path. With one worker nothing is forked and
-    work runs in the caller, item by item.
-    """
+    """[work(item) for item in items] on the CPUs the process may use: one
+    run of a workers() pool that lives for this call."""
     items = list(items)
-    w = _workers(len(items))
-    if w == 1:
-        return [work(item) for item in items]
-    get_threads, set_threads = _blas()
-    threads = get_threads()
-    children: list[tuple[int, int]] = []  # (pid, read end), in worker order
+    with workers(lambda j: work(items[j])) as run:
+        return run(range(len(items)))
+
+
+@contextmanager
+def workers(work, sync=()):
+    """A pool of forked workers for the block: yields run, where run(items)
+    returns [work(item) for item in items].
+
+    The first run of two or more items forks w - 1 children, w =
+    _workers(len(items)), which start from the caller's state and live
+    until the block exits; from then on BLAS is pinned to one thread in
+    every process, since the w workers already fill w CPUs. Each later run
+    sends every child the pickled items and the current bytes of the sync
+    arrays (arrays the caller changes in place between runs), so work must
+    depend only on its item, the sync arrays and what the children
+    inherited. Within a run the caller and the children pull item indices,
+    in index order, from one ticket pipe, each taking the next as soon as
+    it is free. A run of one item, or with one worker, runs in the caller.
+
+    Results come back in item order. work's side effects in a child are
+    lost, except its warnings: they are held and shown in item order once
+    all results are in (a child's through the caller's filters). The
+    exception of the lowest-index failed item is raised, a RuntimeError
+    naming its exit status where a child died; items past a worker's
+    failure are not run by it. After an error or interrupt every child is
+    killed and reaped and the next run forks afresh. On exit the children
+    are reaped and the BLAS thread count restored.
+    """
+    pool = _Pool(work, list(sync))
     try:
-        set_threads(1)
-        for j in range(1, w):
-            _fork(lambda j=j: _held(work, items[j::w]), children)
-        out: list = [None] * len(items)
-        out[0::w] = _held(work, items[0::w])
-        for j in range(1, w):
-            pid, fd = children[0]
-            with open(fd, "rb", closefd=False) as f:
-                blob = f.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            os.close(fd)
-            out[j::w] = _reply(blob, pid, status)
-        results = []
-        for j, (result, caught) in enumerate(out):
-            for message in caught:
-                (warnings.showwarning if j % w == 0 else _warn_again)(*message)
-            results.append(result)
-        return results
+        yield pool.run
     finally:
-        for pid, fd in children:
-            os.close(fd)
+        pool.close()
+
+
+_STOP = -1  # the ticket that ends a worker's run
+
+
+class _Pool:
+    """The state behind one workers() block."""
+
+    def __init__(self, work, sync: list[np.ndarray]):
+        self.work, self.sync = work, sync
+        self.children: list[tuple[int, int, int]] = []  # (pid, command fd, reply fd)
+        self.tickets: _Tickets | None = None
+        self.threads: int | None = None  # BLAS thread count before pinning
+
+    def run(self, items) -> list:
+        items = list(items)
+        if len(items) < 2 or not (self.children or _workers(len(items)) > 1):
+            return [self.work(item) for item in items]
+        try:
+            if not self.children:
+                self._start(_workers(len(items)))
+            return self._spread(items)
+        except BaseException:
+            self.close()
+            raise
+
+    def _start(self, w: int) -> None:
+        get_threads, set_threads = _blas()
+        self.threads = get_threads()
+        set_threads(1)
+        self.tickets = _Tickets()
+        for _ in range(w - 1):
+            inherited = [self.tickets.w, *(fd for _, c, r in self.children for fd in (c, r))]
+            _fork(self._serve, self.children, inherited)
+
+    def _spread(self, items: list) -> list:
+        blob, state = pickle.dumps(items), b"".join(a.tobytes() for a in self.sync)
+        for child in list(self.children):
+            try:
+                _send(child[1], blob, state)
+            except BrokenPipeError:
+                raise self._reap(child) from None
+        with _registries_kept():
+            self.tickets.deal(len(items), len(self.children) + 1)
+            results = dict(self._pull(items, Exception))
+        died = None
+        for child in list(self.children):
+            blob = _receive(child[2])
+            if blob is None:
+                died = died or self._reap(child)
+            else:
+                results.update(pickle.loads(blob))
+        out = []
+        for j in range(len(items)):
+            if j not in results:
+                raise died
+            ok, value, caught = results[j]
+            for message in caught:
+                _warn_again(*message)
+            if not ok:
+                raise value
+            out.append(value)
+        if died:
+            raise died
+        return out
+
+    def _pull(self, items: list, catch) -> list:
+        """(j, (ok, result or exception, warnings)) for each item this
+        process pulls until its stop ticket; after a failure it pulls the
+        rest of its tickets without running them."""
+        done, failed = [], False
+        while (j := self.tickets.take()) != _STOP:
+            if not failed:
+                held = _held(self.work, items[j], catch)
+                done.append((j, held))
+                failed = not held[0]
+        return done
+
+    def _serve(self, cmd: int, reply: int) -> None:
+        """A child's loop: per run, read the items and the sync arrays, pull
+        tickets, send the results back; return when the caller closes the
+        command pipe."""
+        while (blob := _receive(cmd)) is not None:
+            items = pickle.loads(blob)
+            for a in self.sync:
+                a[...] = np.frombuffer(_read(cmd, a.nbytes), a.dtype).reshape(a.shape)
+            done = [(j, (ok, value if ok else _portable(value), caught))
+                    for j, (ok, value, caught) in self._pull(items, BaseException)]
+            _send(reply, pickle.dumps(done))
+
+    def _reap(self, child) -> RuntimeError:
+        """Drop a child that died and return the error that reports it."""
+        pid, cmd, reply = child
+        self.children.remove(child)
+        os.close(cmd)
+        os.close(reply)
+        status = os.waitpid(pid, 0)[1]
+        return RuntimeError(f"worker {pid} exited with status "
+                            f"{os.waitstatus_to_exitcode(status)} without sending its results")
+
+    def close(self) -> None:
+        """Kill and reap every child, close the pipes and restore the BLAS
+        thread count; a no-op when nothing is open."""
+        for pid, cmd, reply in self.children:
+            os.close(cmd)
+            os.close(reply)
             with suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        set_threads(threads)
+        self.children.clear()
+        if self.tickets is not None:
+            os.close(self.tickets.r)
+            os.close(self.tickets.w)
+            self.tickets = None
+        if self.threads is not None:
+            _blas()[1](self.threads)
+            self.threads = None
 
 
-def _held(work, share) -> list:
-    """(work(item), warnings it raised) for each item of share. Warnings
-    pass the process's filters as usual but are held, not shown."""
+class _Tickets:
+    """The pipe the workers pull item indices from: 4-byte little-endian
+    ints, a run's indices in order and then one _STOP per worker. Both ends
+    are non-blocking and the caller writes at most PIPE_BUF bytes at a time,
+    so every write is atomic and the pipe only ever holds whole tickets. A
+    run may hold more tickets than the pipe: the caller keeps the rest and
+    tops the pipe up whenever it takes a ticket or waits for one."""
+
+    def __init__(self):
+        self.r, self.w = os.pipe()
+        os.set_blocking(self.r, False)
+        os.set_blocking(self.w, False)
+        self.pending = memoryview(b"")
+
+    def deal(self, n_items: int, n_workers: int) -> None:
+        self.pending = memoryview(np.concatenate(
+            [np.arange(n_items), np.full(n_workers, _STOP)]).astype("<i4").tobytes())
+
+    def take(self) -> int:
+        while True:
+            while self.pending:
+                try:
+                    n = os.write(self.w, self.pending[:select.PIPE_BUF])
+                except BlockingIOError:
+                    break
+                self.pending = self.pending[n:]
+            try:
+                ticket = os.read(self.r, 4)
+            except BlockingIOError:
+                select.select([self.r], [self.w] if self.pending else [], [])
+                continue
+            if not ticket:
+                raise EOFError("the ticket pipe was closed")
+            return int.from_bytes(ticket, "little", signed=True)
+
+
+def _held(work, item, catch) -> tuple:
+    """(True, work(item), warnings) or (False, the exception, warnings),
+    catching catch. Warnings pass the process's filters as usual but are
+    held, not shown."""
     caught: list = []
 
     def hold(message, category, filename, lineno, file=None, line=None):
@@ -559,18 +704,35 @@ def _held(work, share) -> list:
 
     shown, warnings.showwarning = warnings.showwarning, hold
     try:
-        out = []
-        for item in share:
-            out.append((work(item), caught[:]))
-            caught.clear()
-        return out
+        return True, work(item), caught
+    except catch as exc:
+        return False, exc, caught
     finally:
         warnings.showwarning = shown
 
 
+@contextmanager
+def _registries_kept():
+    """Undo, on exit, what the block's warnings wrote to the modules'
+    once-per-location registries, so that warnings held in the block can be
+    shown later as if raised then."""
+    kept = [(g, dict(g["__warningregistry__"]) if "__warningregistry__" in g else None)
+            for g in (vars(m) for m in list(sys.modules.values())
+                      if isinstance(m, types.ModuleType))]
+    try:
+        yield
+    finally:
+        for g, registry in kept:
+            if registry is None:
+                g.pop("__warningregistry__", None)
+            else:
+                g["__warningregistry__"].clear()
+                g["__warningregistry__"].update(registry)
+
+
 def _warn_again(message, category, filename, lineno) -> None:
-    """Re-emit a child's warning as warnings.warn would from the module
-    whose file it names, so the caller's filters and that module's
+    """Re-emit a held warning as warnings.warn would from the module whose
+    file it names, so the caller's filters and that module's
     once-per-location registry apply."""
     for module in list(sys.modules.values()):
         if getattr(module, "__file__", None) == filename:
@@ -619,43 +781,69 @@ def _blas():
     return None
 
 
-def _fork(work, children: list) -> None:
-    """Run work() in a forked child and append (pid, read end of the pipe
-    that carries (True, result) or (False, exception) back) to children.
-    SIGINT is blocked from just before the fork until the pid is recorded,
-    so an interrupt cannot leave the child unreaped; the child restores the
-    caller's mask. The child leaves through os._exit, so it runs no atexit
-    hook, no test teardown and flushes no stdio buffer inherited from the
-    caller."""
-    r, w = os.pipe()
+def _fork(serve, children: list, inherited: list[int]) -> None:
+    """Fork a child that runs serve(command fd, reply fd) and append (pid,
+    write end of its command pipe, read end of its reply pipe) to children.
+    The child first closes inherited, the caller's descriptors it must not
+    hold. SIGINT is blocked from just before the fork until the pid is
+    recorded, so an interrupt cannot leave the child unreaped; the child
+    restores the caller's mask. The child leaves through os._exit, so it
+    runs no atexit hook, no test teardown and flushes no stdio buffer
+    inherited from the caller."""
+    cmd_r, cmd_w = os.pipe()
+    reply_r, reply_w = os.pipe()
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         pid = os.fork()
         if pid == 0:
-            _child(work, r, w, mask)
-        children.append((pid, r))
+            _child(serve, cmd_r, reply_w, [cmd_w, reply_r, *inherited], mask)
+        children.append((pid, cmd_w, reply_r))
     except OSError:
-        os.close(r)
+        os.close(cmd_w)
+        os.close(reply_r)
         raise
     finally:
-        os.close(w)
+        os.close(cmd_r)
+        os.close(reply_w)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _child(work, r: int, w: int, mask) -> None:
+def _child(serve, cmd: int, reply: int, foreign: list[int], mask) -> None:
     status = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        os.close(r)
-        try:
-            reply = (True, work())
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
-            reply = (False, _portable(exc))
-        with open(w, "wb") as f:
-            f.write(pickle.dumps(reply))
+        for fd in foreign:
+            os.close(fd)
+        serve(cmd, reply)
         status = 0
     finally:
         os._exit(status)
+
+
+def _send(fd: int, blob: bytes, tail: bytes = b"") -> None:
+    """Write blob with its length in front, then tail."""
+    view = memoryview(b"".join([len(blob).to_bytes(8, "little"), blob, tail]))
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int) -> bytes | None:
+    """The next blob _send wrote to fd, or None at end of file."""
+    head = _read(fd, 8)
+    if len(head) < 8:
+        return None
+    n = int.from_bytes(head, "little")
+    blob = _read(fd, n)
+    return blob if len(blob) == n else None
+
+
+def _read(fd: int, n: int) -> bytes:
+    """n bytes from fd, fewer only at end of file."""
+    parts, got = [], 0
+    while got < n and (part := os.read(fd, n - got)):
+        parts.append(part)
+        got += len(part)
+    return b"".join(parts)
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -666,14 +854,3 @@ def _portable(exc: BaseException) -> BaseException:
     except Exception:  # noqa: BLE001
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
-
-def _reply(blob: bytes, pid: int, status: int):
-    if status != 0 or not blob:
-        raise RuntimeError(
-            f"worker {pid} exited with status "
-            f"{os.waitstatus_to_exitcode(status)} without sending its results"
-        )
-    ok, value = pickle.loads(blob)
-    if not ok:
-        raise value
-    return value

@@ -19,12 +19,15 @@ from . import data as da
 from .config import ModelConfig, TrainConfig, config_hash, write_text
 from .data import SceneBatch, TrajectoryWindow
 from .model import TrajectoryModel
-from .training import TrainResult, train
+from .training import TrainResult, pack_rows, train
 
 
-# scenes per forward graph in evaluate(); with crowds up to 24 this keeps the
-# dense packed adjacency at about 1 MB
-EVAL_PACK = 16
+# pedestrian rows per forward graph in evaluate(). The packs are what the
+# evaluation workers pull, so the cap trades parallel grain against graph
+# overhead; it does not depend on the CPU count, so neither do the
+# predictions. 120 rows keep the dense packed adjacency near 0.1 MB and split
+# 16 paper-scale held-out scenes (about 224 rows) into two packs
+EVAL_PACK_ROWS = 120
 
 
 class MetricError(ValueError):
@@ -125,6 +128,8 @@ def check_invariants(report: EvalReport) -> list[str]:
     """Internal consistency violations; empty list when the report is sound."""
     bad = []
     for r in report.rows:
+        if not np.isfinite([r.ade, r.fde, *r.step_errors]).all():
+            bad.append(f"{r.label}: non-finite metric")
         if r.ade < 0 or r.fde < 0:
             bad.append(f"{r.label}: negative metric")
         if r.step_errors:
@@ -157,26 +162,34 @@ def evaluate(
 ) -> EvalReport:
     """Run the model over scenes and pool displacement errors per label.
 
-    Each label's scenes run forward-only in consecutive packs of EVAL_PACK
-    scenes, one graph per pack."""
+    Each label's scenes are packed, in order, into forward-only graphs of at
+    most EVAL_PACK_ROWS pedestrians (training.pack_rows), and the packs run
+    under no_grad() on the CPUs the process may use, through one
+    ad.workers() pool for the call."""
     groups = batches if isinstance(batches, dict) else {label: batches}
-    t0 = time.perf_counter()
-    rows = []
     for name, group in groups.items():
         if not group:
             raise MetricError(f"no scenes under label {name!r}")
-        preds: list[np.ndarray] = []
-        with ad.no_grad():
-            for i in range(0, len(group), EVAL_PACK):
-                preds += model.run(group[i : i + EVAL_PACK]).scene_predictions()
-        gts = [np.transpose(da.target_positions(b), (1, 0, 2)) for b in group]
-        rows.append(_pooled_row(name, preds, gts))
+    t0 = time.perf_counter()
+    rows = []
+    with ad.workers(lambda item: _predict(model, groups[item[0]], item[1])) as run:
+        for name, group in groups.items():
+            packs = pack_rows(range(len(group)), group, EVAL_PACK_ROWS)
+            preds = [p for scenes in run([(name, pack) for pack in packs]) for p in scenes]
+            gts = [np.transpose(da.target_positions(b), (1, 0, 2)) for b in group]
+            rows.append(_pooled_row(name, preds, gts))
     return EvalReport(
         variant=model.cfg.variant,
         cfg_hash=config_hash(model.cfg),
         rows=rows,
         runtime_s=time.perf_counter() - t0,
     )
+
+
+def _predict(model: TrajectoryModel, group: list[SceneBatch],
+             pack: list[int]) -> list[np.ndarray]:
+    with ad.no_grad():
+        return model.run([group[i] for i in pack]).scene_predictions()
 
 
 def evaluate_baseline(

@@ -28,8 +28,8 @@ CKPT_MAGIC = "g2k-ckpt-v1"
 # its gradients take about 0.6 MB per row, so a group of 16 scenes of up to
 # 24 pedestrians runs as several packs whose gradients add up before the
 # one optimizer step; one graph per such group would peak near 230 MB. The
-# cap also sets the parallel grain: a group's packs are spread over the
-# process's CPUs, so a group that fits one pack runs in the caller alone
+# cap also sets the parallel grain: train()'s workers pull a group's packs
+# one at a time, so a group that fits one pack runs in the caller alone
 TRAIN_PACK_ROWS = 40
 
 
@@ -279,12 +279,15 @@ def train(
     step on the mean of its per-scene losses. Its scenes are packed, in
     order, into graphs of at most TRAIN_PACK_ROWS pedestrians (a group that
     fits is one graph and one backward pass). The packs run on the CPUs the
-    process may use (ad.spread: forked workers, BLAS on one thread each),
-    each from zeroed gradients, and their gradients are summed in pack
-    order to the group mean, so the result is bit-identical for any number
-    of workers. Each step's log record holds the loss and the pre-clip
-    gradient norm. A non-finite loss, or a non-finite gradient norm before
-    the step, aborts with the recent history attached; a non-finite loss
+    process may use through one ad.workers() pool for the whole call: its
+    children are forked at the first group of two or more packs, receive
+    the parameters before every group and pull its packs one at a time,
+    with BLAS on one thread in each process. Each pack runs from zeroed
+    gradients, and the pack gradients are summed in pack order to the
+    group mean, so the result is bit-identical for any number of workers.
+    Each step's log record holds the loss and the pre-clip gradient norm.
+    A non-finite loss, or a non-finite gradient norm before the step,
+    aborts with the recent history attached; a non-finite loss
     names the first scene of the group whose own loss is not finite.
     """
     model_cfg.validate()
@@ -303,55 +306,53 @@ def train(
 
     history: list[float] = []
     log = TrainLog()
-    for epoch in range(train_cfg.epochs):
-        order = order_rng.permutation(len(batches))
-        epoch_losses: list[float] = []
-        for g0 in range(0, len(order), train_cfg.batch_size):
-            group = order[g0 : g0 + train_cfg.batch_size]
-            t0 = time.perf_counter()
-            packs = _packs(group, batches)
-            results = ad.spread(
-                lambda pack: _pack_gradient(
-                    model, [batches[bi] for bi in pack], [targets[bi] for bi in pack],
-                    len(pack) / len(group)),
-                packs)
-            model.params.zero_grad()
-            group_loss = 0.0
-            for pack, (lv, grads) in zip(packs, results):
-                share = len(pack) / len(group)
-                if not np.isfinite(lv):
-                    raise DivergenceError(
-                        epoch, _first_diverging(model, batches, targets, pack),
-                        history + epoch_losses)
-                group_loss += share * lv
-                for p, g in zip(model.params, grads):
-                    p.value.grad += g
-            epoch_losses.append(group_loss)
-            norm = clip_gradients(model.params, train_cfg.clip_norm)
-            if not np.isfinite(norm):
-                raise DivergenceError(epoch, g0 // train_cfg.batch_size,
-                                      history + epoch_losses, "gradient norm")
-            opt.step(model.params)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            log.record(
-                epoch=epoch, batch=g0 // train_cfg.batch_size,
-                loss=f"{epoch_losses[-1]:.10g}", grad_norm=f"{norm:.10g}",
-                wall_ms=f"{wall_ms:.1f}",
-            )
-        history.append(float(np.mean(epoch_losses)))
-        if epoch % train_cfg.log_every == 0:
-            log.record(epoch=epoch, summary_loss=f"{history[-1]:.10g}")
+    with ad.workers(lambda item: _pack_gradient(model, batches, targets, *item),
+                    sync=[p.value.data for p in model.params]) as run:
+        for epoch in range(train_cfg.epochs):
+            order = order_rng.permutation(len(batches))
+            epoch_losses: list[float] = []
+            for g0 in range(0, len(order), train_cfg.batch_size):
+                group = order[g0 : g0 + train_cfg.batch_size]
+                t0 = time.perf_counter()
+                items = [(pack, len(pack) / len(group))
+                         for pack in pack_rows(group, batches, TRAIN_PACK_ROWS)]
+                results = run(items)
+                model.params.zero_grad()
+                group_loss = 0.0
+                for (pack, share), (lv, grads) in zip(items, results):
+                    if not np.isfinite(lv):
+                        raise DivergenceError(
+                            epoch, _first_diverging(model, batches, targets, pack),
+                            history + epoch_losses)
+                    group_loss += share * lv
+                    for p, g in zip(model.params, grads):
+                        p.value.grad += g
+                epoch_losses.append(group_loss)
+                norm = clip_gradients(model.params, train_cfg.clip_norm)
+                if not np.isfinite(norm):
+                    raise DivergenceError(epoch, g0 // train_cfg.batch_size,
+                                          history + epoch_losses, "gradient norm")
+                opt.step(model.params)
+                wall_ms = (time.perf_counter() - t0) * 1000.0
+                log.record(
+                    epoch=epoch, batch=g0 // train_cfg.batch_size,
+                    loss=f"{epoch_losses[-1]:.10g}", grad_norm=f"{norm:.10g}",
+                    wall_ms=f"{wall_ms:.1f}",
+                )
+            history.append(float(np.mean(epoch_losses)))
+            if epoch % train_cfg.log_every == 0:
+                log.record(epoch=epoch, summary_loss=f"{history[-1]:.10g}")
     return TrainResult(model=model, history=history, log=log)
 
 
-def _packs(group: np.ndarray, batches: list[da.SceneBatch]) -> list[list[int]]:
-    """Split a group, in order, into packs of at most TRAIN_PACK_ROWS
+def pack_rows(group, batches: list[da.SceneBatch], cap: int) -> list[list[int]]:
+    """Split the scene indices of group, in order, into packs of at most cap
     pedestrians; a larger scene forms a pack of its own."""
     packs: list[list[int]] = [[]]
     rows = 0
     for bi in map(int, group):
         n = batches[bi].n_peds
-        if packs[-1] and rows + n > TRAIN_PACK_ROWS:
+        if packs[-1] and rows + n > cap:
             packs.append([])
             rows = 0
         packs[-1].append(bi)
@@ -359,13 +360,14 @@ def _packs(group: np.ndarray, batches: list[da.SceneBatch]) -> list[list[int]]:
     return packs
 
 
-def _pack_gradient(model: TrajectoryModel, scenes: list[da.SceneBatch],
-                   targets: list[np.ndarray], share: float):
-    """Run scenes as one graph and return its loss (the mean of their
-    per-scene losses) with the gradient of share times that loss, one array
-    per parameter, taken from zeroed leaf grads. A non-finite loss comes
-    back with no gradient and no backward pass."""
-    loss = loss_graph(model.run(scenes), np.concatenate(targets, axis=1))
+def _pack_gradient(model: TrajectoryModel, batches: list[da.SceneBatch],
+                   targets: list[np.ndarray], pack: list[int], share: float):
+    """Run the scenes of pack as one graph and return its loss (the mean of
+    their per-scene losses) with the gradient of share times that loss, one
+    array per parameter, taken from zeroed leaf grads. A non-finite loss
+    comes back with no gradient and no backward pass."""
+    loss = loss_graph(model.run([batches[bi] for bi in pack]),
+                      np.concatenate([targets[bi] for bi in pack], axis=1))
     lv = float(loss.data[0, 0])
     if not np.isfinite(lv):
         return lv, None
@@ -473,6 +475,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise fail(f"not float.hex() values: {line!r}") from None
         if len(row) != width:
             raise fail(f"expected {width} values, got {len(row)}")
+        if not np.isfinite(row).all():  # float.fromhex reads nan and inf
+            raise fail(f"non-finite value in {line!r}")
         return row
 
     stored_hash = take_value("hash")

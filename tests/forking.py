@@ -1,4 +1,4 @@
-"""Helpers for tests of code that forks workers (autodiff.spread)."""
+"""Helpers for tests of code that forks workers (autodiff.workers, spread)."""
 
 import contextlib
 import os
@@ -16,6 +16,22 @@ forks = pytest.mark.skipif(not hasattr(os, "fork") or ad._blas() is None,
 def use_cpus(monkeypatch, n):
     """Make spread see n usable CPUs, so it runs up to n workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def record_forks(monkeypatch):
+    """A list that gets the pid of every child forked from here on (filled
+    in the calling process)."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
 
 
 @contextlib.contextmanager

@@ -1,8 +1,10 @@
 """Engine-level checks: op forward values against hand oracles, backward
 against finite differences, graph bookkeeping rules."""
 
+import mmap
 import os
 import signal
+import time
 import warnings
 
 import numpy as np
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from g2k import autodiff as ad
 
-from forking import assert_no_child_left, forks, only_caller_returns, use_cpus
+from forking import (assert_no_child_left, forks, only_caller_returns, record_forks,
+                     use_cpus)
 
 
 def rng(seed=0):
@@ -304,7 +307,8 @@ def test_grad_check_passes_on_correct_graph():
 @forks
 def test_grad_check_records_only_the_analytic_pass(monkeypatch, tmp_path):
     # perturbed forwards run in forked workers, so every call records its
-    # pid and requires_grad in a file that all processes append to
+    # pid and requires_grad in a file that all processes append to; they
+    # are slowed so that each of the three workers pulls some
     use_cpus(monkeypatch, 3)
     ps = ad.ParameterSet()
     w = ps.register("w", rng(14).normal(size=(2, 2)))
@@ -314,6 +318,8 @@ def test_grad_check_records_only_the_analytic_pass(monkeypatch, tmp_path):
         loss = ad.sum_all(ad.mul(w.value, w.value))
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {loss.requires_grad}\n")
+        if not loss.requires_grad:
+            time.sleep(0.02)
         return loss
 
     with only_caller_returns(log):
@@ -345,22 +351,33 @@ def test_grad_check_leaves_parameters_bit_identical(monkeypatch):
 @pytest.mark.parametrize("element, where", [(0, "caller"), (1, "child")])
 def test_grad_check_raises_a_worker_error_and_reaps_every_child(
         monkeypatch, tmp_path, element, where):
-    # with three workers, element 0 is the caller's, element 1 a child's
+    # the perturbed forwards of elements >= element fail where they run in
+    # the caller (or in a child); the other workers' forwards are slowed, so
+    # the failing ones pull most elements. The error raised is the lowest
+    # failed element's
     use_cpus(monkeypatch, 3)
     ps = ad.ParameterSet()
     w = ps.register("w", rng(15).normal(size=(2, 3)))
     before = w.value.data.copy()
     caller = os.getpid()
+    failed = tmp_path / "failed"
 
     def build():
-        if w.value.data.flat[element] != before.flat[element]:
-            raise ad.NumericError(f"perturbed forward in {os.getpid()}")
+        moved = np.flatnonzero(w.value.data != before)
+        if moved.size:
+            k = int(moved[0])
+            if (os.getpid() == caller) == (where == "caller") and k >= element:
+                with open(failed, "a") as f:
+                    f.write(f"{k}\n")
+                raise ad.NumericError(f"element {k} in {os.getpid()}")
+            time.sleep(0.05)
         return ad.sum_all(ad.mul(w.value, w.value))
 
     with pytest.raises(ad.NumericError) as err, only_caller_returns(tmp_path / "log"):
         ad.grad_check(build, ps)
-    raised_in = int(str(err.value).split()[-1])
-    assert (raised_in == caller) == (where == "caller")
+    _, k, _, raised_in = str(err.value).split()
+    assert int(k) == min(map(int, failed.read_text().split()))
+    assert (int(raised_in) == caller) == (where == "caller")
     assert_no_child_left()
     assert w.value.data.tobytes() == before.tobytes()
     assert not (tmp_path / "log").exists()
@@ -368,6 +385,8 @@ def test_grad_check_raises_a_worker_error_and_reaps_every_child(
 
 @forks
 def test_grad_check_names_the_status_of_a_child_that_died(monkeypatch, tmp_path):
+    # a child dies on its first perturbed forward; the caller's are slowed,
+    # so the children pull some
     use_cpus(monkeypatch, 3)
     ps = ad.ParameterSet()
     w = ps.register("w", rng(15).normal(size=(2, 3)))
@@ -375,8 +394,10 @@ def test_grad_check_names_the_status_of_a_child_that_died(monkeypatch, tmp_path)
     caller = os.getpid()
 
     def build():
-        if os.getpid() != caller and w.value.data[0, 1] != before[0, 1]:
-            os._exit(7)
+        if w.value.data.tobytes() != before.tobytes():
+            if os.getpid() != caller:
+                os._exit(7)
+            time.sleep(0.05)
         return ad.sum_all(ad.mul(w.value, w.value))
 
     with pytest.raises(RuntimeError, match="status 7"), only_caller_returns(tmp_path / "log"):
@@ -385,20 +406,45 @@ def test_grad_check_names_the_status_of_a_child_that_died(monkeypatch, tmp_path)
     assert w.value.data.tobytes() == before.tobytes()
 
 
+@forks
+def test_grad_check_over_more_tickets_than_the_pipe_holds(monkeypatch, tmp_path):
+    # 16,500 elements are 66,000 bytes of tickets, more than a 64 KiB pipe
+    # holds: the caller must keep the rest and top the pipe up as it drains
+    use_cpus(monkeypatch, 2)
+    ps = ad.ParameterSet()
+    w = ps.register("w", rng(17).uniform(1.0, 2.0, size=(125, 132)))
+
+    def build():
+        return ad.sum_all(ad.mul(w.value, w.value))
+
+    with only_caller_returns(tmp_path / "log"):
+        report = ad.grad_check(build, ps)
+    assert_no_child_left()
+    assert report.passed(1e-4), report.format()
+
+
 # ---------------------------------------------------------------------------
 # spread: the fan-out behind grad_check and train
 
 
+def slowly(value, seconds=0.02):
+    """value after a pause, so that every worker pulls some items."""
+    time.sleep(seconds)
+    return value
+
+
 @forks
 def test_spread_returns_results_in_item_order(monkeypatch, tmp_path):
-    use_cpus(monkeypatch, 3)
-    with only_caller_returns(tmp_path / "log"):
-        out = ad.spread(lambda i: (i * i, os.getpid()), range(8))
-    assert_no_child_left()
-    assert [v for v, _ in out] == [i * i for i in range(8)]
-    pids = [pid for _, pid in out]
-    assert pids[0::3] == [os.getpid()] * 3
-    assert len(set(pids)) == 3 and len(set(pids[1::3])) == len(set(pids[2::3])) == 1
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        forked = record_forks(monkeypatch)
+        with only_caller_returns(tmp_path / "log"):
+            out = ad.spread(lambda i: slowly((i * i, os.getpid())), range(8))
+        assert_no_child_left()
+        assert [v for v, _ in out] == [i * i for i in range(8)]
+        pids = {pid for _, pid in out}
+        assert len(forked) == cpus - 1 and pids <= {os.getpid(), *forked}
+        assert len(pids) > 1 or cpus == 1
 
 
 @pytest.fixture
@@ -416,7 +462,7 @@ def three_blas_threads():
 def test_spread_pins_blas_to_one_thread_per_worker(monkeypatch, tmp_path, three_blas_threads):
     use_cpus(monkeypatch, 2)
     with only_caller_returns(tmp_path / "log"):
-        out = ad.spread(lambda i: (os.getpid(), three_blas_threads()), range(4))
+        out = ad.spread(lambda i: slowly((os.getpid(), three_blas_threads())), range(4))
     assert_no_child_left()
     assert [n for _, n in out] == [1, 1, 1, 1]
     assert len({pid for pid, _ in out}) == 2
@@ -476,7 +522,7 @@ def warn_each(i):
     warnings.warn(f"item {i}", UserWarning)
     if i % 2:
         warnings.warn(f"odd item {i}", RuntimeWarning)
-    return i
+    return slowly(i, 0.01)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -510,6 +556,173 @@ def test_spread_applies_the_callers_warning_filters(monkeypatch, tmp_path):
         with pytest.raises(UserWarning, match="item 5"):
             ad.spread(warn_each, range(6))
     assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# workers: one pool for a block of runs
+
+
+@forks
+def test_workers_fork_once_and_keep_item_order(monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 3)
+    forked = record_forks(monkeypatch)
+    caller = os.getpid()
+    with only_caller_returns(tmp_path / "log"), \
+            ad.workers(lambda i: slowly((i * i, os.getpid()))) as run:
+        assert run([4]) == [(16, caller)] and forked == []  # one item: no fork
+        pids = set()
+        for n in (5, 1, 7, 2):
+            out = run(range(n))
+            assert [v for v, _ in out] == [i * i for i in range(n)]
+            pids |= {pid for _, pid in out}
+        assert len(forked) == 2 and pids <= {caller, *forked} and len(pids) > 1
+    assert_no_child_left()
+
+
+@forks
+def test_workers_send_the_sync_arrays_every_run(monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 3)
+    caller = os.getpid()
+    a = np.zeros((2, 3))
+
+    def work(i):
+        # the caller is slowed, so the children run most items
+        return slowly((os.getpid(), a.copy()), 0.1 if os.getpid() == caller else 0.01)
+
+    with only_caller_returns(tmp_path / "log"), ad.workers(work, sync=[a]) as run:
+        for step in range(3):
+            a[...] = step + np.arange(6.0).reshape(2, 3) / 7
+            out = run(range(6))
+            assert {pid for pid, _ in out} - {caller}
+            assert all(v.tobytes() == a.tobytes() for _, v in out), step
+    assert_no_child_left()
+
+
+@forks
+@pytest.mark.parametrize("how", ["raise", "exit"])
+def test_workers_report_a_child_that_fails_mid_block(monkeypatch, tmp_path, how):
+    use_cpus(monkeypatch, 3)
+    forked = record_forks(monkeypatch)
+    caller = os.getpid()
+
+    def work(i):
+        if i >= 100 and os.getpid() != caller:
+            if how == "exit":
+                os._exit(7)
+            raise ad.NumericError(f"item {i} in {os.getpid()}")
+        return slowly(i, 0.05 if os.getpid() == caller else 0.01)
+
+    want = (RuntimeError, "status 7") if how == "exit" else (ad.NumericError, "item 10")
+    with only_caller_returns(tmp_path / "log"), ad.workers(work) as run:
+        assert run(range(4)) == list(range(4))
+        with pytest.raises(want[0], match=want[1]):
+            run(range(100, 106))
+        assert_no_child_left()
+        # the next run forks afresh
+        assert run(range(4)) == list(range(4)) and len(forked) == 4
+    assert_no_child_left()
+    assert not (tmp_path / "log").exists()
+
+
+@forks
+def test_workers_stress_more_workers_than_cpus(monkeypatch, tmp_path):
+    # six workers on the host's CPUs pull runs of 20,000 tiny items, more
+    # tickets than the pipe holds. Every item must run exactly once per run
+    # (counted in memory shared with the children) and see that run's sync
+    # array; a lost, repeated or stale ticket breaks one of the two
+    use_cpus(monkeypatch, 6)
+    n = 20_000
+    runs = mmap.mmap(-1, 8 * n)
+    counts = np.frombuffer(runs, dtype=np.int64)
+    step = np.zeros((1, 1))
+
+    def work(i):
+        counts[i] += 1
+        return i + int(step[0, 0])
+
+    def expire(signum, frame):
+        raise TimeoutError("pool stress run took over 120 s")
+
+    alarm = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        with only_caller_returns(tmp_path / "log"), ad.workers(work, sync=[step]) as run:
+            for k in range(3):
+                step[0, 0] = 1000.0 * k
+                assert run(range(n)) == [i + 1000 * k for i in range(n)]
+                assert counts.min() == counts.max() == k + 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+    assert_no_child_left()
+    del counts
+    runs.close()
+
+
+@forks
+def test_workers_raise_the_lowest_failed_item(monkeypatch, tmp_path):
+    # both items fail, each in its own worker (the first item's run keeps
+    # its worker busy while the other pulls the second). Whichever worker
+    # pulled item 0, its error is the one raised
+    use_cpus(monkeypatch, 2)
+
+    def work(i):
+        slowly(i, 0.05)
+        raise ad.NumericError(f"item {i} in {os.getpid()}")
+
+    for _ in range(4):
+        with pytest.raises(ad.NumericError, match="item 0 in"), \
+                only_caller_returns(tmp_path / "log"):
+            ad.spread(work, range(2))
+        assert_no_child_left()
+
+
+@forks
+def test_workers_interrupted_mid_run_reap_every_child(monkeypatch, tmp_path,
+                                                      three_blas_threads):
+    use_cpus(monkeypatch, 3)
+    caller = os.getpid()
+
+    def work(i):
+        if i >= 100 and os.getpid() == caller:
+            os.kill(caller, signal.SIGINT)
+        return slowly(i)
+
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    try:
+        with pytest.raises(KeyboardInterrupt), only_caller_returns(tmp_path / "log"), \
+                ad.workers(work) as run:
+            assert run(range(4)) == list(range(4))
+            assert three_blas_threads() == 1
+            run(range(100, 106))
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert_no_child_left()
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
+    assert three_blas_threads() == 3
+    assert not (tmp_path / "log").exists()
+
+
+@forks
+def test_workers_show_a_repeated_warning_where_it_first_occurs(monkeypatch, tmp_path):
+    # items 1 and 3 warn "A", item 2 "B". The slowed caller pulls items 0
+    # and 3, so it raises "A" while the child's earlier "A" is still held;
+    # shown once per location, "A" must still come first, as in a serial run
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def work(i):
+        if i in (1, 2, 3):
+            warnings.warn("B" if i == 2 else "A", UserWarning)
+        return slowly(i, 0.1 if os.getpid() == caller else 0.06)
+
+    with warnings.catch_warnings(record=True) as caught, \
+            only_caller_returns(tmp_path / "log"):
+        warnings.simplefilter("default")
+        assert ad.spread(work, range(4)) == list(range(4))
+    assert_no_child_left()
+    assert [str(w.message) for w in caught] == ["A", "B"]
 
 
 def test_grad_check_catches_wrong_gradient():

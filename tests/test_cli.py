@@ -314,6 +314,14 @@ def _non_hex_row(lines):
     lines[idx + 1] = " ".join("zz" for _ in lines[idx + 1].split())
 
 
+def _param_row(name, value):
+    """Put value first in the first row of parameter name."""
+    def edit(lines):
+        idx = next(i for i, l in enumerate(lines) if l.startswith(f"param {name} ")) + 1
+        lines[idx] = " ".join([value, *lines[idx].split()[1:]])
+    return edit
+
+
 def _extra_model_key(lines):
     lines.insert(next(i for i, l in enumerate(lines) if l.startswith("train.")),
                  "model.bogus 1")
@@ -327,8 +335,12 @@ def _extra_model_key(lines):
     _replace("param ", lambda l: l.rsplit(" ", 1)[0]),
     _non_hex_row,
     _extra_model_key,
+    _param_row("decode.b", "nan"),
+    _param_row("decode.w", "-inf"),
+    _replace("0x", "inf"),
 ], ids=["hash-no-value", "epoch-x", "history-x", "int-field-eight",
-        "param-header-short", "non-hex-row", "unknown-key"])
+        "param-header-short", "non-hex-row", "unknown-key", "nan-param", "inf-param",
+        "inf-history"])
 def test_eval_malformed_ckpt_exits_4(ws, desk_ckpt, capsys, edit):
     assert entry(["eval", "--ckpt", str(desk_ckpt),
                   "--scenario", str(ws / "walk.cfg")]) == 0

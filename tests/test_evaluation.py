@@ -176,6 +176,18 @@ def test_evaluate_report_structure():
     assert ev.check_invariants(rep) == []
 
 
+@pytest.mark.parametrize("bad", [{"ade": math.nan}, {"fde": math.inf},
+                                 {"step_errors": [0.5, math.nan, 2.0]}],
+                         ids=["nan-ade", "inf-fde", "nan-step"])
+def test_check_invariants_flags_non_finite_metrics(bad):
+    # every comparison with NaN is false, so the order checks cannot see it
+    sound = dict(label="a", ade=4 / 3, fde=2.0, step_errors=[0.5, 1.5, 2.0],
+                 n_scenes=1, n_peds=3)
+    assert ev.check_invariants(ev.EvalReport("v", "h", [ev.EvalRow(**sound)])) == []
+    report = ev.EvalReport("v", "h", [ev.EvalRow(**{**sound, **bad})])
+    assert "a: non-finite metric" in ev.check_invariants(report)
+
+
 def test_evaluate_multi_label():
     model = md.TrajectoryModel(desk_config("g_lstm"), seed=2)
     rep = ev.evaluate(model, {"a": [scene(seed=1)], "b": [scene(seed=2)]})

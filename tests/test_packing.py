@@ -4,6 +4,7 @@ rounding), and one scene must build the unpacked graph."""
 
 import os
 import re
+import time
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ from g2k import neighborhood as nb
 from g2k import training as tr
 from g2k.config import VARIANTS, TrainConfig, desk_config
 
-from forking import assert_no_child_left, forks, only_caller_returns, use_cpus
+from forking import (assert_no_child_left, forks, only_caller_returns, record_forks,
+                     use_cpus)
 
 CROWDS = (1, 24, 3, 2, 7)  # rows 0, 1..24, 25..27, 28..29, 30..36
 TOL = 1e-10
@@ -171,7 +173,7 @@ def test_evaluate_packs_match_scene_by_scene(monkeypatch):
     model = packing_model("mcr_mp")
     batch_list = scenes((5, 2, 1, 4, 3, 6, 2))
     packed = ev.evaluate(model, batch_list)
-    monkeypatch.setattr(ev, "EVAL_PACK", 1)
+    monkeypatch.setattr(ev, "EVAL_PACK_ROWS", 1)  # every scene in a pack of its own
     alone = ev.evaluate(model, batch_list)
     assert abs(packed.rows[0].ade - alone.rows[0].ade) < TOL
     assert np.max(np.abs(np.subtract(packed.rows[0].step_errors,
@@ -214,8 +216,8 @@ def test_divergence_names_first_bad_scene_of_a_pack(monkeypatch, tmp_path, budge
         w = batch_list[bad].windows[0]
         w.obs = [da.TrackPoint(p.frame_id, p.ped_id, 1e200, p.y, p.pan) for p in w.obs]
     # the group runs in shuffled order [2, 0, 1, 3]; the first bad scene in
-    # it is named. Split, the bad scenes share the second pack, a child's
-    # when there are several workers
+    # it is named. Split, the bad scenes share the second pack, which any
+    # worker may pull when there are several
     order = list(np.random.default_rng(0).permutation(4))
     for cpus in (1, 3):
         use_cpus(monkeypatch, cpus)
@@ -252,21 +254,62 @@ def steps_without_timing(res):
 def test_training_is_bit_identical_for_any_worker_count(tmp_path, monkeypatch, optimizer):
     pids = tmp_path / "pids"
     log_pack_pids(monkeypatch, pids)
-    runs, workers = [], []
+    runs = []
     for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus)
+        forked = record_forks(monkeypatch)
         pids.write_text("")
         with only_caller_returns(tmp_path / "log"):
             res, ckpt = train_bytes(tmp_path, f"{optimizer}-{cpus}", 8, monkeypatch,
                                     optimizer=optimizer)
         assert_no_child_left()
         runs.append((ckpt, steps_without_timing(res)))
-        workers.append(len(set(pids.read_text().split())))
+        # one pool per call: at most cpus - 1 children, forked once (four
+        # steps of two or more packs each), run the packs the caller does not
+        assert (cpus > 1) <= len(forked) <= cpus - 1
+        assert set(map(int, pids.read_text().split())) <= {os.getpid(), *forked}
     assert runs[0] == runs[1] == runs[2]
-    # each step forks anew: a step of three or more packs forks two children
-    assert workers[0] == 1 < workers[1] < workers[2]
     steps = [line for line in runs[0][1] if "summary_loss" not in line]
     assert len(steps) == 4 and all(" grad_norm=" in line for line in steps)
+
+
+@forks
+def test_training_forks_its_workers_once(tmp_path, monkeypatch):
+    # the caller is slowed, so the children pull packs on every step
+    caller = os.getpid()
+    log = tmp_path / "steps"
+    pack_gradient = tr._pack_gradient
+
+    def logged(model, *args):
+        if os.getpid() == caller:
+            time.sleep(0.05)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {model.params['decode.b'].value.data.tobytes().hex()}\n")
+        return pack_gradient(model, *args)
+
+    monkeypatch.setattr(tr, "_pack_gradient", logged)
+    use_cpus(monkeypatch, 3)
+    forked = record_forks(monkeypatch)
+    with only_caller_returns(tmp_path / "log"):
+        train_bytes(tmp_path, "once", 4, monkeypatch)  # two or more packs per group
+    assert_no_child_left()
+    assert 1 <= len(forked) <= 2  # w - 1, w capped by the first group's packs
+    steps: dict[str, set] = {}
+    for pid, params in map(str.split, log.read_text().splitlines()):
+        steps.setdefault(params, set()).add(int(pid))
+    # four steps, each from its own parameters; children ran packs of each
+    # step, always the same ones
+    assert len(steps) == 4
+    assert all(pids - {caller} and pids <= {caller, *forked} for pids in steps.values())
+
+
+def test_groups_of_one_pack_fork_nothing(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 3)
+    forked = record_forks(monkeypatch)
+    tc = TrainConfig(epochs=2, batch_size=1, lr=0.01, seed=3)
+    res = tr.train(scenes((2, 5, 1), seed=4), desk_config("mcr_n"), tc)
+    ev.evaluate(res.model, scenes((2, 5, 1), seed=9))  # one pack
+    assert forked == []
 
 
 def test_step_log_records_the_pre_clip_gradient_norm(monkeypatch):
@@ -291,13 +334,15 @@ def test_training_forks_nothing_without_blas_thread_control(tmp_path, monkeypatc
     pids = tmp_path / "pids"
     log_pack_pids(monkeypatch, pids)
     use_cpus(monkeypatch, 3)
-    _, forked = train_bytes(tmp_path, "forked", 8, monkeypatch)
-    assert len(set(pids.read_text().split())) > 1
+    forked = record_forks(monkeypatch)
+    _, with_workers = train_bytes(tmp_path, "forked", 8, monkeypatch)
+    n_forked = len(forked)
+    assert n_forked > 0
     pids.write_text("")
     monkeypatch.setattr(ad, "_blas", lambda: None)
     _, alone = train_bytes(tmp_path, "alone", 8, monkeypatch)
-    assert set(pids.read_text().split()) == {str(os.getpid())}
-    assert alone == forked
+    assert set(pids.read_text().split()) == {str(os.getpid())} and len(forked) == n_forked
+    assert alone == with_workers
 
 
 @forks
@@ -320,6 +365,26 @@ def test_training_reports_a_failed_child_and_reaps_every_child(tmp_path, monkeyp
         train_bytes(tmp_path, how, 8, monkeypatch)
     assert_no_child_left()
     assert not (tmp_path / "log").exists()
+
+
+@forks
+def test_evaluate_is_bit_identical_for_any_worker_count(monkeypatch, tmp_path):
+    model = packing_model("mcr_mp")
+    batch_list = scenes((5, 2, 1, 4, 3, 6, 2))
+    labels = {"a": batch_list, "b": batch_list[::-1][:4]}
+    monkeypatch.setattr(ev, "EVAL_PACK_ROWS", 6)  # packs of 5, 3, 4, 3, 6, 2 rows
+    reports = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        forked = record_forks(monkeypatch)
+        with only_caller_returns(tmp_path / "log"):
+            report = ev.evaluate(model, labels)
+        assert_no_child_left()
+        assert len(forked) == cpus - 1
+        reports.append([(r.label, r.ade.hex(), r.fde.hex(), [e.hex() for e in r.step_errors],
+                         r.n_scenes, r.n_peds) for r in report.rows])
+    assert reports[0] == reports[1] == reports[2]
+    assert [row[-1] for row in reports[0]] == [23, 15]
 
 
 def test_training_shows_pack_warnings_in_pack_order(tmp_path, monkeypatch):
