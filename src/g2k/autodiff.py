@@ -574,10 +574,10 @@ class _Pool:
             _fork(self._serve, self.children, inherited)
 
     def _spread(self, items: list) -> list:
-        blob, state = pickle.dumps(items), b"".join(a.tobytes() for a in self.sync)
+        blob = pickle.dumps((items, self.sync))
         for child in list(self.children):
             try:
-                _send(child[1], blob, state)
+                _send(child[1], blob)
             except BrokenPipeError:
                 raise self._reap(child) from None
         with _registries_kept():
@@ -621,9 +621,9 @@ class _Pool:
         tickets, send the results back; return when the caller closes the
         command pipe."""
         while (blob := _receive(cmd)) is not None:
-            items = pickle.loads(blob)
-            for a in self.sync:
-                a[...] = np.frombuffer(_read(cmd, a.nbytes), a.dtype).reshape(a.shape)
+            items, state = pickle.loads(blob)
+            for a, value in zip(self.sync, state):
+                a[...] = value
             done = [(j, (ok, value if ok else _portable(value), caught))
                     for j, (ok, value, caught) in self._pull(items, BaseException)]
             _send(reply, pickle.dumps(done))
@@ -820,9 +820,9 @@ def _child(serve, cmd: int, reply: int, foreign: list[int], mask) -> None:
         os._exit(status)
 
 
-def _send(fd: int, blob: bytes, tail: bytes = b"") -> None:
-    """Write blob with its length in front, then tail."""
-    view = memoryview(b"".join([len(blob).to_bytes(8, "little"), blob, tail]))
+def _send(fd: int, blob: bytes) -> None:
+    """Write blob with its length in front."""
+    view = memoryview(len(blob).to_bytes(8, "little") + blob)
     while view:
         view = view[os.write(fd, view):]
 
