@@ -516,22 +516,23 @@ def workers(work, sync=()):
     The first run of two or more items forks w - 1 children, w =
     _workers(len(items)), which start from the caller's state and live
     until the block exits; from then on BLAS is pinned to one thread in
-    every process, since the w workers already fill w CPUs. Each later run
-    sends every child the pickled items and the current bytes of the sync
-    arrays (arrays the caller changes in place between runs), so work must
-    depend only on its item, the sync arrays and what the children
-    inherited. Within a run the caller and the children pull item indices,
-    in index order, from one ticket pipe, each taking the next as soon as
-    it is free. A run of one item, or with one worker, runs in the caller.
+    every process, since the w workers already fill w CPUs. Each run sends
+    every child the pickled items and the current values of the sync arrays
+    (arrays the caller changes in place between runs), so work must depend
+    only on its item, the sync arrays and what the children inherited.
+    Within a run the caller and the children pull item indices, in index
+    order, from one ticket pipe, each taking the next as soon as it is
+    free. A run of one item, or with one worker, runs in the caller.
 
     Results come back in item order. work's side effects in a child are
-    lost, except its warnings: they are held and shown in item order once
-    all results are in (a child's through the caller's filters). The
-    exception of the lowest-index failed item is raised, a RuntimeError
-    naming its exit status where a child died; items past a worker's
-    failure are not run by it. After an error or interrupt every child is
-    killed and reaped and the next run forks afresh. On exit the children
-    are reaped and the BLAS thread count restored.
+    lost, except its warnings: every worker holds them, and once all
+    results are in they are shown in item order through the caller's
+    filters and once-per-location registries, as a serial run would show
+    them. The exception of the lowest-index failed item is raised, a
+    RuntimeError naming its exit status where a child died; items past a
+    worker's failure are not run by it. After an error or interrupt every
+    child is killed and reaped and the next run forks afresh. On exit the
+    children are reaped and the BLAS thread count restored.
     """
     pool = _Pool(work, list(sync))
     try:

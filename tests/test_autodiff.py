@@ -725,6 +725,17 @@ def test_workers_show_a_repeated_warning_where_it_first_occurs(monkeypatch, tmp_
     assert [str(w.message) for w in caught] == ["A", "B"]
 
 
+@pytest.mark.parametrize("action", ["default", "module", "once"])
+def test_spread_shows_a_warning_once_per_filter_action(monkeypatch, tmp_path, action):
+    use_cpus(monkeypatch, 3)
+    with warnings.catch_warnings(record=True) as caught, \
+            only_caller_returns(tmp_path / "log"):
+        warnings.simplefilter(action)
+        ad.spread(lambda i: warn_each(0), range(6))
+    assert_no_child_left()
+    assert [str(w.message) for w in caught] == ["item 0"]
+
+
 def test_grad_check_catches_wrong_gradient():
     # mul's backward is correct; simulate a bug by checking w*w against
     # a forward that actually computes 2*w*w
