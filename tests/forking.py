@@ -2,6 +2,7 @@
 
 import contextlib
 import os
+import signal
 
 import pytest
 
@@ -51,3 +52,19 @@ def only_caller_returns(log):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the block with TimeoutError if it runs longer than seconds, so a
+    worker pool that stalls fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)

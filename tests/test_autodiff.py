@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from g2k import autodiff as ad
 
 from forking import (assert_no_child_left, forks, only_caller_returns, record_forks,
-                     use_cpus)
+                     use_cpus, within)
 
 
 def rng(seed=0):
@@ -417,7 +417,7 @@ def test_grad_check_over_more_tickets_than_the_pipe_holds(monkeypatch, tmp_path)
     def build():
         return ad.sum_all(ad.mul(w.value, w.value))
 
-    with only_caller_returns(tmp_path / "log"):
+    with within(120), only_caller_returns(tmp_path / "log"):
         report = ad.grad_check(build, ps)
     assert_no_child_left()
     assert report.passed(1e-4), report.format()
@@ -640,20 +640,12 @@ def test_workers_stress_more_workers_than_cpus(monkeypatch, tmp_path):
         counts[i] += 1
         return i + int(step[0, 0])
 
-    def expire(signum, frame):
-        raise TimeoutError("pool stress run took over 120 s")
-
-    alarm = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(120)
-    try:
-        with only_caller_returns(tmp_path / "log"), ad.workers(work, sync=[step]) as run:
-            for k in range(3):
-                step[0, 0] = 1000.0 * k
-                assert run(range(n)) == [i + 1000 * k for i in range(n)]
-                assert counts.min() == counts.max() == k + 1
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, alarm)
+    with within(120), only_caller_returns(tmp_path / "log"), \
+            ad.workers(work, sync=[step]) as run:
+        for k in range(3):
+            step[0, 0] = 1000.0 * k
+            assert run(range(n)) == [i + 1000 * k for i in range(n)]
+            assert counts.min() == counts.max() == k + 1
     assert_no_child_left()
     del counts
     runs.close()
