@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import multiprocessing
 import os
 import pickle
-import select
 import signal
 import sys
 import types
@@ -495,7 +495,6 @@ def _difference(build_loss, site, eps: float) -> float:
     return (lo_plus - lo_minus) / (2.0 * eps)
 
 
-
 # ---------------------------------------------------------------------------
 # fan-out over forked workers
 
@@ -521,18 +520,20 @@ def workers(work, sync=()):
     (arrays the caller changes in place between runs), so work must depend
     only on its item, the sync arrays and what the children inherited.
     Within a run the caller and the children pull item indices, in index
-    order, from one ticket pipe, each taking the next as soon as it is
-    free. A run of one item, or with one worker, runs in the caller.
+    order, from one counter in shared memory, each taking the next as soon
+    as it is free. A run of one item, or with one worker, runs in the
+    caller.
 
     Results come back in item order. work's side effects in a child are
     lost, except its warnings: every worker holds them, and once all
     results are in they are shown in item order through the caller's
     filters and once-per-location registries, as a serial run would show
     them. The exception of the lowest-index failed item is raised, a
-    RuntimeError naming its exit status where a child died; items past a
-    worker's failure are not run by it. After an error or interrupt every
-    child is killed and reaped and the next run forks afresh. On exit the
-    children are reaped and the BLAS thread count restored.
+    RuntimeError naming its exit status where a child died; a failure ends
+    the run, so no worker starts an item past it. After an error or
+    interrupt every child is killed and reaped and the next run forks
+    afresh. On exit the children are reaped and the BLAS thread count
+    restored.
     """
     pool = _Pool(work, list(sync))
     try:
@@ -541,16 +542,13 @@ def workers(work, sync=()):
         pool.close()
 
 
-_STOP = -1  # the ticket that ends a worker's run
-
-
 class _Pool:
     """The state behind one workers() block."""
 
     def __init__(self, work, sync: list[np.ndarray]):
         self.work, self.sync = work, sync
         self.children: list[tuple[int, int, int]] = []  # (pid, command fd, reply fd)
-        self.tickets: _Tickets | None = None
+        self.next = None  # the index of the next item to pull, shared with the children
         self.threads: int | None = None  # BLAS thread count before pinning
 
     def run(self, items) -> list:
@@ -569,12 +567,13 @@ class _Pool:
         get_threads, set_threads = _blas()
         self.threads = get_threads()
         set_threads(1)
-        self.tickets = _Tickets()
+        self.next = multiprocessing.get_context("fork").Value("q")
         for _ in range(w - 1):
-            inherited = [self.tickets.w, *(fd for _, c, r in self.children for fd in (c, r))]
-            _fork(self._serve, self.children, inherited)
+            _fork(self._serve, self.children,
+                  [fd for _, c, r in self.children for fd in (c, r)])
 
     def _spread(self, items: list) -> list:
+        self.next.value = 0  # no child pulls until it has the blob
         blob = pickle.dumps((items, self.sync))
         for child in list(self.children):
             try:
@@ -582,7 +581,6 @@ class _Pool:
             except BrokenPipeError:
                 raise self._reap(child) from None
         with _registries_kept():
-            self.tickets.deal(len(items), len(self.children) + 1)
             results = dict(self._pull(items, Exception))
         died = None
         for child in list(self.children):
@@ -607,19 +605,26 @@ class _Pool:
 
     def _pull(self, items: list, catch) -> list:
         """(j, (ok, result or exception, warnings)) for each item this
-        process pulls until its stop ticket; after a failure it pulls the
-        rest of its tickets without running them."""
-        done, failed = [], False
-        while (j := self.tickets.take()) != _STOP:
-            if not failed:
-                held = _held(self.work, items[j], catch)
-                done.append((j, held))
-                failed = not held[0]
+        process pulls. Items are pulled in index order, so every item below
+        a failed one is taken already: the failure ends the run."""
+        done = []
+        while (j := self._take()) < len(items):
+            held = _held(self.work, items[j], catch)
+            done.append((j, held))
+            if not held[0]:
+                with self.next.get_lock():
+                    self.next.value = len(items)
         return done
+
+    def _take(self) -> int:
+        with self.next.get_lock():
+            j = self.next.value
+            self.next.value = j + 1
+        return j
 
     def _serve(self, cmd: int, reply: int) -> None:
         """A child's loop: per run, read the items and the sync arrays, pull
-        tickets, send the results back; return when the caller closes the
+        items, send the results back; return when the caller closes the
         command pipe."""
         while (blob := _receive(cmd)) is not None:
             items, state = pickle.loads(blob)
@@ -649,49 +654,10 @@ class _Pool:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         self.children.clear()
-        if self.tickets is not None:
-            os.close(self.tickets.r)
-            os.close(self.tickets.w)
-            self.tickets = None
+        self.next = None
         if self.threads is not None:
             _blas()[1](self.threads)
             self.threads = None
-
-
-class _Tickets:
-    """The pipe the workers pull item indices from: 4-byte little-endian
-    ints, a run's indices in order and then one _STOP per worker. Both ends
-    are non-blocking and the caller writes at most PIPE_BUF bytes at a time,
-    so every write is atomic and the pipe only ever holds whole tickets. A
-    run may hold more tickets than the pipe: the caller keeps the rest and
-    tops the pipe up whenever it takes a ticket or waits for one."""
-
-    def __init__(self):
-        self.r, self.w = os.pipe()
-        os.set_blocking(self.r, False)
-        os.set_blocking(self.w, False)
-        self.pending = memoryview(b"")
-
-    def deal(self, n_items: int, n_workers: int) -> None:
-        self.pending = memoryview(np.concatenate(
-            [np.arange(n_items), np.full(n_workers, _STOP)]).astype("<i4").tobytes())
-
-    def take(self) -> int:
-        while True:
-            while self.pending:
-                try:
-                    n = os.write(self.w, self.pending[:select.PIPE_BUF])
-                except BlockingIOError:
-                    break
-                self.pending = self.pending[n:]
-            try:
-                ticket = os.read(self.r, 4)
-            except BlockingIOError:
-                select.select([self.r], [self.w] if self.pending else [], [])
-                continue
-            if not ticket:
-                raise EOFError("the ticket pipe was closed")
-            return int.from_bytes(ticket, "little", signed=True)
 
 
 def _held(work, item, catch) -> tuple:

@@ -3,6 +3,7 @@
 import contextlib
 import os
 import signal
+import time
 
 import pytest
 
@@ -68,3 +69,39 @@ def within(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
+
+
+class Rendezvous:
+    """Makes every worker of a pool take part in a run, whatever the
+    scheduler does. Before a run that w workers share, the caller calls
+    expect(w); work calls arrive() at the start of each item, which holds a
+    process's first item of the run until w processes have arrived. A
+    worker held there cannot pull another item, so the run's first w items
+    go to w distinct workers. Arrivals go to a file that every process
+    appends to; one that waits longer than timeout raises TimeoutError."""
+
+    def __init__(self, path, timeout=30):
+        self.path, self.timeout = path, timeout
+        path.write_text("")
+        self.joined = 0  # per process: the last run it arrived in
+
+    def expect(self, w):
+        with open(self.path, "a") as f:
+            f.write(f"run {w}\n")
+
+    def arrive(self):
+        runs = [int(line[1]) for line in self.lines() if line[0] == "run"]
+        if len(runs) == self.joined:  # no run expected, or arrived in this one
+            return
+        self.joined = len(runs)
+        with open(self.path, "a") as f:
+            f.write(f"at {self.joined} {os.getpid()}\n")
+        deadline = time.monotonic() + self.timeout
+        while len({line[2] for line in self.lines()
+                   if line[:2] == ["at", str(self.joined)]}) < runs[-1]:
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"{os.getpid()} waited for {runs[-1]} workers")
+            time.sleep(0.001)
+
+    def lines(self):
+        return [line.split() for line in self.path.read_text().splitlines()]

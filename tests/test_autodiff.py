@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from g2k import autodiff as ad
 
-from forking import (assert_no_child_left, forks, only_caller_returns, record_forks,
-                     use_cpus, within)
+from forking import (Rendezvous, assert_no_child_left, forks, only_caller_returns,
+                     record_forks, use_cpus, within)
 
 
 def rng(seed=0):
@@ -307,21 +307,23 @@ def test_grad_check_passes_on_correct_graph():
 @forks
 def test_grad_check_records_only_the_analytic_pass(monkeypatch, tmp_path):
     # perturbed forwards run in forked workers, so every call records its
-    # pid and requires_grad in a file that all processes append to; they
-    # are slowed so that each of the three workers pulls some
+    # pid and requires_grad in a file that all processes append to; the
+    # first three elements go to the three workers
     use_cpus(monkeypatch, 3)
     ps = ad.ParameterSet()
     w = ps.register("w", rng(14).normal(size=(2, 2)))
     log = tmp_path / "calls.txt"
+    meet = Rendezvous(tmp_path / "meet")
 
     def build():
         loss = ad.sum_all(ad.mul(w.value, w.value))
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {loss.requires_grad}\n")
         if not loss.requires_grad:
-            time.sleep(0.02)
+            meet.arrive()
         return loss
 
+    meet.expect(3)
     with only_caller_returns(log):
         ad.grad_check(build, ps)
     assert_no_child_left()
@@ -352,27 +354,29 @@ def test_grad_check_leaves_parameters_bit_identical(monkeypatch):
 def test_grad_check_raises_a_worker_error_and_reaps_every_child(
         monkeypatch, tmp_path, element, where):
     # the perturbed forwards of elements >= element fail where they run in
-    # the caller (or in a child); the other workers' forwards are slowed, so
-    # the failing ones pull most elements. The error raised is the lowest
-    # failed element's
+    # the caller (or in a child). The first three elements go to the three
+    # workers, so one of the failing kind pulls an element >= element. The
+    # error raised is the lowest failed element's
     use_cpus(monkeypatch, 3)
     ps = ad.ParameterSet()
     w = ps.register("w", rng(15).normal(size=(2, 3)))
     before = w.value.data.copy()
     caller = os.getpid()
     failed = tmp_path / "failed"
+    meet = Rendezvous(tmp_path / "meet")
 
     def build():
         moved = np.flatnonzero(w.value.data != before)
         if moved.size:
+            meet.arrive()
             k = int(moved[0])
             if (os.getpid() == caller) == (where == "caller") and k >= element:
                 with open(failed, "a") as f:
                     f.write(f"{k}\n")
                 raise ad.NumericError(f"element {k} in {os.getpid()}")
-            time.sleep(0.05)
         return ad.sum_all(ad.mul(w.value, w.value))
 
+    meet.expect(3)
     with pytest.raises(ad.NumericError) as err, only_caller_returns(tmp_path / "log"):
         ad.grad_check(build, ps)
     _, k, _, raised_in = str(err.value).split()
@@ -385,52 +389,43 @@ def test_grad_check_raises_a_worker_error_and_reaps_every_child(
 
 @forks
 def test_grad_check_names_the_status_of_a_child_that_died(monkeypatch, tmp_path):
-    # a child dies on its first perturbed forward; the caller's are slowed,
-    # so the children pull some
+    # a child dies on its first perturbed forward; the first three elements
+    # go to the three workers, so the children pull some
     use_cpus(monkeypatch, 3)
     ps = ad.ParameterSet()
     w = ps.register("w", rng(15).normal(size=(2, 3)))
     before = w.value.data.copy()
     caller = os.getpid()
+    meet = Rendezvous(tmp_path / "meet")
 
     def build():
         if w.value.data.tobytes() != before.tobytes():
+            meet.arrive()
             if os.getpid() != caller:
                 os._exit(7)
-            time.sleep(0.05)
         return ad.sum_all(ad.mul(w.value, w.value))
 
+    meet.expect(3)
     with pytest.raises(RuntimeError, match="status 7"), only_caller_returns(tmp_path / "log"):
         ad.grad_check(build, ps)
     assert_no_child_left()
     assert w.value.data.tobytes() == before.tobytes()
 
 
-@forks
-def test_grad_check_over_more_tickets_than_the_pipe_holds(monkeypatch, tmp_path):
-    # 16,500 elements are 66,000 bytes of tickets, more than a 64 KiB pipe
-    # holds: the caller must keep the rest and top the pipe up as it drains
-    use_cpus(monkeypatch, 2)
-    ps = ad.ParameterSet()
-    w = ps.register("w", rng(17).uniform(1.0, 2.0, size=(125, 132)))
-
-    def build():
-        return ad.sum_all(ad.mul(w.value, w.value))
-
-    with within(120), only_caller_returns(tmp_path / "log"):
-        report = ad.grad_check(build, ps)
-    assert_no_child_left()
-    assert report.passed(1e-4), report.format()
-
-
 # ---------------------------------------------------------------------------
 # spread: the fan-out behind grad_check and train
 
 
-def slowly(value, seconds=0.02):
-    """value after a pause, so that every worker pulls some items."""
-    time.sleep(seconds)
-    return value
+def shared(work, n, meet):
+    """work for one spread of n items, made to give every worker an item
+    (see Rendezvous)."""
+    meet.expect(ad._workers(n))
+
+    def wrapped(item):
+        meet.arrive()
+        return work(item)
+
+    return wrapped
 
 
 @forks
@@ -438,13 +433,12 @@ def test_spread_returns_results_in_item_order(monkeypatch, tmp_path):
     for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus)
         forked = record_forks(monkeypatch)
+        work = shared(lambda i: (i * i, os.getpid()), 8, Rendezvous(tmp_path / "meet"))
         with only_caller_returns(tmp_path / "log"):
-            out = ad.spread(lambda i: slowly((i * i, os.getpid())), range(8))
+            out = ad.spread(work, range(8))
         assert_no_child_left()
         assert [v for v, _ in out] == [i * i for i in range(8)]
-        pids = {pid for _, pid in out}
-        assert len(forked) == cpus - 1 and pids <= {os.getpid(), *forked}
-        assert len(pids) > 1 or cpus == 1
+        assert len(forked) == cpus - 1 and {pid for _, pid in out} == {os.getpid(), *forked}
 
 
 @pytest.fixture
@@ -462,7 +456,8 @@ def three_blas_threads():
 def test_spread_pins_blas_to_one_thread_per_worker(monkeypatch, tmp_path, three_blas_threads):
     use_cpus(monkeypatch, 2)
     with only_caller_returns(tmp_path / "log"):
-        out = ad.spread(lambda i: slowly((os.getpid(), three_blas_threads())), range(4))
+        out = ad.spread(shared(lambda i: (os.getpid(), three_blas_threads()), 4,
+                               Rendezvous(tmp_path / "meet")), range(4))
     assert_no_child_left()
     assert [n for _, n in out] == [1, 1, 1, 1]
     assert len({pid for pid, _ in out}) == 2
@@ -522,7 +517,7 @@ def warn_each(i):
     warnings.warn(f"item {i}", UserWarning)
     if i % 2:
         warnings.warn(f"odd item {i}", RuntimeWarning)
-    return slowly(i, 0.01)
+    return i
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -531,7 +526,8 @@ def test_spread_shows_workers_warnings_in_item_order(monkeypatch, tmp_path, cpus
     with warnings.catch_warnings(record=True) as caught, \
             only_caller_returns(tmp_path / "log"):
         warnings.simplefilter("always")
-        assert ad.spread(warn_each, range(7)) == list(range(7))
+        work = shared(warn_each, 7, Rendezvous(tmp_path / "meet"))
+        assert ad.spread(work, range(7)) == list(range(7))
     assert_no_child_left()
     want = []
     for i in range(7):
@@ -549,7 +545,8 @@ def test_spread_applies_the_callers_warning_filters(monkeypatch, tmp_path):
             only_caller_returns(tmp_path / "log"):
         warnings.simplefilter("default")
         warnings.filterwarnings("ignore", "odd item")
-        ad.spread(lambda i: warn_each(i % 2), range(6))
+        ad.spread(shared(lambda i: warn_each(i % 2), 6, Rendezvous(tmp_path / "meet")),
+                  range(6))
         # once per text and location, as from one process
         assert [str(w.message) for w in caught] == ["item 0", "item 1"]
         warnings.filterwarnings("error", "item 5")
@@ -567,33 +564,42 @@ def test_workers_fork_once_and_keep_item_order(monkeypatch, tmp_path):
     use_cpus(monkeypatch, 3)
     forked = record_forks(monkeypatch)
     caller = os.getpid()
-    with only_caller_returns(tmp_path / "log"), \
-            ad.workers(lambda i: slowly((i * i, os.getpid()))) as run:
+    meet = Rendezvous(tmp_path / "meet")
+
+    def work(i):
+        meet.arrive()
+        return i * i, os.getpid()
+
+    with only_caller_returns(tmp_path / "log"), ad.workers(work) as run:
         assert run([4]) == [(16, caller)] and forked == []  # one item: no fork
-        pids = set()
         for n in (5, 1, 7, 2):
+            if n > 1:
+                meet.expect(min(n, 3))
             out = run(range(n))
             assert [v for v, _ in out] == [i * i for i in range(n)]
-            pids |= {pid for _, pid in out}
-        assert len(forked) == 2 and pids <= {caller, *forked} and len(pids) > 1
+            pids = {pid for _, pid in out}
+            assert len(pids) == min(n, 3) and pids <= {caller, *forked}
+        assert len(forked) == 2
     assert_no_child_left()
 
 
 @forks
 def test_workers_send_the_sync_arrays_every_run(monkeypatch, tmp_path):
     use_cpus(monkeypatch, 3)
-    caller = os.getpid()
+    forked = record_forks(monkeypatch)
     a = np.zeros((2, 3))
+    meet = Rendezvous(tmp_path / "meet")
 
     def work(i):
-        # the caller is slowed, so the children run most items
-        return slowly((os.getpid(), a.copy()), 0.1 if os.getpid() == caller else 0.01)
+        meet.arrive()
+        return os.getpid(), a.copy()
 
     with only_caller_returns(tmp_path / "log"), ad.workers(work, sync=[a]) as run:
         for step in range(3):
             a[...] = step + np.arange(6.0).reshape(2, 3) / 7
+            meet.expect(3)
             out = run(range(6))
-            assert {pid for pid, _ in out} - {caller}
+            assert {pid for pid, _ in out} == {os.getpid(), *forked}, step
             assert all(v.tobytes() == a.tobytes() for _, v in out), step
     assert_no_child_left()
 
@@ -604,17 +610,20 @@ def test_workers_report_a_child_that_fails_mid_block(monkeypatch, tmp_path, how)
     use_cpus(monkeypatch, 3)
     forked = record_forks(monkeypatch)
     caller = os.getpid()
+    meet = Rendezvous(tmp_path / "meet")
 
     def work(i):
+        meet.arrive()
         if i >= 100 and os.getpid() != caller:
             if how == "exit":
                 os._exit(7)
             raise ad.NumericError(f"item {i} in {os.getpid()}")
-        return slowly(i, 0.05 if os.getpid() == caller else 0.01)
+        return i
 
     want = (RuntimeError, "status 7") if how == "exit" else (ad.NumericError, "item 10")
     with only_caller_returns(tmp_path / "log"), ad.workers(work) as run:
         assert run(range(4)) == list(range(4))
+        meet.expect(3)
         with pytest.raises(want[0], match=want[1]):
             run(range(100, 106))
         assert_no_child_left()
@@ -626,10 +635,10 @@ def test_workers_report_a_child_that_fails_mid_block(monkeypatch, tmp_path, how)
 
 @forks
 def test_workers_stress_more_workers_than_cpus(monkeypatch, tmp_path):
-    # six workers on the host's CPUs pull runs of 20,000 tiny items, more
-    # tickets than the pipe holds. Every item must run exactly once per run
-    # (counted in memory shared with the children) and see that run's sync
-    # array; a lost, repeated or stale ticket breaks one of the two
+    # six workers on the host's CPUs pull runs of 20,000 tiny items. Every
+    # item must run exactly once per run (counted in memory shared with the
+    # children) and see that run's sync array; an item lost, pulled twice or
+    # run on stale arrays breaks one of the two
     use_cpus(monkeypatch, 6)
     n = 20_000
     runs = mmap.mmap(-1, 8 * n)
@@ -653,19 +662,17 @@ def test_workers_stress_more_workers_than_cpus(monkeypatch, tmp_path):
 
 @forks
 def test_workers_raise_the_lowest_failed_item(monkeypatch, tmp_path):
-    # both items fail, each in its own worker (the first item's run keeps
-    # its worker busy while the other pulls the second). Whichever worker
-    # pulled item 0, its error is the one raised
+    # both items fail, each in its own worker. Whichever worker pulled item
+    # 0, its error is the one raised
     use_cpus(monkeypatch, 2)
 
     def work(i):
-        slowly(i, 0.05)
         raise ad.NumericError(f"item {i} in {os.getpid()}")
 
     for _ in range(4):
         with pytest.raises(ad.NumericError, match="item 0 in"), \
                 only_caller_returns(tmp_path / "log"):
-            ad.spread(work, range(2))
+            ad.spread(shared(work, 2, Rendezvous(tmp_path / "meet")), range(2))
         assert_no_child_left()
 
 
@@ -674,11 +681,13 @@ def test_workers_interrupted_mid_run_reap_every_child(monkeypatch, tmp_path,
                                                       three_blas_threads):
     use_cpus(monkeypatch, 3)
     caller = os.getpid()
+    meet = Rendezvous(tmp_path / "meet")
 
     def work(i):
+        meet.arrive()
         if i >= 100 and os.getpid() == caller:
             os.kill(caller, signal.SIGINT)
-        return slowly(i)
+        return i
 
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
@@ -687,6 +696,7 @@ def test_workers_interrupted_mid_run_reap_every_child(monkeypatch, tmp_path,
                 ad.workers(work) as run:
             assert run(range(4)) == list(range(4))
             assert three_blas_threads() == 1
+            meet.expect(3)
             run(range(100, 106))
     finally:
         signal.signal(signal.SIGINT, handler)
@@ -698,16 +708,18 @@ def test_workers_interrupted_mid_run_reap_every_child(monkeypatch, tmp_path,
 
 @forks
 def test_workers_show_a_repeated_warning_where_it_first_occurs(monkeypatch, tmp_path):
-    # items 1 and 3 warn "A", item 2 "B". The slowed caller pulls items 0
-    # and 3, so it raises "A" while the child's earlier "A" is still held;
-    # shown once per location, "A" must still come first, as in a serial run
+    # items 1 and 3 warn "A", item 2 "B". Timed so that the caller usually
+    # pulls items 0 and 3 and raises "A" while the child's earlier "A" is
+    # still held; shown once per location, "A" must still come first, as in
+    # a serial run, whichever worker pulls what
     use_cpus(monkeypatch, 2)
     caller = os.getpid()
 
     def work(i):
         if i in (1, 2, 3):
             warnings.warn("B" if i == 2 else "A", UserWarning)
-        return slowly(i, 0.1 if os.getpid() == caller else 0.06)
+        time.sleep(0.1 if os.getpid() == caller else 0.06)
+        return i
 
     with warnings.catch_warnings(record=True) as caught, \
             only_caller_returns(tmp_path / "log"):
@@ -723,7 +735,7 @@ def test_spread_shows_a_warning_once_per_filter_action(monkeypatch, tmp_path, ac
     with warnings.catch_warnings(record=True) as caught, \
             only_caller_returns(tmp_path / "log"):
         warnings.simplefilter(action)
-        ad.spread(lambda i: warn_each(0), range(6))
+        ad.spread(shared(lambda i: warn_each(0), 6, Rendezvous(tmp_path / "meet")), range(6))
     assert_no_child_left()
     assert [str(w.message) for w in caught] == ["item 0"]
 

@@ -4,7 +4,6 @@ rounding), and one scene must build the unpacked graph."""
 
 import os
 import re
-import time
 import warnings
 
 import numpy as np
@@ -18,8 +17,8 @@ from g2k import neighborhood as nb
 from g2k import training as tr
 from g2k.config import VARIANTS, TrainConfig, desk_config
 
-from forking import (assert_no_child_left, forks, only_caller_returns, record_forks,
-                     use_cpus)
+from forking import (Rendezvous, assert_no_child_left, forks, only_caller_returns,
+                     record_forks, use_cpus)
 
 CROWDS = (1, 24, 3, 2, 7)  # rows 0, 1..24, 25..27, 28..29, 30..36
 TOL = 1e-10
@@ -181,9 +180,9 @@ def test_evaluate_packs_match_scene_by_scene(monkeypatch):
     assert packed.rows[0].n_peds == alone.rows[0].n_peds == 23
 
 
-def train_bytes(tmp_path, tag, budget, monkeypatch, optimizer="adam"):
+def train_bytes(tmp_path, tag, budget, monkeypatch, optimizer="adam", seed=3):
     monkeypatch.setattr(tr, "TRAIN_PACK_ROWS", budget)
-    tc = TrainConfig(epochs=2, batch_size=4, lr=0.01, seed=3, optimizer=optimizer)
+    tc = TrainConfig(epochs=2, batch_size=4, lr=0.01, seed=seed, optimizer=optimizer)
     res = tr.train(scenes((2, 5, 1, 3, 4, 2, 6), seed=4), desk_config("mcr_n"), tc)
     path = tmp_path / tag
     tr.save_checkpoint(str(path), res.model, tc, 2, res.history)
@@ -233,16 +232,45 @@ def test_divergence_names_first_bad_scene_of_a_pack(monkeypatch, tmp_path, budge
 # training packs spread over workers
 
 
-def log_pack_pids(monkeypatch, log):
-    """Every pack's gradient appends its worker's pid to log."""
-    pack_gradient = tr._pack_gradient
+PACK_ROWS, PACK_GRADIENT = tr.pack_rows, tr._pack_gradient
 
-    def logged(*args):
+
+def share_packs(monkeypatch, log, meet, forked, pack_gradient=PACK_GRADIENT):
+    """Patch train() so that each step's packs are shared by every worker of
+    its pool, whatever the scheduler does: before a step of n packs the
+    caller expects min(w, n) workers at meet (see Rendezvous), w the pool's
+    size (forked lists its children), and every pack arrives there. Each
+    pack then appends "pid step" to log, step being the hex bytes of
+    decode.b, which every optimizer step changes. Returns the list of pack
+    counts per step, filled in as train() runs."""
+    n_packs = []
+
+    def packing(group, batches, cap):
+        packs = PACK_ROWS(group, batches, cap)
+        n_packs.append(len(packs))
+        if len(packs) > 1:
+            w = len(forked) + 1 if forked else ad._workers(len(packs))
+            meet.expect(min(w, len(packs)))
+        return packs
+
+    def logged(model, *args):
+        meet.arrive()
         with open(log, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return pack_gradient(*args)
+            f.write(f"{os.getpid()} {model.params['decode.b'].value.data.tobytes().hex()}\n")
+        return pack_gradient(model, *args)
 
+    monkeypatch.setattr(tr, "pack_rows", packing)
     monkeypatch.setattr(tr, "_pack_gradient", logged)
+    return n_packs
+
+
+def pids_per_step(log):
+    """{step: the pids that ran its packs}, steps in order, from a
+    share_packs log."""
+    steps: dict[str, set] = {}
+    for pid, step in map(str.split, log.read_text().splitlines()):
+        steps.setdefault(step, set()).add(int(pid))
+    return steps
 
 
 def steps_without_timing(res):
@@ -252,55 +280,28 @@ def steps_without_timing(res):
 @forks
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_training_is_bit_identical_for_any_worker_count(tmp_path, monkeypatch, optimizer):
-    pids = tmp_path / "pids"
-    log_pack_pids(monkeypatch, pids)
+    # seed 1 takes steps of 3, 2, 3 and 1 packs, so three CPUs fork two
+    # children at the first step
     runs = []
     for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus)
         forked = record_forks(monkeypatch)
-        pids.write_text("")
+        log = tmp_path / f"packs-{cpus}"
+        n_packs = share_packs(monkeypatch, log, Rendezvous(tmp_path / f"meet-{cpus}"), forked)
         with only_caller_returns(tmp_path / "log"):
             res, ckpt = train_bytes(tmp_path, f"{optimizer}-{cpus}", 8, monkeypatch,
-                                    optimizer=optimizer)
+                                    optimizer=optimizer, seed=1)
         assert_no_child_left()
         runs.append((ckpt, steps_without_timing(res)))
-        # one pool per call: at most cpus - 1 children, forked once (four
-        # steps of two or more packs each), run the packs the caller does not
-        assert (cpus > 1) <= len(forked) <= cpus - 1
-        assert set(map(int, pids.read_text().split())) <= {os.getpid(), *forked}
+        # one pool per call: cpus - 1 children, forked once, run packs of
+        # every step of two or more, and always the same children
+        assert n_packs == [3, 2, 3, 1] and len(forked) == cpus - 1
+        steps = pids_per_step(log)
+        assert [len(pids) for pids in steps.values()] == [min(cpus, n) for n in n_packs]
+        assert set().union(*steps.values()) == {os.getpid(), *forked}
     assert runs[0] == runs[1] == runs[2]
     steps = [line for line in runs[0][1] if "summary_loss" not in line]
     assert len(steps) == 4 and all(" grad_norm=" in line for line in steps)
-
-
-@forks
-def test_training_forks_its_workers_once(tmp_path, monkeypatch):
-    # the caller is slowed, so the children pull packs on every step
-    caller = os.getpid()
-    log = tmp_path / "steps"
-    pack_gradient = tr._pack_gradient
-
-    def logged(model, *args):
-        if os.getpid() == caller:
-            time.sleep(0.05)
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()} {model.params['decode.b'].value.data.tobytes().hex()}\n")
-        return pack_gradient(model, *args)
-
-    monkeypatch.setattr(tr, "_pack_gradient", logged)
-    use_cpus(monkeypatch, 3)
-    forked = record_forks(monkeypatch)
-    with only_caller_returns(tmp_path / "log"):
-        train_bytes(tmp_path, "once", 4, monkeypatch)  # two or more packs per group
-    assert_no_child_left()
-    assert 1 <= len(forked) <= 2  # w - 1, w capped by the first group's packs
-    steps: dict[str, set] = {}
-    for pid, params in map(str.split, log.read_text().splitlines()):
-        steps.setdefault(params, set()).add(int(pid))
-    # four steps, each from its own parameters; children ran packs of each
-    # step, always the same ones
-    assert len(steps) == 4
-    assert all(pids - {caller} and pids <= {caller, *forked} for pids in steps.values())
 
 
 def test_groups_of_one_pack_fork_nothing(tmp_path, monkeypatch):
@@ -331,35 +332,39 @@ def test_step_log_records_the_pre_clip_gradient_norm(monkeypatch):
 
 @forks
 def test_training_forks_nothing_without_blas_thread_control(tmp_path, monkeypatch):
-    pids = tmp_path / "pids"
-    log_pack_pids(monkeypatch, pids)
     use_cpus(monkeypatch, 3)
     forked = record_forks(monkeypatch)
-    _, with_workers = train_bytes(tmp_path, "forked", 8, monkeypatch)
-    n_forked = len(forked)
-    assert n_forked > 0
-    pids.write_text("")
+    share_packs(monkeypatch, tmp_path / "packs-forked", Rendezvous(tmp_path / "meet"), forked)
+    with only_caller_returns(tmp_path / "log"):
+        _, with_workers = train_bytes(tmp_path, "forked", 8, monkeypatch)
+    assert_no_child_left()
+    steps = pids_per_step(tmp_path / "packs-forked")
+    assert forked and set().union(*steps.values()) == {os.getpid(), *forked}
     monkeypatch.setattr(ad, "_blas", lambda: None)
+    forked = record_forks(monkeypatch)
+    share_packs(monkeypatch, tmp_path / "packs-alone", Rendezvous(tmp_path / "meet"), forked)
     _, alone = train_bytes(tmp_path, "alone", 8, monkeypatch)
-    assert set(pids.read_text().split()) == {str(os.getpid())} and len(forked) == n_forked
+    steps = pids_per_step(tmp_path / "packs-alone")
+    assert set().union(*steps.values()) == {os.getpid()} and forked == []
     assert alone == with_workers
 
 
 @forks
 @pytest.mark.parametrize("how", ["raise", "exit"])
 def test_training_reports_a_failed_child_and_reaps_every_child(tmp_path, monkeypatch, how):
+    # the first step's packs go to the caller and a child, which fails
     use_cpus(monkeypatch, 3)
     caller = os.getpid()
-    pack_gradient = tr._pack_gradient
 
     def failing(*args):
         if os.getpid() != caller:
             if how == "exit":
                 os._exit(7)
             raise ad.NumericError(f"pack in {os.getpid()}")
-        return pack_gradient(*args)
+        return PACK_GRADIENT(*args)
 
-    monkeypatch.setattr(tr, "_pack_gradient", failing)
+    share_packs(monkeypatch, tmp_path / "packs", Rendezvous(tmp_path / "meet"),
+                record_forks(monkeypatch), failing)
     want = (RuntimeError, "status 7") if how == "exit" else (ad.NumericError, "pack in")
     with pytest.raises(want[0], match=want[1]), only_caller_returns(tmp_path / "log"):
         train_bytes(tmp_path, how, 8, monkeypatch)
