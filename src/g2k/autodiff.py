@@ -26,9 +26,6 @@ import multiprocessing
 import os
 import pickle
 import signal
-import sys
-import types
-import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
@@ -453,7 +450,8 @@ def grad_check(build_loss, params, eps: float = 1e-5) -> GradCheckReport:
     analytic pass, then under no_grad() twice per perturbed element. The
     perturbed elements are spread over the process's CPUs (spread()), so
     build_loss must be a pure function of the parameters (its side effects
-    in a forked worker are lost), and the instance should stay desk-scale.
+    in a forked worker are lost) and should raise no warnings (a worker
+    shows its own), and the instance should stay desk-scale.
     The report is the same for any number of workers. Relative error per
     element is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).
     """
@@ -512,27 +510,26 @@ def workers(work, sync=()):
     """A pool of forked workers for the block: yields run, where run(items)
     returns [work(item) for item in items].
 
-    The first run of two or more items forks w - 1 children, w =
-    _workers(len(items)), which start from the caller's state and live
-    until the block exits; from then on BLAS is pinned to one thread in
-    every process, since the w workers already fill w CPUs. Each run sends
-    every child the pickled items and the current values of the sync arrays
-    (arrays the caller changes in place between runs), so work must depend
-    only on its item, the sync arrays and what the children inherited.
-    Within a run the caller and the children pull item indices, in index
-    order, from one counter in shared memory, each taking the next as soon
-    as it is free. A run of one item, or with one worker, runs in the
-    caller.
+    A run of two or more items grows the pool to w = _workers(len(items))
+    workers, the caller included, by forking the children it lacks; they
+    start from the caller's state and live until the block exits. From
+    the first fork on, BLAS is pinned to one thread in every process, since
+    the workers already fill the CPUs. Each run sends every child the
+    pickled items and the current values of the sync arrays (arrays the
+    caller changes in place between runs), so work must depend only on its
+    item, the sync arrays and what the children inherited. Within a run the
+    caller and the children pull item indices, in index order, from one
+    counter in shared memory, each taking the next as soon as it is free. A
+    run of one item, or with one worker, runs in the caller.
 
     Results come back in item order. work's side effects in a child are
-    lost, except its warnings: every worker holds them, and once all
-    results are in they are shown in item order through the caller's
-    filters and once-per-location registries, as a serial run would show
-    them. The exception of the lowest-index failed item is raised, a
-    RuntimeError naming its exit status where a child died; a failure ends
-    the run, so no worker starts an item past it. After an error or
-    interrupt every child is killed and reaped and the next run forks
-    afresh. On exit the children are reaped and the BLAS thread count
+    lost; a warning it raises there is shown by that child under the
+    filters it inherited at fork, and one that a filter turns into an
+    error fails its item. The exception of the lowest-index failed item is
+    raised, a RuntimeError naming its exit status where a child died; a
+    failure ends the run, so no worker starts an item past it. After an
+    error or interrupt every child is killed and reaped and the next run
+    forks afresh. On exit the children are reaped and the BLAS thread count
     restored.
     """
     pool = _Pool(work, list(sync))
@@ -553,22 +550,25 @@ class _Pool:
 
     def run(self, items) -> list:
         items = list(items)
-        if len(items) < 2 or not (self.children or _workers(len(items)) > 1):
+        w = _workers(len(items))
+        if len(items) < 2 or not (self.children or w > 1):
             return [self.work(item) for item in items]
         try:
-            if not self.children:
-                self._start(_workers(len(items)))
+            self._grow(w)
             return self._spread(items)
         except BaseException:
             self.close()
             raise
 
-    def _start(self, w: int) -> None:
-        get_threads, set_threads = _blas()
-        self.threads = get_threads()
-        set_threads(1)
-        self.next = multiprocessing.get_context("fork").Value("q")
-        for _ in range(w - 1):
+    def _grow(self, w: int) -> None:
+        """Fork children until the pool has at least w workers, the caller
+        included. The first fork pins BLAS to one thread."""
+        if self.next is None:
+            get_threads, set_threads = _blas()
+            self.threads = get_threads()
+            set_threads(1)
+            self.next = multiprocessing.get_context("fork").Value("q")
+        while len(self.children) < w - 1:
             _fork(self._serve, self.children,
                   [fd for _, c, r in self.children for fd in (c, r)])
 
@@ -580,8 +580,7 @@ class _Pool:
                 _send(child[1], blob)
             except BrokenPipeError:
                 raise self._reap(child) from None
-        with _registries_kept():
-            results = dict(self._pull(items, Exception))
+        results = dict(self._pull(items, Exception))
         died = None
         for child in list(self.children):
             blob = _receive(child[2])
@@ -593,9 +592,7 @@ class _Pool:
         for j in range(len(items)):
             if j not in results:
                 raise died
-            ok, value, caught = results[j]
-            for message in caught:
-                _warn_again(*message)
+            ok, value = results[j]
             if not ok:
                 raise value
             out.append(value)
@@ -604,14 +601,16 @@ class _Pool:
         return out
 
     def _pull(self, items: list, catch) -> list:
-        """(j, (ok, result or exception, warnings)) for each item this
-        process pulls. Items are pulled in index order, so every item below
-        a failed one is taken already: the failure ends the run."""
+        """(j, (True, result)) or (j, (False, the exception)), catching
+        catch, for each item this process pulls. Items are pulled in index
+        order, so every item below a failed one is taken already: the
+        failure ends the run."""
         done = []
         while (j := self._take()) < len(items):
-            held = _held(self.work, items[j], catch)
-            done.append((j, held))
-            if not held[0]:
+            try:
+                done.append((j, (True, self.work(items[j]))))
+            except catch as exc:
+                done.append((j, (False, exc)))
                 with self.next.get_lock():
                     self.next.value = len(items)
         return done
@@ -630,8 +629,8 @@ class _Pool:
             items, state = pickle.loads(blob)
             for a, value in zip(self.sync, state):
                 a[...] = value
-            done = [(j, (ok, value if ok else _portable(value), caught))
-                    for j, (ok, value, caught) in self._pull(items, BaseException)]
+            done = [(j, (ok, value if ok else _portable(value)))
+                    for j, (ok, value) in self._pull(items, BaseException)]
             _send(reply, pickle.dumps(done))
 
     def _reap(self, child) -> RuntimeError:
@@ -658,56 +657,6 @@ class _Pool:
         if self.threads is not None:
             _blas()[1](self.threads)
             self.threads = None
-
-
-def _held(work, item, catch) -> tuple:
-    """(True, work(item), warnings) or (False, the exception, warnings),
-    catching catch. Warnings pass the process's filters as usual but are
-    held, not shown."""
-    caught: list = []
-
-    def hold(message, category, filename, lineno, file=None, line=None):
-        caught.append((message, category, filename, lineno))
-
-    shown, warnings.showwarning = warnings.showwarning, hold
-    try:
-        return True, work(item), caught
-    except catch as exc:
-        return False, exc, caught
-    finally:
-        warnings.showwarning = shown
-
-
-@contextmanager
-def _registries_kept():
-    """Undo, on exit, what the block's warnings wrote to the modules'
-    once-per-location registries, so that warnings held in the block can be
-    shown later as if raised then."""
-    kept = [(g, dict(g["__warningregistry__"]) if "__warningregistry__" in g else None)
-            for g in (vars(m) for m in list(sys.modules.values())
-                      if isinstance(m, types.ModuleType))]
-    try:
-        yield
-    finally:
-        for g, registry in kept:
-            if registry is None:
-                g.pop("__warningregistry__", None)
-            else:
-                g["__warningregistry__"].clear()
-                g["__warningregistry__"].update(registry)
-
-
-def _warn_again(message, category, filename, lineno) -> None:
-    """Re-emit a held warning as warnings.warn would from the module whose
-    file it names, so the caller's filters and that module's
-    once-per-location registry apply."""
-    for module in list(sys.modules.values()):
-        if getattr(module, "__file__", None) == filename:
-            g = vars(module)
-            warnings.warn_explicit(message, category, filename, lineno, g["__name__"],
-                                   g.setdefault("__warningregistry__", {}))
-            return
-    warnings.warn_explicit(message, category, filename, lineno)
 
 
 def _workers(n_items: int) -> int:

@@ -154,7 +154,6 @@ def resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
         except ConfigError as e:
             raise ConfigError(f"G2K_SEED: {e}") from None
     mc.validate()
-    mc.check_divisibility()
     tc.validate()
     return mc, tc
 
@@ -265,6 +264,7 @@ def cmd_viz(args) -> int:
         print(f"error: --scene {args.scene} out of range "
               f"(have {len(batches)} batches)", file=sys.stderr)
         return 2
+    model.warn_missing_images([batches[args.scene]])
     with ad.no_grad():
         run = model.run(batches[args.scene])
     diag = run.diagnostics

@@ -26,9 +26,9 @@ class ConfigError(ValueError):
 class ModelConfig:
     """Architecture hyperparameters.
 
-    hidden_size and static_hidden must divide evenly into num_blocks slices
-    (checked in validate), and each cell input width must divide by
-    num_blocks * block_skip (checked in check_divisibility).
+    hidden_size and static_hidden must divide evenly into num_blocks slices,
+    and each cell input width must divide by num_blocks * block_skip (both
+    checked in validate).
     """
 
     variant: str = "mcr_mp"
@@ -77,6 +77,13 @@ class ModelConfig:
             raise ConfigError(f"tau must be -1 (auto) or in [0, 1], got {self.tau}")
         if self.init_scale <= 0:
             raise ConfigError(f"init_scale must be positive, got {self.init_scale}")
+        for label, width in (("social", self.social_input_width()),
+                             ("static", self.static_input_dim)):
+            if width % (self.num_blocks * self.block_skip) != 0:
+                raise ConfigError(
+                    f"{label} input width {width} not divisible by "
+                    f"num_blocks*block_skip = {self.num_blocks * self.block_skip}"
+                )
 
     @property
     def num_cells(self) -> int:
@@ -87,16 +94,6 @@ class ModelConfig:
         if self.variant != "g_lstm":
             w += self.embed_vis
         return w
-
-    def check_divisibility(self) -> None:
-        """Every grid cell input width must split across blocks and skips."""
-        for label, width in (("social", self.social_input_width()),
-                             ("static", self.static_input_dim)):
-            if width % (self.num_blocks * self.block_skip) != 0:
-                raise ConfigError(
-                    f"{label} input width {width} not divisible by "
-                    f"num_blocks*block_skip = {self.num_blocks * self.block_skip}"
-                )
 
     def resolve_tau(self, n_peds: int) -> float:
         return (1.0 / n_peds) if self.tau == -1.0 else self.tau

@@ -12,7 +12,7 @@ Scene images ride along as PGM grayscale (P2 and P5, read and written).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,20 +58,11 @@ class TrajectoryWindow:
 
 
 @dataclass
-class BatchMeta:
-    name: str = "unnamed"
-    frame_stride: int = 1
-    dt: float = DT_SECONDS
-    note: str = "coordinates are meters; homography applied upstream"
-
-
-@dataclass
 class SceneBatch:
     """Co-present pedestrian windows over one shared time span."""
 
     windows: list[TrajectoryWindow]
     scene_image: np.ndarray | None = None
-    meta: BatchMeta = field(default_factory=BatchMeta)
 
     @property
     def n_peds(self) -> int:
@@ -199,7 +190,6 @@ def make_windows(
     pred_len: int = 12,
     max_peds: int = 32,
     stride: int | None = None,
-    name: str = "unnamed",
 ) -> list[SceneBatch]:
     """Slide an (obs_len + pred_len)-frame span over the dataset.
 
@@ -234,12 +224,7 @@ def make_windows(
                     vis = np.array([[math.cos(p.pan), math.sin(p.pan)] for p in obs])
                 windows.append(TrajectoryWindow(ped_id, obs, target, vis))
         if windows:
-            batches.append(
-                SceneBatch(
-                    windows=windows[:max_peds],
-                    meta=BatchMeta(name=name, frame_stride=s),
-                )
-            )
+            batches.append(SceneBatch(windows=windows[:max_peds]))
     return batches
 
 
@@ -342,10 +327,7 @@ def scenario_points(scenario: SyntheticScenario) -> list[TrackPoint]:
 
 def synthesize(scenario: SyntheticScenario) -> list[SceneBatch]:
     """Scenario points windowed into scene batches."""
-    return make_windows(
-        scenario_points(scenario), scenario.obs_len, scenario.pred_len,
-        name=scenario.kind,
-    )
+    return make_windows(scenario_points(scenario), scenario.obs_len, scenario.pred_len)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +358,8 @@ def load_scenario(path: str) -> SyntheticScenario:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """P2 or P5 grayscale, maxval <= 255, as a (rows, cols) uint8 array."""
+    """P2 or P5 grayscale, maxval <= 255, as a (rows, cols) uint8 array
+    with samples scaled from 0..maxval to 0..255."""
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -414,7 +397,9 @@ def read_pgm(path: str) -> np.ndarray:
         raster = blob[i : i + width * height]
         if len(raster) != width * height:
             raise ParseError(f"{path}: raster size mismatch")
-        img = np.frombuffer(raster, dtype=np.uint8).copy()
+        img = np.frombuffer(raster, dtype=np.uint8)
+        if img.max() > maxval:
+            raise ParseError(f"{path}: sample outside [0, {maxval}]")
     else:
         vals = blob[i:].split()
         if len(vals) != width * height:
@@ -429,7 +414,8 @@ def read_pgm(path: str) -> np.ndarray:
         if min(samples) < 0 or max(samples) > maxval:
             raise ParseError(f"{path}: sample outside [0, {maxval}]")
         img = np.array(samples, dtype=np.uint8)
-    return img.reshape(height, width)
+    scaled = (img.astype(np.int64) * 255 + maxval // 2) // maxval  # rounded
+    return scaled.astype(np.uint8).reshape(height, width)
 
 
 def write_pgm(path: str, img: np.ndarray, magic: str = "P5",

@@ -165,11 +165,13 @@ def evaluate(
     Each label's scenes are packed, in order, into forward-only graphs of at
     most EVAL_PACK_ROWS pedestrians (training.pack_rows), and the packs run
     under no_grad() on the CPUs the process may use, through one
-    ad.workers() pool for the call."""
+    ad.workers() pool for the call. Scenes of every label that lack the
+    image an mcr_mpc model reads are counted in one warning for the call."""
     groups = batches if isinstance(batches, dict) else {label: batches}
     for name, group in groups.items():
         if not group:
             raise MetricError(f"no scenes under label {name!r}")
+    model.warn_missing_images([b for group in groups.values() for b in group])
     t0 = time.perf_counter()
     rows = []
     with ad.workers(lambda item: _predict(model, groups[item[0]], item[1])) as run:
@@ -327,11 +329,7 @@ def _cap_scene(batch: SceneBatch, capacity: int) -> SceneBatch:
     """Clamp a scene to the first `capacity` pedestrians."""
     if batch.n_peds <= capacity:
         return batch
-    return SceneBatch(
-        windows=batch.windows[:capacity],
-        scene_image=batch.scene_image,
-        meta=batch.meta,
-    )
+    return SceneBatch(windows=batch.windows[:capacity], scene_image=batch.scene_image)
 
 
 def ablation_grid(neighborhoods=(32, 64)) -> list[AblationCell]:

@@ -96,7 +96,6 @@ class TrajectoryModel:
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         cfg.validate()
-        cfg.check_divisibility()
         self.cfg = cfg
         self.params = ad.ParameterSet()
         self._build(np.random.default_rng(seed))
@@ -267,17 +266,25 @@ class TrajectoryModel:
             1.0 / self.cfg.hidden_size if self.cfg.tau == -1.0 else self.cfg.tau
         )
 
-    def _scene_maps(self, scenes: list[da.SceneBatch]) -> np.ndarray:
-        """(S, g, g) downsampled scene images; a scene without one gets a
-        constant map, and the run warns once, naming how many fell back."""
-        g = self.cfg.grid_size
+    def warn_missing_images(self, scenes: Sequence[da.SceneBatch]) -> None:
+        """Warn once if an mcr_mpc static grid will run some of scenes
+        without a scene image, naming how many; run() gives each such scene
+        a constant map, silently. train(), evaluate() and g2k viz call this
+        once per call, over all of that call's scenes."""
+        if self.cfg.variant != "mcr_mpc" or not self.cfg.static_grid_enabled:
+            return
         missing = sum(b.scene_image is None for b in scenes)
         if missing:
             warnings.warn(
                 f"no scene image in {missing} of {len(scenes)} scenes; "
                 "using a constant fallback map",
-                stacklevel=3,
+                stacklevel=2,
             )
+
+    def _scene_maps(self, scenes: list[da.SceneBatch]) -> np.ndarray:
+        """(S, g, g) downsampled scene images; a scene without one gets a
+        constant map."""
+        g = self.cfg.grid_size
         return np.stack([
             np.full((g, g), 0.5) if b.scene_image is None
             else nb.downsample_image(b.scene_image, g)

@@ -289,12 +289,13 @@ def train(
     A non-finite loss, or a non-finite gradient norm before the step,
     aborts with the recent history attached; a non-finite loss
     names the first scene of the group whose own loss is not finite.
+    Scenes that lack the image an mcr_mpc model reads are counted in one
+    warning for the call (TrajectoryModel.warn_missing_images).
     """
-    model_cfg.validate()
+    model = TrajectoryModel(model_cfg, seed=train_cfg.seed)  # validates model_cfg
     train_cfg.validate()
     if not batches:
         raise ConfigError("no training batches")
-    model = TrajectoryModel(model_cfg, seed=train_cfg.seed)
     opt = make_optimizer(train_cfg)
     order_rng = np.random.default_rng(train_cfg.seed)
     targets = [da.target_positions(b) for b in batches]
@@ -303,6 +304,7 @@ def train(
             raise ConfigError(
                 f"targets have {t.shape[0]} steps, config predicts {model_cfg.pred_len}"
             )
+    model.warn_missing_images(batches)
 
     history: list[float] = []
     log = TrainLog()

@@ -513,46 +513,24 @@ def test_spread_interrupted_at_fork_reaps_the_child(monkeypatch, tmp_path, three
     assert not (tmp_path / "log").exists()
 
 
-def warn_each(i):
-    warnings.warn(f"item {i}", UserWarning)
-    if i % 2:
-        warnings.warn(f"odd item {i}", RuntimeWarning)
-    return i
-
-
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_spread_shows_workers_warnings_in_item_order(monkeypatch, tmp_path, cpus):
-    use_cpus(monkeypatch, cpus)
-    with warnings.catch_warnings(record=True) as caught, \
-            only_caller_returns(tmp_path / "log"):
-        warnings.simplefilter("always")
-        work = shared(warn_each, 7, Rendezvous(tmp_path / "meet"))
-        assert ad.spread(work, range(7)) == list(range(7))
-    assert_no_child_left()
-    want = []
-    for i in range(7):
-        want.append((f"item {i}", UserWarning))
-        if i % 2:
-            want.append((f"odd item {i}", RuntimeWarning))
-    assert [(str(w.message), w.category) for w in caught] == want
-    assert {(w.filename, w.lineno) for w in caught if w.category is UserWarning} == {
-        (__file__, warn_each.__code__.co_firstlineno + 1)}
-
-
+@forks
 def test_spread_applies_the_callers_warning_filters(monkeypatch, tmp_path):
+    # a child keeps the filters it inherited at fork: an error filter turns
+    # a warning there into its item's failure, which the caller raises
     use_cpus(monkeypatch, 3)
-    with warnings.catch_warnings(record=True) as caught, \
-            only_caller_returns(tmp_path / "log"):
-        warnings.simplefilter("default")
-        warnings.filterwarnings("ignore", "odd item")
-        ad.spread(shared(lambda i: warn_each(i % 2), 6, Rendezvous(tmp_path / "meet")),
-                  range(6))
-        # once per text and location, as from one process
-        assert [str(w.message) for w in caught] == ["item 0", "item 1"]
-        warnings.filterwarnings("error", "item 5")
-        with pytest.raises(UserWarning, match="item 5"):
-            ad.spread(warn_each, range(6))
+    caller = os.getpid()
+
+    def warn_in_child(i):
+        if os.getpid() != caller:
+            warnings.warn(f"item {i} in a child", UserWarning)
+        return i
+
+    with warnings.catch_warnings(), only_caller_returns(tmp_path / "log"):
+        warnings.filterwarnings("error", "item")
+        with pytest.raises(UserWarning, match="in a child"):
+            ad.spread(shared(warn_in_child, 6, Rendezvous(tmp_path / "meet")), range(6))
     assert_no_child_left()
+    assert not (tmp_path / "log").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +558,25 @@ def test_workers_fork_once_and_keep_item_order(monkeypatch, tmp_path):
             pids = {pid for _, pid in out}
             assert len(pids) == min(n, 3) and pids <= {caller, *forked}
         assert len(forked) == 2
+    assert_no_child_left()
+
+
+@forks
+def test_workers_grow_when_a_later_run_has_more_items(monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 3)
+    forked = record_forks(monkeypatch)
+    meet = Rendezvous(tmp_path / "meet", timeout=10)
+
+    def work(i):
+        meet.arrive()
+        return os.getpid()
+
+    with only_caller_returns(tmp_path / "log"), ad.workers(work) as run:
+        for n, children in ((2, 1), (3, 2), (2, 2), (5, 2)):
+            meet.expect(min(n, 3))
+            pids = set(run(range(n)))
+            assert len(forked) == children and len(pids) == min(n, 3)
+            assert pids <= {os.getpid(), *forked}
     assert_no_child_left()
 
 
@@ -704,40 +701,6 @@ def test_workers_interrupted_mid_run_reap_every_child(monkeypatch, tmp_path,
     assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
     assert three_blas_threads() == 3
     assert not (tmp_path / "log").exists()
-
-
-@forks
-def test_workers_show_a_repeated_warning_where_it_first_occurs(monkeypatch, tmp_path):
-    # items 1 and 3 warn "A", item 2 "B". Timed so that the caller usually
-    # pulls items 0 and 3 and raises "A" while the child's earlier "A" is
-    # still held; shown once per location, "A" must still come first, as in
-    # a serial run, whichever worker pulls what
-    use_cpus(monkeypatch, 2)
-    caller = os.getpid()
-
-    def work(i):
-        if i in (1, 2, 3):
-            warnings.warn("B" if i == 2 else "A", UserWarning)
-        time.sleep(0.1 if os.getpid() == caller else 0.06)
-        return i
-
-    with warnings.catch_warnings(record=True) as caught, \
-            only_caller_returns(tmp_path / "log"):
-        warnings.simplefilter("default")
-        assert ad.spread(work, range(4)) == list(range(4))
-    assert_no_child_left()
-    assert [str(w.message) for w in caught] == ["A", "B"]
-
-
-@pytest.mark.parametrize("action", ["default", "module", "once"])
-def test_spread_shows_a_warning_once_per_filter_action(monkeypatch, tmp_path, action):
-    use_cpus(monkeypatch, 3)
-    with warnings.catch_warnings(record=True) as caught, \
-            only_caller_returns(tmp_path / "log"):
-        warnings.simplefilter(action)
-        ad.spread(shared(lambda i: warn_each(0), 6, Rendezvous(tmp_path / "meet")), range(6))
-    assert_no_child_left()
-    assert [str(w.message) for w in caught] == ["item 0"]
 
 
 def test_grad_check_catches_wrong_gradient():

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from g2k import data as d
+from g2k import neighborhood as nb
 from g2k.cli import entry
 
 
@@ -309,6 +310,30 @@ def test_pgm_truncated_raster(tmp_path):
     p.write_bytes(b"P5\n3 3\n255\nab")
     with pytest.raises(d.ParseError, match="raster"):
         d.read_pgm(str(p))
+
+
+@pytest.mark.parametrize("body", [b"P2\n2 2\n15\n0 5\n10 15\n",
+                                  b"P5\n2 2\n15\n" + bytes([0, 5, 10, 15])],
+                         ids=["P2", "P5"])
+def test_pgm_samples_scale_from_maxval_to_255(tmp_path, body):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(body)
+    img = d.read_pgm(str(p))
+    assert img.dtype == np.uint8
+    assert np.array_equal(img, [[0, 85], [170, 255]])
+    assert nb.downsample_image(img, 2)[1, 1] == 1.0  # white is white
+
+
+def test_pgm_p5_sample_above_maxval_exits_2(tmp_path, capsys):
+    p = tmp_path / "o.pgm"
+    p.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 5, 16, 15]))
+    with pytest.raises(d.ParseError, match=r"sample outside \[0, 15\]"):
+        d.read_pgm(str(p))
+    scenario = tmp_path / "walk.cfg"
+    scenario.write_text("kind = group_walk\nobs_len = 3\npred_len = 2\n")
+    assert entry(["eval", "--baseline", "--scenario", str(scenario),
+                  "--image", str(p)]) == 2
+    assert "sample outside" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 attention structure, permutation equivariance, exact offset telescoping, and
 end-to-end gradients for the cheap variants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -334,9 +336,7 @@ def test_permutation_equivariance(variant):
     m = desk_model(variant, seed=4)
     batch = desk_batch(seed=17)
     perm = [2, 0, 1]
-    permuted = da.SceneBatch(
-        windows=[batch.windows[i] for i in perm], meta=batch.meta
-    )
+    permuted = da.SceneBatch(windows=[batch.windows[i] for i in perm])
     base = m.run(batch)
     swapped = m.run(permuted)
     assert np.max(np.abs(base.predictions[perm] - swapped.predictions)) < 1e-9
@@ -346,7 +346,6 @@ def test_permutation_equivariance(variant):
             assert np.max(np.abs(p @ a_base @ p.T - a_perm)) < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:no scene image")
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_no_grad_run_is_bit_identical(variant):
     m = desk_model(variant, seed=5)
@@ -421,9 +420,20 @@ def test_attention_ablated_still_runs():
 
 
 def test_mpc_without_image_warns_and_runs():
+    # the check warns, once per call; the forward runs on the fallback map
+    # without a warning
     m = desk_model("mcr_mpc", seed=12)
-    with pytest.warns(UserWarning, match="scene image"):
-        run = m.run(desk_batch(seed=37))
+    batch = desk_batch(seed=37)
+    with pytest.warns(UserWarning) as caught:
+        m.warn_missing_images([batch, batch])
+    assert [str(w.message) for w in caught] == [
+        "no scene image in 2 of 2 scenes; using a constant fallback map"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = m.run(batch)
+        # no static grid reads an image here
+        desk_model("mcr_mp").warn_missing_images([batch])
+        desk_model("mcr_mpc", static_grid_enabled=False).warn_missing_images([batch])
     assert run.predictions.shape == (3, 2, 2)
 
 
@@ -431,10 +441,9 @@ def test_mpc_with_image_uses_it_silently():
     m = desk_model("mcr_mpc", seed=12)
     batch = desk_batch(seed=37)
     batch.scene_image = np.random.default_rng(0).integers(0, 255, (8, 8)).astype(np.uint8)
-    import warnings as w
-
-    with w.catch_warnings():
-        w.simplefilter("error")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m.warn_missing_images([batch])
         run = m.run(batch)
     assert run.predictions.shape == (3, 2, 2)
 

@@ -64,7 +64,6 @@ CASES = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:no scene image")
 @pytest.mark.parametrize("overrides", CASES, ids=lambda o: "-".join(o) or "default")
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_packed_run_matches_per_scene_loop(variant, overrides):
@@ -108,7 +107,6 @@ def test_packed_run_matches_per_scene_loop(variant, overrides):
         assert packed == sorted(shifted)
 
 
-@pytest.mark.filterwarnings("ignore:no scene image")
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_single_scene_builds_the_unpacked_graph(variant):
     model = packing_model(variant)
@@ -157,15 +155,20 @@ def test_scene_blocks_one_scene_is_the_plain_mean():
 
 
 def test_fallback_warning_once_per_run_counts_scenes():
+    # evaluate() warns once, counting the scenes of every label; run()
+    # itself never warns
     model = packing_model("mcr_mpc")
     batch_list = with_images(scenes((2, 3, 1, 4)))  # images on scenes 1 and 3
-    with pytest.warns(UserWarning) as caught:
-        model.run(batch_list)
-    assert len(caught) == 1
-    assert "no scene image in 2 of 4 scenes" in str(caught[0].message)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model.run([batch_list[1], batch_list[3]])
+        model.run(batch_list)
+    with pytest.warns(UserWarning) as caught:
+        ev.evaluate(model, {"a": batch_list, "b": batch_list[:1]})
+    assert [str(w.message) for w in caught] == [
+        "no scene image in 3 of 5 scenes; using a constant fallback map"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev.evaluate(model, [batch_list[1], batch_list[3]])
 
 
 def test_evaluate_packs_match_scene_by_scene(monkeypatch):
@@ -239,7 +242,8 @@ def share_packs(monkeypatch, log, meet, forked, pack_gradient=PACK_GRADIENT):
     """Patch train() so that each step's packs are shared by every worker of
     its pool, whatever the scheduler does: before a step of n packs the
     caller expects min(w, n) workers at meet (see Rendezvous), w the pool's
-    size (forked lists its children), and every pack arrives there. Each
+    size once the run has grown it (forked lists its children), and every
+    pack arrives there. Each
     pack then appends "pid step" to log, step being the hex bytes of
     decode.b, which every optimizer step changes. Returns the list of pack
     counts per step, filled in as train() runs."""
@@ -249,7 +253,7 @@ def share_packs(monkeypatch, log, meet, forked, pack_gradient=PACK_GRADIENT):
         packs = PACK_ROWS(group, batches, cap)
         n_packs.append(len(packs))
         if len(packs) > 1:
-            w = len(forked) + 1 if forked else ad._workers(len(packs))
+            w = max(len(forked) + 1, ad._workers(len(packs)))
             meet.expect(min(w, len(packs)))
         return packs
 
@@ -281,27 +285,31 @@ def steps_without_timing(res):
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_training_is_bit_identical_for_any_worker_count(tmp_path, monkeypatch, optimizer):
     # seed 1 takes steps of 3, 2, 3 and 1 packs, so three CPUs fork two
-    # children at the first step
-    runs = []
-    for cpus in (1, 2, 3):
-        use_cpus(monkeypatch, cpus)
-        forked = record_forks(monkeypatch)
-        log = tmp_path / f"packs-{cpus}"
-        n_packs = share_packs(monkeypatch, log, Rendezvous(tmp_path / f"meet-{cpus}"), forked)
-        with only_caller_returns(tmp_path / "log"):
-            res, ckpt = train_bytes(tmp_path, f"{optimizer}-{cpus}", 8, monkeypatch,
-                                    optimizer=optimizer, seed=1)
-        assert_no_child_left()
-        runs.append((ckpt, steps_without_timing(res)))
-        # one pool per call: cpus - 1 children, forked once, run packs of
-        # every step of two or more, and always the same children
-        assert n_packs == [3, 2, 3, 1] and len(forked) == cpus - 1
-        steps = pids_per_step(log)
-        assert [len(pids) for pids in steps.values()] == [min(cpus, n) for n in n_packs]
-        assert set().union(*steps.values()) == {os.getpid(), *forked}
-    assert runs[0] == runs[1] == runs[2]
-    steps = [line for line in runs[0][1] if "summary_loss" not in line]
-    assert len(steps) == 4 and all(" grad_norm=" in line for line in steps)
+    # children at the first step; seed 3 takes steps of 2, 2, 3 and 1, so
+    # the pool starts with one child and grows a second at the third step
+    for seed, want_packs in ((1, [3, 2, 3, 1]), (3, [2, 2, 3, 1])):
+        runs = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            forked = record_forks(monkeypatch)
+            tag = f"{optimizer}-{seed}-{cpus}"
+            log = tmp_path / f"packs-{tag}"
+            n_packs = share_packs(monkeypatch, log, Rendezvous(tmp_path / f"meet-{tag}"),
+                                  forked)
+            with only_caller_returns(tmp_path / "log"):
+                res, ckpt = train_bytes(tmp_path, tag, 8, monkeypatch,
+                                        optimizer=optimizer, seed=seed)
+            assert_no_child_left()
+            runs.append((ckpt, steps_without_timing(res)))
+            # one pool per call: it grows to cpus - 1 children, which run
+            # packs of every later step of two or more
+            assert n_packs == want_packs and len(forked) == cpus - 1
+            steps = pids_per_step(log)
+            assert [len(pids) for pids in steps.values()] == [min(cpus, n) for n in n_packs]
+            assert set().union(*steps.values()) == {os.getpid(), *forked}
+        assert runs[0] == runs[1] == runs[2], seed
+        steps = [line for line in runs[0][1] if "summary_loss" not in line]
+        assert len(steps) == 4 and all(" grad_norm=" in line for line in steps)
 
 
 def test_groups_of_one_pack_fork_nothing(tmp_path, monkeypatch):
@@ -393,21 +401,29 @@ def test_evaluate_is_bit_identical_for_any_worker_count(monkeypatch, tmp_path):
 
 
 def test_training_shows_pack_warnings_in_pack_order(tmp_path, monkeypatch):
-    # a pack of mcr_mpc scenes warns when some lack an image; packs of at
-    # most 6 rows put several in each group, most of them in children
-    def warned(cpus):
+    # train() warns once for the call's scenes that lack an image; its
+    # packs, of at most 6 rows and most of them in children, warn nothing.
+    # Every process shows warnings through show, which logs them to a file
+    def show(message, category, filename, lineno, file=None, line=None):
+        with open(tmp_path / "shown", "a") as f:
+            f.write(f"{os.getpid()} {category.__name__} {filename}:{lineno} {message}\n")
+
+    def shown(cpus):
         use_cpus(monkeypatch, cpus)
+        forked = record_forks(monkeypatch)
         monkeypatch.setattr(tr, "TRAIN_PACK_ROWS", 6)
         batch_list = with_images(scenes((2, 5, 1, 3, 4, 2, 6, 3), seed=4), every=3)
-        with warnings.catch_warnings(record=True) as caught, \
-                only_caller_returns(tmp_path / "log"):
+        (tmp_path / "shown").write_text("")
+        with warnings.catch_warnings(), only_caller_returns(tmp_path / "log"):
             warnings.simplefilter("always")
+            warnings.showwarning = show
             tr.train(batch_list, desk_config("mcr_mpc"),
                      TrainConfig(epochs=2, batch_size=8, lr=0.01, seed=3))
         assert_no_child_left()
-        return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        assert len(forked) == cpus - 1
+        return (tmp_path / "shown").read_text().splitlines()
 
-    alone = warned(1)
-    assert len(alone) > 4 and all("no scene image in" in w[0] for w in alone)
-    assert len({w[0] for w in alone}) > 1
-    assert warned(3) == alone
+    alone = shown(1)
+    assert len(alone) == 1 and alone[0].startswith(f"{os.getpid()} UserWarning ")
+    assert alone[0].endswith(" no scene image in 5 of 8 scenes; using a constant fallback map")
+    assert shown(3) == alone

@@ -45,3 +45,23 @@ def test_ablation_script_writes_its_table(tmp_path):
 def test_module_entry_point_gradcheck(tmp_path):
     out = run(["-m", "g2k.cli", "gradcheck", "--variant", "g_lstm"], tmp_path)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_mcr_mpc_without_image_warns_once_per_call(tmp_path):
+    # train() warns once over all of its scenes; the gradient check, whose
+    # forwards run in forked workers, warns nothing
+    (tmp_path / "desk.cfg").write_text(
+        "hidden_size = 8\nnum_blocks = 2\nblock_skip = 2\nembed_pos = 4\n"
+        "embed_vis = 4\nfeature_dim = 4\nzones = 4\ngrid_size = 2\n"
+        "cell_channels = 4\nstatic_input_dim = 8\nstatic_hidden = 8\n"
+        "obs_len = 3\npred_len = 2\nneighborhood_size = 8\nepochs = 2\n"
+        "batch_size = 2\n")
+    (tmp_path / "walk.cfg").write_text(
+        "kind = group_walk\nn_peds = 3\nseed = 11\nobs_len = 3\npred_len = 2\n")
+    out = run(["-m", "g2k.cli", "train", "--variant", "mcr_mpc",
+               "--config", "desk.cfg", "--scenario", "walk.cfg", "--out", "run"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    warned = [line for line in out.stderr.splitlines() if "UserWarning" in line]
+    assert len(warned) == 1 and "using a constant fallback map" in warned[0], out.stderr
+    out = run(["-m", "g2k.cli", "gradcheck", "--variant", "mcr_mpc"], tmp_path)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
