@@ -280,11 +280,12 @@ def train(
     order, into graphs of at most TRAIN_PACK_ROWS pedestrians (a group that
     fits is one graph and one backward pass). The packs run on the CPUs the
     process may use through one ad.workers() pool for the whole call: its
-    children are forked at the first group of two or more packs, receive
-    the parameters before every group and pull its packs one at a time,
-    with BLAS on one thread in each process. Each pack runs from zeroed
-    gradients, and the pack gradients are summed in pack order to the
-    group mean, so the result is bit-identical for any number of workers.
+    children are forked at the first group with packs enough to need them,
+    receive the parameters before every group and pull its packs one at a
+    time, with BLAS on one thread in each process. Each pack runs from
+    zeroed gradients, and the pack gradients are summed in pack order to
+    the group mean, so the result is bit-identical for any number of
+    workers.
     Each step's log record holds the loss and the pre-clip gradient norm.
     A non-finite loss, or a non-finite gradient norm before the step,
     aborts with the recent history attached; a non-finite loss

@@ -4,7 +4,6 @@ against finite differences, graph bookkeeping rules."""
 import mmap
 import os
 import signal
-import time
 import warnings
 
 import numpy as np

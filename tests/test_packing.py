@@ -243,10 +243,9 @@ def share_packs(monkeypatch, log, meet, forked, pack_gradient=PACK_GRADIENT):
     its pool, whatever the scheduler does: before a step of n packs the
     caller expects min(w, n) workers at meet (see Rendezvous), w the pool's
     size once the run has grown it (forked lists its children), and every
-    pack arrives there. Each
-    pack then appends "pid step" to log, step being the hex bytes of
-    decode.b, which every optimizer step changes. Returns the list of pack
-    counts per step, filled in as train() runs."""
+    pack arrives there. Each pack then appends "pid step" to log, step
+    being the hex bytes of decode.b, which every optimizer step changes.
+    Returns the list of pack counts per step, filled in as train() runs."""
     n_packs = []
 
     def packing(group, batches, cap):
