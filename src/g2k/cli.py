@@ -20,7 +20,7 @@ from . import evaluation as ev
 from . import training as tr
 from .config import (VARIANTS, ConfigError, ModelConfig, TrainConfig,
                      parse_fields, read_key_values, read_text, write_text)
-from .model import TrajectoryModel, VariantError
+from .model import VariantError
 
 # flag -> field; argparse converts each value with parse_fields
 _MODEL_FLAGS = [

@@ -15,12 +15,23 @@ step call advances every pedestrian (or grid cell) at once.
 
 A step is a single autodiff node. Its forward runs every block x unit gate
 update in plain NumPy and holds [h_new | c_new]; h and c are column slices of
-it, so a step adds 3 graph nodes. Its hand-written backward runs units and
-blocks in reverse: gradient flows through the c chain, through the wx_deep
-input of stacked units, and through the depth link, whose wd term is shared
-by all units of block b+1 and so collects their summed gate gradients. The
-per-unit activations the backward reads are saved only when the node
-requires grad, so a step under ad.no_grad() keeps none.
+it, so a step adds 3 graph nodes. Inside the step the arrays are transposed
+(rows are features, columns entities), so every gate of a block is a
+contiguous row range and the elementwise work runs on contiguous memory.
+Each gate update is one product: [wx; wh; bias] with [x_b; h_b; 1] for a
+block's first unit, [wx_deep + wh; bias] with [h; 1] for a stacked unit,
+plus the block's depth term. The i, f and o columns of those weights are
+halved, so one tanh pass over the pre-activations gives all four gates
+(sigmoid(z) = (1 + tanh(z/2)) / 2).
+
+The hand-written backward runs units and blocks in reverse: gradient flows
+through the c chain, through the wx_deep input of stacked units, and through
+the depth link, whose wd term is shared by all units of block b+1 and so
+collects their summed gate gradients. Per unit it reads the gate block
+[i | f | g | o], tanh(c_new) and the unit's h and c, which the forward made
+anyway; it keeps them only when the node requires grad, so a step under
+ad.no_grad() keeps none. The first units' input and state-h gradients and
+every weight gradient are one product each after the block loop.
 """
 
 from __future__ import annotations
@@ -139,13 +150,6 @@ def init_params(
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split form avoids overflow in exp for large |x|: 1 / (1 + e) for
-    # x >= 0 and e / (1 + e) below, with e = exp(-|x|) and one division
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def step(
     cfg: GridLSTMConfig,
     inputs: DiffValue,
@@ -157,8 +161,10 @@ def step(
     inputs: n_entities x input_len. Returns the concatenated block hiddens
     (the per-step feature output) and the new state. Blocks run in index
     order; block b>0 sees block b-1's freshly computed hidden slice through
-    wd, block 0 has no depth predecessor. Each gate update computes
-    x@wx + bias, then + h@wh, then + depth, in that order.
+    wd, block 0 has no depth predecessor. A first unit's pre-activation is
+    one product of [wx; wh; bias] with [x_b; h_b; 1], then + depth; a
+    stacked unit's is one product of [wx_deep + wh; bias] with [h; 1],
+    then + depth.
     """
     n, width = inputs.data.shape
     if n != state.n_entities:
@@ -168,124 +174,176 @@ def step(
     bi = cfg.block_input(width)
     bh = cfg.block_hidden
     hs = cfg.hidden_size
+    nb, nu = cfg.num_blocks, cfg.cell_units
     if bi != params.wx.data.shape[0]:
         raise GridConfigError(
             f"input width {width} gives block slices of {bi}, but weights "
             f"were built for {params.wx.data.shape[0]}"
         )
-    if cfg.cell_units > 1 and params.wx_deep is None:
+    if nu > 1 and params.wx_deep is None:
         raise GridConfigError("cell_units > 1 requires wx_deep")
 
     weights = [params.wx, params.wh, params.wd, params.bias]
     if params.wx_deep is not None:
         weights.append(params.wx_deep)
-    # the node comes first so the loop below fills its data in place and
-    # saves activations only when a backward pass can read them
+    # Inside the step columns are entities, so each gate of a block is a
+    # contiguous row range. The loop writes [h | c] block by block into
+    # `new`, and the node holds its transpose.
+    new = np.empty((2, nb, bh, n))
     node = DiffValue(
-        np.empty((n, 2 * hs)), parents=(inputs, state.h, state.c, *weights)
+        new.reshape(2 * hs, n).T, parents=(inputs, state.h, state.c, *weights)
     )
     keep = node.requires_grad
-    x, wx, wh, wd = inputs.data, params.wx.data, params.wh.data, params.wd.data
-    bias = params.bias.data
-    wx_deep = None if params.wx_deep is None else params.wx_deep.data
-    xcols = [slice(b * bi, (b + 1) * bi) for b in range(cfg.num_blocks)]
-    hcols = [slice(b * bh, (b + 1) * bh) for b in range(cfg.num_blocks)]
-    out_h, out_c = node.data[:, :hs], node.data[:, hs:]
-    # saved[b][u] = (h_prev, c_prev, i, f, g, o, tanh(c_new)) of unit u of
-    # block b; saved[b] stays empty when not keep
-    saved: list[list[tuple[np.ndarray, ...]]] = []
-    finals: list[np.ndarray] = []  # each block's last hidden, block b+1's depth input
-    for b in range(cfg.num_blocks):
-        x_b = x[:, xcols[b]]
-        h = state.h.data[:, hcols[b]]
-        c = state.c.data[:, hcols[b]]
-        depth = None if b == 0 else finals[-1] @ wd
+    wx, wh, wd, bias = params.wx.data, params.wh.data, params.wd.data, params.bias.data
+    # i, f and o are sigmoids, g a tanh. As sigmoid(z) = (1 + tanh(z/2)) / 2,
+    # halving the i, f and o columns of every weight (exact, a power of two)
+    # gives all four gates from one tanh pass.
+    stacked = [wx, wh, bias, wd]
+    if nu > 1:
+        stacked += [params.wx_deep.data + wh, bias]
+    w = np.concatenate(stacked)
+    w[:, : 2 * bh] *= 0.5
+    w[:, 3 * bh :] *= 0.5
+    k = bi + bh + 1
+    w_first, w_depth, w_deep = w[:k].T, w[k : k + bh].T, w[k + bh :].T
+    first_in = _first_inputs(inputs.data, state.h.data, nb)
+    if nu > 1:
+        deep_in = np.empty((nu - 1, nb, bh + 1, n))  # [h; 1] of stacked units
+        deep_in[:, :, -1] = 1.0
+    c_in = _blocks_t(state.c.data, nb)
+    # saved[b][u] = (gates, tanh(c_new), h_new, c_prev) of unit u of block b,
+    # c_prev None for the first unit: backward reads it from state.c
+    saved: list[list[tuple]] = []
+    for b in range(nb):
+        c = c_in[b]
+        if b:
+            depth = w_depth @ new[0, b - 1]
         units = []
-        for u in range(cfg.cell_units):
-            z = x_b @ wx if u == 0 else h @ wx_deep
-            z += bias
-            z += h @ wh
-            if depth is not None:
+        for u in range(nu):
+            z = w_first @ first_in[b] if u == 0 else w_deep @ deep_in[u - 1, b]
+            if b:
                 z += depth
-            # one sigmoid call over all four blocks: the g block's share is
-            # discarded, but below ~50 rows a second call costs more
-            gates = _sigmoid(z)
-            i, f, o = gates[:, :bh], gates[:, bh : 2 * bh], gates[:, 3 * bh :]
-            g = np.tanh(z[:, 2 * bh : 3 * bh])
-            c_new = f * c + i * g
+            np.tanh(z, out=z)
+            i_f, g, o = z[: 2 * bh], z[2 * bh : 3 * bh], z[3 * bh :]
+            i_f *= 0.5
+            i_f += 0.5
+            o *= 0.5
+            o += 0.5
+            i, f = i_f[:bh], i_f[bh:]
+            last = u == nu - 1
+            c_new = np.multiply(f, c, out=new[1, b] if last else None)
+            c_new += i * g
             tc = np.tanh(c_new)
+            h = np.multiply(o, tc, out=new[0, b] if last else deep_in[u, b, :-1])
             if keep:
-                units.append((h, c, i, f, g, o, tc))
-            h, c = o * tc, c_new
+                units.append((z, tc, h, c if u else None))
+            c = c_new
         saved.append(units)
-        finals.append(h)
-        out_h[:, hcols[b]] = h
-        out_c[:, hcols[b]] = c
 
     def _bw(grad):
-        # operand rows and gate gradients per weight; each weight gradient is
-        # one product at the end
-        x_rows, dz_x = [], []  # first unit: x_b -> wx
-        h_rows, dz_h = [], []  # every unit: h_prev -> wh (and bias)
-        deep_rows, dz_deep = [], []  # later units: h_prev -> wx_deep
-        depth_rows, dz_depth = [], []  # block b > 0: finals[b-1] -> wd
-        w_back_deep = None if wx_deep is None else (wh + wx_deep).T
-        grad_h, grad_c = grad[:, :hs], grad[:, hs:]
+        grad = np.ascontiguousarray(grad.T).reshape(2, nb, bh, n)
+        c_in = _blocks_t(state.c.data, nb)
+        # gate gradients dz[u, b] of every unit, and of each block's depth
+        # term (its units' dz summed)
+        dz = np.empty((nu, nb, 4 * bh, n))
+        dz_depth = dz[0, 1:] if nu == 1 else np.empty((nb - 1, 4 * bh, n))
+        dc_in = np.empty((nb, bh, n))
+        w_deep_back = None if nu == 1 else wh + params.wx_deep.data
         dh_depth = None
-        for b in reversed(range(cfg.num_blocks)):
-            dh = grad_h[:, hcols[b]]
+        for b in reversed(range(nb)):
+            dh = grad[0, b]
             if dh_depth is not None:
                 dh = dh + dh_depth
-            dc = grad_c[:, hcols[b]]
-            dz_sum = None
-            for u in reversed(range(cfg.cell_units)):
-                h, c, i, f, g, o, tc = saved[b][u]
-                dc = dc + dh * o * (1.0 - tc * tc)
-                dz = np.concatenate(
-                    (
-                        dc * g * i * (1.0 - i),
-                        dc * c * f * (1.0 - f),
-                        dc * i * (1.0 - g * g),
-                        dh * tc * o * (1.0 - o),
-                    ),
-                    axis=1,
-                )
-                dc = dc * f
-                h_rows.append(h)
-                dz_h.append(dz)
-                if u > 0:  # h_prev fed both wh and wx_deep
-                    deep_rows.append(h)
-                    dz_deep.append(dz)
-                    dh = dz @ w_back_deep
+            dc = grad[1, b]
+            for u in reversed(range(nu)):
+                gates, tc, h, c = saved[b][u]
+                if c is None:
+                    c = c_in[b]
+                i, f, g, o = (gates[:bh], gates[bh : 2 * bh], gates[2 * bh : 3 * bh],
+                              gates[3 * bh :])
+                dtc = h * tc
+                np.subtract(o, dtc, out=dtc)  # o * (1 - tc^2)
+                dtc *= dh
+                dc = dc + dtc
+                dz_u = dz[u, b]
+                np.multiply(g, dc, out=dz_u[:bh])
+                np.multiply(c, dc, out=dz_u[bh : 2 * bh])
+                np.multiply(i, dc, out=dz_u[2 * bh : 3 * bh])
+                np.multiply(tc, dh, out=dz_u[3 * bh :])
+                # gate derivatives: a - a^2 for the sigmoids, 1 - g^2 for g
+                slope = gates * gates
+                s_if, s_g, s_o = slope[: 2 * bh], slope[2 * bh : 3 * bh], slope[3 * bh :]
+                np.subtract(gates[: 2 * bh], s_if, out=s_if)
+                np.subtract(1.0, s_g, out=s_g)
+                np.subtract(o, s_o, out=s_o)
+                dz_u *= slope
+                if u:
+                    dc = dc * f
+                    dh = w_deep_back @ dz_u
                 else:
-                    x_rows.append(x[:, xcols[b]])
-                    dz_x.append(dz)
-                    dh = dz @ wh.T
-                    if inputs.requires_grad:
-                        inputs.grad[:, xcols[b]] += dz @ wx.T
-                dz_sum = dz if dz_sum is None else dz_sum + dz
-            if state.h.requires_grad:
-                state.h.grad[:, hcols[b]] += dh
-            if state.c.requires_grad:
-                state.c.grad[:, hcols[b]] += dc
-            if b > 0:  # every unit of block b added the same depth term
-                depth_rows.append(finals[b - 1])
-                dz_depth.append(dz_sum)
-                dh_depth = dz_sum @ wd.T
+                    np.multiply(dc, f, out=dc_in[b])
+            if b:  # every unit of block b added the same depth term
+                if nu > 1:
+                    ds = np.add(dz[0, b], dz[1, b], out=dz_depth[b - 1])
+                    for u in range(2, nu):
+                        ds += dz[u, b]
+                dh_depth = wd @ dz_depth[b - 1]
 
-        for w, rows, dzs in (
-            (params.wx, x_rows, dz_x),
-            (params.wh, h_rows, dz_h),
-            (params.wd, depth_rows, dz_depth),
-            (params.wx_deep, deep_rows, dz_deep),
-        ):
-            if w is not None and w.requires_grad and rows:
-                w.grad += np.concatenate(rows).T @ np.concatenate(dzs)
-        if params.bias.requires_grad:
-            params.bias.grad += np.concatenate(dz_h).sum(axis=0, keepdims=True)
+        # the first units' input and state-h gradients, one product for all
+        # blocks
+        if inputs.requires_grad or state.h.requires_grad:
+            dxh = np.matmul(np.concatenate((wx, wh)), dz[0])
+            if inputs.requires_grad:
+                _add_blocks(inputs.grad, dxh[:, :bi])
+            if state.h.requires_grad:
+                _add_blocks(state.h.grad, dxh[:, bi:])
+        if state.c.requires_grad:
+            _add_blocks(state.c.grad, dc_in)
+        # rebuilt, not saved: it copies x and h, which the graph holds anyway
+        first_in = _first_inputs(inputs.data, state.h.data, nb)
+        g_first = np.matmul(first_in, dz[0].swapaxes(1, 2)).sum(axis=0)
+        _accumulate(params.wx, g_first[:bi])
+        _accumulate(params.wh, g_first[bi:-1])
+        _accumulate(params.bias, g_first[-1:])
+        if nu > 1:
+            g_deep = np.matmul(deep_in, dz[1:].swapaxes(2, 3)).sum(axis=(0, 1))
+            _accumulate(params.wh, g_deep[:-1])
+            _accumulate(params.wx_deep, g_deep[:-1])
+            _accumulate(params.bias, g_deep[-1:])
+        if nb > 1:
+            g_depth = np.matmul(new[0, :-1], dz_depth.swapaxes(1, 2)).sum(axis=0)
+            _accumulate(params.wd, g_depth)
 
     if keep:
         node._backward = _bw
     h_new = ad.slice_cols(node, 0, hs)
     c_new = ad.slice_cols(node, hs, 2 * hs)
     return h_new, GridState(h=h_new, c=c_new)
+
+
+def _blocks_t(a: np.ndarray, nb: int) -> np.ndarray:
+    """(n, nb * w) -> contiguous (nb, w, n): block b's columns as rows."""
+    return np.ascontiguousarray(a.T).reshape(nb, a.shape[1] // nb, a.shape[0])
+
+
+def _first_inputs(x: np.ndarray, h: np.ndarray, nb: int) -> np.ndarray:
+    """[x_b; h_b; 1] of every block b, as (nb, x_b rows + h_b rows + 1, n)."""
+    n, bi, bh = x.shape[0], x.shape[1] // nb, h.shape[1] // nb
+    stack = np.empty((nb, bi + bh + 1, n))
+    stack[:, :bi] = x.T.reshape(nb, bi, n)
+    stack[:, bi:-1] = h.T.reshape(nb, bh, n)
+    stack[:, -1] = 1.0
+    return stack
+
+
+def _add_blocks(grad: np.ndarray, blocks: np.ndarray) -> None:
+    """grad (n, nb * w) += blocks (nb, w, n), block b into columns
+    b*w:(b+1)*w. grad is C-contiguous (autodiff allocates it with
+    np.zeros), so its reshape is a view."""
+    view = grad.reshape(grad.shape[0], blocks.shape[0], blocks.shape[1])
+    view += blocks.transpose(2, 0, 1)
+
+
+def _accumulate(w: DiffValue, g: np.ndarray) -> None:
+    if w.requires_grad:
+        w.grad += g

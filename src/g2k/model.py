@@ -36,7 +36,7 @@ from . import data as da
 from . import gridlstm as gl
 from . import neighborhood as nb
 from .autodiff import DiffValue
-from .config import ModelConfig, VARIANTS
+from .config import ModelConfig
 
 
 class InputError(ValueError):

@@ -410,13 +410,13 @@ def save_checkpoint(
     for k, v in config_items(train_cfg):
         lines.append(f"train.{k} {v}")
     lines.append(f"history {len(history)}")
-    lines.extend(h.hex() for h in map(float, history))
+    lines.extend(map(float.hex, map(float, history)))
     state = model.params.state()
     lines.append(f"params {len(state)}")
     for name in model.params.names():
         arr = state[name]
         lines.append(f"param {name} {arr.shape[0]} {arr.shape[1]}")
-        lines.extend(" ".join(v.hex() for v in row) for row in arr.tolist())
+        lines.extend(" ".join(map(float.hex, row)) for row in arr.tolist())
     lines.append("end")
     write_text(path, "\n".join(lines) + "\n")
 
@@ -470,17 +470,25 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise fail(f"expected '{tag} <value>', got {lines[i - 1]!r}")
         return value
 
-    def hex_floats(width: int) -> list[float]:
-        line = take()
-        try:
-            row = [float.fromhex(v) for v in line.split()]
-        except ValueError:
-            raise fail(f"not float.hex() values: {line!r}") from None
-        if len(row) != width:
-            raise fail(f"expected {width} values, got {len(row)}")
-        if not np.isfinite(row).all():  # float.fromhex reads nan and inf
-            raise fail(f"non-finite value in {line!r}")
-        return row
+    def hex_rows(rows: int, width: int) -> np.ndarray:
+        first = i + 1  # line number of the first row
+        values = []
+        for _ in range(rows):
+            line = take()
+            try:
+                row = list(map(float.fromhex, line.split()))
+            except ValueError:
+                raise fail(f"not float.hex() values: {line!r}") from None
+            if len(row) != width:
+                raise fail(f"expected {width} values, got {len(row)}")
+            values.append(row)
+        arr = np.array(values).reshape(rows, width)
+        finite = np.isfinite(arr)  # float.fromhex reads nan and inf
+        if not finite.all():
+            bad = first + int(np.argmin(finite.all(axis=1)))
+            raise CheckpointError(
+                f"{path}:{bad}: non-finite value in {lines[bad - 1]!r}")
+        return arr
 
     stored_hash = take_value("hash")
     epoch = count(take_value("epoch"))
@@ -493,7 +501,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if section not in pairs:
             raise fail(f"unexpected line {lines[i - 1]!r}")
         pairs[section].append((name, value))
-    history = [hex_floats(1)[0] for _ in range(count(value))]
+    history = hex_rows(count(value), 1)[:, 0].tolist()
     model_cfg = _stored_config(ModelConfig, pairs["model"], path)
     train_cfg = _stored_config(TrainConfig, pairs["train"], path)
     if config_hash(model_cfg, train_cfg) != stored_hash:
@@ -505,7 +513,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if len(head) != 4 or head[0] != "param":
             raise fail(f"expected 'param <name> <rows> <cols>', got {lines[i - 1]!r}")
         name, rows, cols = head[1], count(head[2]), count(head[3])
-        state[name] = np.array([hex_floats(cols) for _ in range(rows)])
+        state[name] = hex_rows(rows, cols)
     if take() != "end":
         raise fail("missing end marker")
     return Checkpoint(model_cfg, train_cfg, epoch, history, state, stored_hash)

@@ -18,7 +18,7 @@ from g2k import gridlstm as gl
 from g2k import model as md
 from g2k import training as tr
 from g2k.cli import entry
-from g2k.config import desk_config, TrainConfig
+from g2k.config import VARIANTS, desk_config, TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +28,7 @@ from g2k.config import desk_config, TrainConfig
 def test_c1_gradient_integrity():
     t0 = time.perf_counter()
     worst = 0.0
-    for variant in md.VARIANTS:
+    for variant in VARIANTS:
         report = tr.quick_grad_check(variant)
         assert report.passed(1e-4), f"{variant}:\n{report.format()}"
         worst = max(worst, report.worst)
@@ -172,7 +172,7 @@ def test_c5_baseline_sanity():
     batches, tcfg = tr.curved_comparison_setup()
     base_ade = ev.evaluate_baseline(batches).mean_ade
     scores = {}
-    for variant in md.VARIANTS:
+    for variant in VARIANTS:
         cfg = tr.curved_comparison_config(variant)
         result = tr.train(batches, cfg, tcfg)
         scores[variant] = ev.evaluate(result.model, batches).mean_ade

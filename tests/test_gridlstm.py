@@ -2,6 +2,8 @@
 fused step against a composed-op reference graph, finite-difference
 gradients through an unroll, state bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,14 +196,57 @@ def test_step_adds_three_nodes():
 
 
 def test_sigmoid_saturation_is_finite():
+    # pre-activations of +-800 and beyond in every gate: no activation form
+    # may overflow or warn, forward or backward
     cfg, pset, params = make_cell(units=2, seed=4)
+    params.bias.data[...] = np.tile([800.0, -800.0], 8)
     x = ad.leaf(np.tile([800.0, -800.0], (2, 4)))
-    out, state = gl.step(cfg, x, gl.init_state(cfg, 2), params)
-    ad.backward(ad.sum_all(ad.add(out, state.c)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, state = gl.step(cfg, x, gl.init_state(cfg, 2), params)
+        ad.backward(ad.sum_all(ad.add(out, state.c)))
     assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(state.c.data))
     assert np.all(np.isfinite(x.grad))
     for p in pset:
         assert np.all(np.isfinite(p.value.grad)), p.name
+
+
+@pytest.mark.parametrize("layout", ["column_slice", "transposed"])
+def test_fused_step_reads_non_contiguous_operands(layout):
+    """The kernel reshapes inputs and state.h; views must give the same
+    forward and gradients as the composed graph."""
+    cfg = gl.GridLSTMConfig(8, 2, 2, 2)
+    n, width = 5, 8
+    pset = ad.ParameterSet()
+    g = np.random.default_rng(11)
+    params = gl.init_params(cfg, width, pset, "cell", g, std=0.5)
+
+    def view(shape):
+        if layout == "column_slice":
+            return g.normal(size=(shape[0], 2 * shape[1]))[:, 1::2]
+        return np.asfortranarray(g.normal(size=shape))
+
+    x = pset.register("x", view((n, width))).value
+    h0 = pset.register("h0", view((n, cfg.hidden_size))).value
+    c0 = pset.register("c0", g.normal(size=(n, cfg.hidden_size))).value
+    assert not x.data.flags.c_contiguous and not h0.data.flags.c_contiguous
+    probe = ad.constant(g.normal(size=(n, 2 * cfg.hidden_size)))
+
+    def build(step_fn):
+        out, state = step_fn(cfg, x, gl.GridState(h=h0, c=c0), params)
+        both = ad.concat_cols([out, state.c])
+        return both, ad.sum_all(ad.mul(both, probe))
+
+    fused_out, fused_loss = build(gl.step)
+    ad.backward(fused_loss)
+    fused = {p.name: p.value.grad.copy() for p in pset}
+    pset.zero_grad()
+    ref_out, ref_loss = build(composed_step)
+    ad.backward(ref_loss)
+    assert np.max(np.abs(fused_out.data - ref_out.data)) < 1e-12
+    for p in pset:
+        scale = max(1.0, float(np.max(np.abs(p.value.grad), initial=0.0)))
+        assert np.max(np.abs(fused[p.name] - p.value.grad)) < 1e-12 * scale, p.name
 
 
 def test_zero_preactivation_gates_are_half():

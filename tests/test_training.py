@@ -395,6 +395,32 @@ def test_fuzz_checkpoint_line(tmp_path, desk_ckpt_lines, data):
         pass
 
 
+def test_checkpoint_rows_are_float_hex(desk_ckpt_lines):
+    """Each history value and parameter row is written as float.hex()."""
+    state = md.TrajectoryModel(desk_config("mcr_n"), seed=7).params.state()
+    at = desk_ckpt_lines.index("history 2")
+    assert desk_ckpt_lines[at + 1 : at + 3] == [(0.5).hex(), (0.25).hex()]
+    for name, arr in state.items():
+        at = desk_ckpt_lines.index(f"param {name} {arr.shape[0]} {arr.shape[1]}")
+        rows = desk_ckpt_lines[at + 1 : at + 1 + arr.shape[0]]
+        assert rows == [" ".join(v.hex() for v in row) for row in arr.tolist()], name
+
+
+@pytest.mark.parametrize("section,row,value", [
+    ("history", 2, "inf"), ("param decode.w", 2, "nan"), ("param decode.w", 1, "-inf"),
+])
+def test_non_finite_checkpoint_value_names_its_line(tmp_path, desk_ckpt_lines,
+                                                    section, row, value):
+    lines = list(desk_ckpt_lines)
+    idx = next(i for i, l in enumerate(lines) if l.startswith(section + " ")) + row
+    lines[idx] = " ".join([*lines[idx].split()[:-1], value])
+    path = tmp_path / "ckpt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(tr.CheckpointError) as exc:
+        tr.load_checkpoint(str(path))
+    assert str(exc.value) == f"{path}:{idx + 1}: non-finite value in {lines[idx]!r}"
+
+
 def half_then_disk_full(real_open=open):
     """open() whose files take half of a write, then fail with ENOSPC."""
 
