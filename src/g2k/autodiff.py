@@ -14,8 +14,8 @@ no_grad(): its nodes record no parents and keep no backward closure, so
 each one is freed as soon as nothing reads it. Forward values are the same
 either way.
 
-Broadcasting is never implicit. The only shape-relaxing ops are bias_add and
-row_mul, which take an explicit 1 x cols second operand.
+Broadcasting is never implicit. The only shape-relaxing op is bias_add, which
+takes an explicit 1 x cols second operand.
 """
 
 from __future__ import annotations
@@ -286,22 +286,6 @@ def bias_add(a: DiffValue, b: DiffValue) -> DiffValue:
     return DiffValue(a.data + b.data, (a, b), backward=_bw)
 
 
-def row_mul(a: DiffValue, r: DiffValue) -> DiffValue:
-    """a * r with r a 1 x cols row vector multiplied into every row of a."""
-    if r.data.shape != (1, a.data.shape[1]):
-        raise ShapeMismatch(
-            f"row_mul: row must be (1, {a.data.shape[1]}), got {r.data.shape}"
-        )
-
-    def _bw(g):
-        if a.requires_grad:
-            a.grad += g * r.data
-        if r.requires_grad:
-            r.grad += (g * a.data).sum(axis=0, keepdims=True)
-
-    return DiffValue(a.data * r.data, (a, r), backward=_bw)
-
-
 def stable_softmax(x: DiffValue) -> DiffValue:
     """Row-wise softmax with max subtraction. Rows sum to 1 within 1e-12."""
     if np.isnan(x.data).any():
@@ -351,6 +335,24 @@ def slice_cols(a: DiffValue, j0: int, j1: int) -> DiffValue:
             a.grad[:, j0:j1] += g
 
     return DiffValue(a.data[:, j0:j1].copy(), (a,), backward=_bw)
+
+
+def running_sum(a: DiffValue, start: np.ndarray) -> DiffValue:
+    """Block j of the result is block j-1 (start for j = 0) plus block j of a,
+    added in that order: a is (n, k*w), k blocks of width w, and the constant
+    start is (n, w). The decoder turns its offsets into positions with it."""
+    n, w = start.shape
+    if a.data.shape[0] != n or w == 0 or a.data.shape[1] % w:
+        raise ShapeMismatch(f"running_sum: {a.data.shape} vs start {start.shape}")
+    blocks = a.data.reshape(n, a.data.shape[1] // w, w)
+
+    def _bw(g):
+        if a.requires_grad:
+            rev = np.cumsum(g.reshape(blocks.shape)[:, ::-1], axis=1)  # from the last block
+            a.grad += rev[:, ::-1].reshape(g.shape)
+
+    out = np.cumsum(np.concatenate([start[:, None], blocks], axis=1), axis=1)[:, 1:]
+    return DiffValue(out.reshape(a.data.shape), (a,), backward=_bw)
 
 
 def sum_all(a: DiffValue) -> DiffValue:

@@ -123,6 +123,13 @@ class TrainConfig:
             raise ConfigError(f"lr must be nonnegative, got {self.lr}")
         if self.clip_norm < 0:
             raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        if self.log_every < 1:
+            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.adam_eps <= 0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 def config_items(cfg) -> list[tuple[str, str]]:

@@ -69,22 +69,21 @@ class Diagnostics:
 class KernelRun:
     """Decoded trajectory with its graph nodes still attached.
 
-    positions[k] is the (N, 2) node for predicted step k, built by adding the
-    k-th offset onto the previous step, so offsets telescope exactly. sizes
-    holds the pedestrian count of each packed scene, in row order; empty
-    means one scene. diagnostics holds the maps of each observed step;
-    model.edges(run.diagnostics.adjacency[t], run.sizes) gives step t's
-    edges.
+    offsets is the head's (N, 2 * pred_len) output node, step k in columns
+    2k:2k+2; positions, its ad.running_sum from the last observed position,
+    telescopes exactly. sizes holds each packed scene's pedestrian count in
+    row order; empty means one scene. diagnostics holds each observed step's
+    maps; model.edges(run.diagnostics.adjacency[t], run.sizes) gives edges.
     """
 
-    positions: list[DiffValue]
-    offsets: list[DiffValue]
+    positions: DiffValue
+    offsets: DiffValue
     diagnostics: Diagnostics
     sizes: list[int] = field(default_factory=list)
 
     @property
     def predictions(self) -> np.ndarray:
-        return np.stack([p.data for p in self.positions], axis=1)
+        return self.positions.data.reshape(self.positions.data.shape[0], -1, 2)
 
     def scene_predictions(self) -> list[np.ndarray]:
         """(n_s, pred_len, 2) predictions of each scene, in pack order."""
@@ -415,13 +414,4 @@ class TrajectoryModel:
     def _decode(self, h_final: DiffValue, last_obs: np.ndarray, diag: Diagnostics,
                 sizes: list[int]) -> KernelRun:
         flat = ad.bias_add(ad.matmul(h_final, self.w_out), self.b_out)
-        positions: list[DiffValue] = []
-        offsets: list[DiffValue] = []
-        prev = ad.constant(last_obs)
-        for s in range(self.cfg.pred_len):
-            off = ad.slice_cols(flat, 2 * s, 2 * s + 2)
-            prev = ad.add(prev, off)
-            offsets.append(off)
-            positions.append(prev)
-        return KernelRun(positions=positions, offsets=offsets, diagnostics=diag,
-                         sizes=sizes)
+        return KernelRun(ad.running_sum(flat, last_obs), flat, diag, sizes)

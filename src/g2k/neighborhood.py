@@ -123,8 +123,6 @@ class SceneBlocks:
 
     def scene_row_mul(self, a: DiffValue, rows: DiffValue) -> DiffValue:
         """a (N, w) times row s of rows (S, w) for every pedestrian of s."""
-        if self.count == 1:
-            return ad.row_mul(a, rows)
         return ad.mul(a, ad.matmul(ad.constant(self.member.T), rows))
 
     def link_mask(self, self_loops: bool) -> np.ndarray | None:
@@ -183,8 +181,10 @@ def occupancy_pool(v_emb: DiffValue, cell_idx: np.ndarray, k: int) -> DiffValue:
 
 
 def downsample_image(img: np.ndarray, grid_size: int) -> np.ndarray:
-    """Mean-pool a grayscale image to grid_size x grid_size, scaled to [0, 1]."""
-    arr = np.asarray(img, dtype=np.float64)
+    """Mean-pool a grayscale image to grid_size x grid_size, scaled to [0, 1]
+    by its dtype: integer samples are 0..255 (read_pgm's uint8), float
+    samples are taken as they are and must already lie in [0, 1]."""
+    arr = np.asarray(img)
     if arr.ndim != 2:
         raise GridError("scene image must be 2-D grayscale")
     h, w = arr.shape
@@ -193,8 +193,9 @@ def downsample_image(img: np.ndarray, grid_size: int) -> np.ndarray:
             f"scene image {h}x{w} smaller than grid {grid_size}x{grid_size}; "
             f"provide at least {grid_size} pixels per side or drop the image"
         )
-    if arr.max() > 1.0:
-        arr = arr / 255.0
+    arr = arr / 255.0 if np.issubdtype(arr.dtype, np.integer) else arr.astype(np.float64)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise GridError("scene image samples must be 0..255 integers or floats in [0, 1]")
     rows = np.array_split(np.arange(h), grid_size)
     cols = np.array_split(np.arange(w), grid_size)
     out = np.empty((grid_size, grid_size))

@@ -61,25 +61,18 @@ def loss_graph(run: KernelRun, targets: np.ndarray) -> DiffValue:
     pedestrians, divided by N * pred_len. A constant 1 m offset at every step
     yields exactly 1.0. targets is (pred_len, N, 2); for a packed run its
     rows follow the run's scenes and the loss is the mean of the per-scene
-    losses, each pedestrian of scene s weighted by N / (S * n_s)."""
-    pred_len = len(run.positions)
+    losses: scene s's pedestrians weigh N / (S * n_s), 1 for one scene."""
+    n, pred_len = run.predictions.shape[:2]
     if targets.shape[0] != pred_len:
         raise ConfigError(
             f"targets have {targets.shape[0]} steps, run decoded {pred_len}"
         )
-    n = run.positions[0].data.shape[0]
-    weights = None
-    if len(run.sizes) > 1:
-        per_scene = n / (len(run.sizes) * np.array(run.sizes, dtype=np.float64))
-        weights = ad.constant(np.repeat(per_scene, run.sizes)[:, None] * np.ones((1, 2)))
-    total = None
-    for k, pos in enumerate(run.positions):
-        diff = ad.sub(pos, ad.constant(targets[k]))
-        sq = ad.mul(diff, diff)
-        if weights is not None:
-            sq = ad.mul(sq, weights)
-        sq = ad.sum_all(sq)
-        total = sq if total is None else ad.add(total, sq)
+    sizes = run.sizes or [n]
+    per_row = np.repeat(n / (len(sizes) * np.array(sizes, dtype=np.float64)), sizes)
+    flat_targets = np.transpose(targets, (1, 0, 2)).reshape(targets.shape[1], -1)
+    weights = ad.constant(np.outer(per_row, np.ones(2 * pred_len)))
+    diff = ad.sub(run.positions, ad.constant(flat_targets))
+    total = ad.sum_all(ad.mul(ad.mul(diff, diff), weights))
     return ad.scale(total, 1.0 / (n * pred_len))
 
 

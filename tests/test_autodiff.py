@@ -84,7 +84,7 @@ def test_shape_mismatches_raise():
     with pytest.raises(ad.ShapeMismatch):
         ad.bias_add(a, ad.constant(np.zeros((1, 2))))
     with pytest.raises(ad.ShapeMismatch):
-        ad.row_mul(a, ad.constant(np.zeros((1, 4))))
+        ad.running_sum(a, np.zeros((2, 2)))
 
 
 def test_concat_slice_round_trip():
@@ -156,11 +156,38 @@ def test_concat_slice_transpose_gradient():
     check_grad_vs_fd(build, [a, b])
 
 
-def test_row_mul_gradient():
+def test_running_sum_gradient():
     g = rng(9)
-    a = ad.leaf(g.normal(size=(4, 3)))
-    r = ad.leaf(g.normal(size=(1, 3)))
-    check_grad_vs_fd(lambda: ad.sum_all(ad.mul(ad.row_mul(a, r), a)), [a, r])
+    a = ad.leaf(g.normal(size=(4, 10)))
+    probe = ad.constant(g.normal(size=(4, 10)))
+    start = g.normal(size=(4, 2))
+
+    def build():
+        out = ad.running_sum(a, start)
+        return ad.sum_all(ad.mul(ad.mul(out, out), probe))
+
+    check_grad_vs_fd(build, [a])
+
+
+def test_running_sum_telescopes_exactly():
+    g = rng(11)
+    a = g.normal(size=(6, 24)) * 10.0 ** g.integers(-8, 8, size=(6, 24))
+    start = g.normal(size=(6, 2)) * 1e3
+    out = ad.running_sum(ad.constant(a), start).data
+    prev = start
+    for k in range(12):
+        prev = prev + a[:, 2 * k : 2 * k + 2]
+        assert prev.tobytes() == out[:, 2 * k : 2 * k + 2].copy().tobytes()
+
+
+@pytest.mark.parametrize("a_shape,start_shape", [
+    ((3, 4), (2, 2)),  # row counts differ
+    ((3, 5), (3, 2)),  # not whole blocks
+    ((3, 4), (3, 0)),  # empty blocks
+])
+def test_running_sum_shape_mismatch(a_shape, start_shape):
+    with pytest.raises(ad.ShapeMismatch):
+        ad.running_sum(ad.constant(np.zeros(a_shape)), np.zeros(start_shape))
 
 
 def test_diamond_graph_accumulates_both_paths():

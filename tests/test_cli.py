@@ -380,6 +380,24 @@ def test_bad_env_seed_is_usage_error(ws, monkeypatch, capsys):
     assert "G2K_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,field", [
+    ("log_every = 0", "log_every"),
+    ("log_every = -3", "log_every"),
+    ("beta1 = 1.0", "beta1"),
+    ("beta1 = -0.1", "beta1"),
+    ("beta2 = 1.0", "beta2"),
+    ("beta2 = -0.5", "beta2"),
+    ("adam_eps = 0.0", "adam_eps"),
+    ("adam_eps = -1e-8", "adam_eps"),
+])
+def test_out_of_range_train_config_is_usage_error(ws, capsys, line, field):
+    (ws / "desk.cfg").write_text(DESK_CFG + line + "\n")
+    assert run_train(ws, variant="g_lstm") == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (ws / "run").exists()
+
+
 def test_static_hidden_not_divisible_by_blocks_is_usage_error(ws, capsys):
     # desk.cfg has num_blocks = 2
     assert run_train(ws, "--static-hidden", "7", variant="mcr_mp") == 2

@@ -35,6 +35,11 @@ def adjacency(m, h):
     return a, m.edges(a.data, [n])
 
 
+def steps(node):
+    """The (N, 2) blocks of a decoded (N, 2 * pred_len) node, one per step."""
+    return np.split(node.data, node.data.shape[1] // 2, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -279,8 +284,8 @@ def test_zero_decoder_repeats_last_position():
     batch = desk_batch()
     run = m.run(batch)
     last = da.obs_positions(batch)[-1]
-    for pos in run.positions:
-        assert np.array_equal(pos.data, last)
+    for pos in steps(run.positions):
+        assert np.array_equal(pos, last)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -289,11 +294,11 @@ def test_offsets_telescope_exactly(variant):
     batch = desk_batch(seed=5)
     run = m.run(batch)
     prev = da.obs_positions(batch)[-1]
-    for pos, off in zip(run.positions, run.offsets):
-        assert np.array_equal(pos.data - prev, off.data) or np.array_equal(
-            pos.data, prev + off.data
+    for pos, off in zip(steps(run.positions), steps(run.offsets)):
+        assert np.array_equal(pos - prev, off) or np.array_equal(
+            pos, prev + off
         )
-        prev = pos.data
+        prev = pos
 
 
 def test_g_lstm_ignores_vislets():
@@ -358,7 +363,7 @@ def test_no_grad_run_is_bit_identical(variant):
         free_loss = tr.loss_graph(free, targets)
     assert free.predictions.tobytes() == run.predictions.tobytes()
     assert free_loss.data.tobytes() == loss.data.tobytes()
-    for node in (*free.positions, *free.offsets, free_loss):
+    for node in (free.positions, free.offsets, free_loss):
         assert node.parents == () and not node.requires_grad
         assert node.grad is None and node._backward is None
     assert loss.requires_grad and loss.parents
@@ -455,13 +460,94 @@ def test_same_seed_same_model():
     assert np.array_equal(a.run(batch).predictions, b.run(batch).predictions)
 
 
-def test_paper_scale_node_budget():
-    # each grid-LSTM step, social and static, is one fused node and two slices
+@pytest.mark.parametrize("variant,budget", [("g_lstm", 70), ("mcr_mp", 490)])
+def test_paper_scale_node_budget(variant, budget):
+    # each grid-LSTM step, social and static, is one fused node and two
+    # slices; decode and loss are a handful of nodes for all pred_len steps
     sc = da.SyntheticScenario(kind="group_walk", n_peds=16, seed=3)
     batch = da.synthesize(sc)[0]
-    model = md.TrajectoryModel(ModelConfig(), seed=0)
+    model = md.TrajectoryModel(ModelConfig(variant=variant), seed=0)
     loss = tr.loss_graph(model.run(batch), da.target_positions(batch))
-    assert len(ad._topo_order(loss)) <= 600
+    assert len(ad._topo_order(loss)) <= budget
+
+
+# ---------------------------------------------------------------------------
+# decode and loss against the per-step oracle
+
+
+def per_step_decode(model, h_final, last_obs, diag, sizes):
+    """Oracle decode: one slice and one add per predicted step."""
+    flat = ad.bias_add(ad.matmul(h_final, model.w_out), model.b_out)
+    positions = []
+    prev = ad.constant(last_obs)
+    for s in range(model.cfg.pred_len):
+        prev = ad.add(prev, ad.slice_cols(flat, 2 * s, 2 * s + 2))
+        positions.append(prev)
+    return positions, sizes
+
+
+def per_step_loss(positions, sizes, targets):
+    """Oracle loss: squared error summed step by step, each pedestrian of a
+    packed scene s weighted by N / (S * n_s)."""
+    n = positions[0].data.shape[0]
+    weights = None
+    if len(sizes) > 1:
+        per_scene = n / (len(sizes) * np.array(sizes, dtype=np.float64))
+        weights = ad.constant(np.repeat(per_scene, sizes)[:, None] * np.ones((1, 2)))
+    total = None
+    for k, pos in enumerate(positions):
+        diff = ad.sub(pos, ad.constant(targets[k]))
+        sq = ad.mul(diff, diff)
+        if weights is not None:
+            sq = ad.mul(sq, weights)
+        sq = ad.sum_all(sq)
+        total = sq if total is None else ad.add(total, sq)
+    return ad.scale(total, 1.0 / (n * len(positions)))
+
+
+def decode_case(scale, variant, packed):
+    """A model at desk or paper scale predicting 12 steps, and one scene or
+    a pack of five; mcr_mpc scenes alternate with and without an image."""
+    if scale == "paper":
+        cfg, obs_len = ModelConfig(variant=variant), 8
+    else:
+        cfg, obs_len = desk_config(variant), 3
+        cfg.pred_len = 12
+    sizes = (1, 3, 7, 2, 24) if packed else (5,)
+    scenes = [
+        da.synthesize(da.SyntheticScenario(kind="group_walk", n_peds=n, seed=20 + i,
+                                           obs_len=obs_len, pred_len=12))[0]
+        for i, n in enumerate(sizes)
+    ]
+    images = np.random.default_rng(4).integers(0, 256, (len(sizes), 24, 24))
+    for b, img in list(zip(scenes, images))[::2]:
+        b.scene_image = img.astype(np.uint8)
+    return md.TrajectoryModel(cfg, seed=3), scenes
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["single", "pack"])
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decode_and_loss_match_per_step_oracle(variant, scale, packed, monkeypatch):
+    model, scenes = decode_case(scale, variant, packed)
+    batch = scenes if packed else scenes[0]
+    targets = np.concatenate([da.target_positions(b) for b in scenes], axis=1)
+
+    run = model.run(batch)
+    loss = tr.loss_graph(run, targets)
+    ad.backward(loss)
+    grads = {p.name: p.value.grad.tobytes() for p in model.params}
+
+    model.params.zero_grad()
+    monkeypatch.setattr(model, "_decode", lambda *a: per_step_decode(model, *a))
+    positions, sizes = model.run(batch)
+    oracle = per_step_loss(positions, sizes, targets)
+    ad.backward(oracle)
+
+    assert run.predictions.tobytes() == np.stack([p.data for p in positions], axis=1).tobytes()
+    for p in model.params:
+        assert p.value.grad.tobytes() == grads[p.name], p.name
+    assert abs(loss.data[0, 0] - oracle.data[0, 0]) <= 1e-15 * abs(oracle.data[0, 0])
 
 
 # ---------------------------------------------------------------------------

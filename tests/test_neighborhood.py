@@ -57,6 +57,27 @@ def test_downsample_shape_and_range():
     assert down.max() <= 1.0
 
 
+def test_downsample_scales_by_dtype_not_content():
+    # the brightest sample of a uint8 map is 1 of 255, not white
+    img = np.zeros((8, 8), dtype=np.uint8)
+    img[0, 0] = 1
+    dim = nb.downsample_image(img, 2)
+    img[0, 1] = 2
+    brighter = nb.downsample_image(img, 2)
+    assert dim[0, 0] == 1 / 255 / 16
+    assert brighter[0, 0] == 3 / 255 / 16
+    white = nb.downsample_image(np.ones((8, 8)), 2)
+    assert np.all(white == 1.0)
+
+
+@pytest.mark.parametrize("value", [1.5, -0.25, np.nan])
+def test_downsample_rejects_float_samples_outside_unit_range(value):
+    img = np.full((8, 8), 0.5)
+    img[3, 3] = value
+    with pytest.raises(nb.GridError, match="floats in"):
+        nb.downsample_image(img, 2)
+
+
 def test_downsample_rejects_small_image():
     with pytest.raises(nb.GridError, match="smaller than grid"):
         nb.downsample_image(np.zeros((2, 8)), 4)

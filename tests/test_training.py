@@ -29,8 +29,8 @@ def loss_value(pred, gt):
 
 def fake_run(pred):
     """KernelRun carrying given (N, T, 2) predictions as graph leaves."""
-    positions = [ad.leaf(pred[:, k, :]) for k in range(pred.shape[1])]
-    return md.KernelRun(positions=positions, offsets=[], diagnostics=md.Diagnostics())
+    positions = ad.leaf(pred.reshape(pred.shape[0], -1))
+    return md.KernelRun(positions=positions, offsets=None, diagnostics=md.Diagnostics())
 
 
 def cv_batches(seeds=(1, 2, 3), n=3):
