@@ -68,11 +68,11 @@ def loss_graph(run: KernelRun, targets: np.ndarray) -> DiffValue:
             f"targets have {targets.shape[0]} steps, run decoded {pred_len}"
         )
     sizes = run.sizes or [n]
-    per_row = np.repeat(n / (len(sizes) * np.array(sizes, dtype=np.float64)), sizes)
+    weights = np.concatenate([np.full((n_s, 2 * pred_len), n / (len(sizes) * n_s))
+                              for n_s in sizes])
     flat_targets = np.transpose(targets, (1, 0, 2)).reshape(targets.shape[1], -1)
-    weights = ad.constant(np.outer(per_row, np.ones(2 * pred_len)))
     diff = ad.sub(run.positions, ad.constant(flat_targets))
-    total = ad.sum_all(ad.mul(ad.mul(diff, diff), weights))
+    total = ad.sum_all(ad.mul(ad.mul(diff, diff), ad.constant(weights)))
     return ad.scale(total, 1.0 / (n * pred_len))
 
 
