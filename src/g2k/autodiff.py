@@ -3,8 +3,9 @@
 Graphs are built dynamically (define-by-run): every operation returns a new
 DiffValue holding the forward result plus a closure that routes the upstream
 gradient to its parents. The op set is intentionally small, just enough for
-matrix products, softmax and the squared-error loss; the grid-LSTM gate math
-is one fused node with its own backward (gridlstm.step).
+matrix products, softmax, the decoder's running sum and the squared-error
+loss; the grid-LSTM gate math is one fused node with its own backward
+(gridlstm.step).
 
 Gradients are allocated lazily. A trainable leaf (leaf(), parameters) gets
 its gradient array when it is made; constants and nodes that need no

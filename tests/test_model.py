@@ -475,7 +475,7 @@ def test_paper_scale_node_budget(variant, budget):
 # decode and loss against the per-step oracle
 
 
-def per_step_decode(model, h_final, last_obs, diag, sizes):
+def per_step_decode(model, h_final, last_obs):
     """Oracle decode: one slice and one add per predicted step."""
     flat = ad.bias_add(ad.matmul(h_final, model.w_out), model.b_out)
     positions = []
@@ -483,7 +483,7 @@ def per_step_decode(model, h_final, last_obs, diag, sizes):
     for s in range(model.cfg.pred_len):
         prev = ad.add(prev, ad.slice_cols(flat, 2 * s, 2 * s + 2))
         positions.append(prev)
-    return positions, sizes
+    return positions
 
 
 def per_step_loss(positions, sizes, targets):
@@ -508,15 +508,12 @@ def per_step_loss(positions, sizes, targets):
 def decode_case(scale, variant, packed):
     """A model at desk or paper scale predicting 12 steps, and one scene or
     a pack of five; mcr_mpc scenes alternate with and without an image."""
-    if scale == "paper":
-        cfg, obs_len = ModelConfig(variant=variant), 8
-    else:
-        cfg, obs_len = desk_config(variant), 3
-        cfg.pred_len = 12
+    cfg = ModelConfig(variant=variant) if scale == "paper" else desk_config(variant)
+    cfg.pred_len = 12
     sizes = (1, 3, 7, 2, 24) if packed else (5,)
     scenes = [
         da.synthesize(da.SyntheticScenario(kind="group_walk", n_peds=n, seed=20 + i,
-                                           obs_len=obs_len, pred_len=12))[0]
+                                           obs_len=cfg.obs_len, pred_len=12))[0]
         for i, n in enumerate(sizes)
     ]
     images = np.random.default_rng(4).integers(0, 256, (len(sizes), 24, 24))
@@ -539,7 +536,8 @@ def test_decode_and_loss_match_per_step_oracle(variant, scale, packed, monkeypat
     grads = {p.name: p.value.grad.tobytes() for p in model.params}
 
     model.params.zero_grad()
-    monkeypatch.setattr(model, "_decode", lambda *a: per_step_decode(model, *a))
+    monkeypatch.setattr(model, "_decode", lambda h, last_obs, diag, sizes: (
+        per_step_decode(model, h, last_obs), sizes))
     positions, sizes = model.run(batch)
     oracle = per_step_loss(positions, sizes, targets)
     ad.backward(oracle)
