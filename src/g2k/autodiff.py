@@ -122,16 +122,11 @@ def leaf(data) -> DiffValue:
 
 @dataclass
 class Parameter:
-    """A named trainable array with its initialization recorded.
-
-    The name is a dotted path unique within a model, e.g. "embed.pos.w1";
-    init_spec is a human-readable descriptor kept so checkpoints can assert
-    they round-trip against the same construction.
-    """
+    """A named trainable array. The name is a dotted path unique within a
+    model, e.g. "embed.pos.w1"."""
 
     name: str
     value: DiffValue
-    init_spec: str = "unspecified"
 
     def __post_init__(self):
         if not self.value.requires_grad:
@@ -144,10 +139,10 @@ class ParameterSet:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
 
-    def register(self, name: str, data, init_spec: str = "unspecified") -> Parameter:
+    def register(self, name: str, data) -> Parameter:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, leaf(data), init_spec)
+        p = Parameter(name, leaf(data))
         self._params[name] = p
         return p
 

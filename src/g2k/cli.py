@@ -17,16 +17,16 @@ import numpy as np
 from . import autodiff as ad
 from . import data as da
 from . import evaluation as ev
+from . import neighborhood as nb
 from . import training as tr
 from .config import (VARIANTS, ConfigError, ModelConfig, TrainConfig,
                      parse_fields, read_key_values, read_text, write_text)
-from .model import VariantError
+from .model import InputError, VariantError
 
 # flag -> field; argparse converts each value with parse_fields
 _MODEL_FLAGS = [
     ("--hidden", "hidden_size"),
     ("--blocks", "num_blocks"),
-    ("--block-skip", "block_skip"),
     ("--cell-units", "cell_units"),
     ("--embed-pos", "embed_pos"),
     ("--embed-vis", "embed_vis"),
@@ -338,8 +338,8 @@ def entry(argv: list[str] | None = None) -> int:
     except tr.CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except (ConfigError, VariantError, da.ParseError, da.IntegrityError,
-            da.ScenarioError, ev.MetricError, ev.AblationError,
+    except (ConfigError, VariantError, InputError, nb.GridError, da.ParseError,
+            da.IntegrityError, da.ScenarioError, ev.MetricError, ev.AblationError,
             FileNotFoundError, IsADirectoryError, FileExistsError,
             NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,15 +26,13 @@ class ConfigError(ValueError):
 class ModelConfig:
     """Architecture hyperparameters.
 
-    hidden_size and static_hidden must divide evenly into num_blocks slices,
-    and each cell input width must divide by num_blocks * block_skip (both
-    checked in validate).
+    hidden_size, static_hidden and each cell input width must divide evenly
+    into num_blocks slices (checked in validate).
     """
 
     variant: str = "mcr_mp"
     hidden_size: int = 128
     num_blocks: int = 4
-    block_skip: int = 4
     cell_units: int = 2
     embed_pos: int = 32
     embed_vis: int = 32
@@ -52,24 +50,25 @@ class ModelConfig:
     self_loops: bool = True
     attention_enabled: bool = True
     static_grid_enabled: bool = True
-    mask_trainable: bool = True
     init_scale: float = 0.1
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        for name in ("hidden_size", "num_blocks", "block_skip", "cell_units",
-                     "embed_pos", "embed_vis", "feature_dim", "zones", "grid_size",
+        for name in ("hidden_size", "num_blocks", "cell_units", "embed_pos",
+                     "embed_vis", "feature_dim", "zones", "grid_size",
                      "cell_channels", "static_input_dim", "static_hidden",
                      "neighborhood_size", "obs_len", "pred_len"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("hidden_size", "static_hidden"):
-            if getattr(self, name) % self.num_blocks != 0:
+        for name, width in (("hidden_size", self.hidden_size),
+                            ("static_hidden", self.static_hidden),
+                            ("social input width", self.social_input_width()),
+                            ("static_input_dim", self.static_input_dim)):
+            if width % self.num_blocks != 0:
                 raise ConfigError(
-                    f"{name} {getattr(self, name)} not divisible by "
-                    f"num_blocks {self.num_blocks}"
+                    f"{name} {width} not divisible by num_blocks {self.num_blocks}"
                 )
         if self.lambda_reg <= 0:
             raise ConfigError(f"lambda_reg must be positive, got {self.lambda_reg}")
@@ -77,13 +76,6 @@ class ModelConfig:
             raise ConfigError(f"tau must be -1 (auto) or in [0, 1], got {self.tau}")
         if self.init_scale <= 0:
             raise ConfigError(f"init_scale must be positive, got {self.init_scale}")
-        for label, width in (("social", self.social_input_width()),
-                             ("static", self.static_input_dim)):
-            if width % (self.num_blocks * self.block_skip) != 0:
-                raise ConfigError(
-                    f"{label} input width {width} not divisible by "
-                    f"num_blocks*block_skip = {self.num_blocks * self.block_skip}"
-                )
 
     @property
     def num_cells(self) -> int:
@@ -107,11 +99,7 @@ class TrainConfig:
     batch_size: int = 16
     lr: float = 0.001
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 7
-    log_every: int = 1
     clip_norm: float = 0.0  # 0 disables clipping
 
     def validate(self) -> None:
@@ -123,13 +111,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be nonnegative, got {self.lr}")
         if self.clip_norm < 0:
             raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 def config_items(cfg) -> list[tuple[str, str]]:
@@ -259,7 +240,6 @@ def desk_config(variant: str = "mcr_mp") -> ModelConfig:
         variant=variant,
         hidden_size=8,
         num_blocks=2,
-        block_skip=2,
         cell_units=2,
         embed_pos=4,
         embed_vis=4,

@@ -55,11 +55,10 @@ class GridLSTMConfig:
 
     hidden_size: int = 128
     num_blocks: int = 4
-    block_skip: int = 4
     cell_units: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("hidden_size", "num_blocks", "block_skip", "cell_units"):
+        for name in ("hidden_size", "num_blocks", "cell_units"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise GridConfigError(f"{name} must be >= 1, got {v!r}")
@@ -74,11 +73,10 @@ class GridLSTMConfig:
         return self.hidden_size // self.num_blocks
 
     def block_input(self, input_len: int) -> int:
-        granule = self.num_blocks * self.block_skip
-        if input_len % granule != 0:
+        if input_len % self.num_blocks != 0:
             raise GridConfigError(
                 f"input width {input_len} not divisible by "
-                f"num_blocks*block_skip = {granule}"
+                f"num_blocks {self.num_blocks}"
             )
         return input_len // self.num_blocks
 
@@ -134,13 +132,11 @@ def init_params(
     bh = cfg.block_hidden
 
     def reg(name, shape):
-        return pset.register(
-            f"{prefix}.{name}", rng.normal(0.0, std, shape), f"normal(0,{std})"
-        ).value
+        return pset.register(f"{prefix}.{name}", rng.normal(0.0, std, shape)).value
 
     bias0 = np.zeros((1, 4 * bh))
     bias0[0, bh : 2 * bh] = 1.0
-    bias = pset.register(f"{prefix}.bias", bias0, "zeros, forget slice 1.0").value
+    bias = pset.register(f"{prefix}.bias", bias0).value
     return GridLSTMParams(
         wx=reg("wx", (bi, 4 * bh)),
         wh=reg("wh", (bh, 4 * bh)),

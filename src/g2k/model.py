@@ -102,9 +102,8 @@ class TrajectoryModel:
     # -- construction -------------------------------------------------------
 
     def _reg(self, name: str, shape, rng) -> DiffValue:
-        std = self.cfg.init_scale
         return self.params.register(
-            name, rng.normal(0.0, std, shape), f"normal(0,{std})"
+            name, rng.normal(0.0, self.cfg.init_scale, shape)
         ).value
 
     def _build(self, rng) -> None:
@@ -116,7 +115,7 @@ class TrajectoryModel:
             self.w_vis = self._reg("embed.vis.w", (2, cfg.embed_vis), rng)
 
         self.social_cfg = gl.GridLSTMConfig(
-            cfg.hidden_size, cfg.num_blocks, cfg.block_skip, cfg.cell_units
+            cfg.hidden_size, cfg.num_blocks, cfg.cell_units
         )
         self.social_params = gl.init_params(
             self.social_cfg, cfg.social_input_width(), self.params, "social",
@@ -127,24 +126,15 @@ class TrajectoryModel:
             self.w_fs = self._reg("feat.social.w", (cfg.hidden_size, d), rng)
             fr_width = cfg.num_cells if cfg.variant in STATIC else d
             self.w_v = self._reg("fuse.wv", (d + cfg.embed_vis, cfg.zones), rng)
-            self.b_v = self.params.register(
-                "fuse.bv", np.zeros((1, cfg.zones)), "zeros"
-            ).value
+            self.b_v = self.params.register("fuse.bv", np.zeros((1, cfg.zones))).value
             self.w_r = self._reg("fuse.wr", (fr_width, cfg.zones), rng)
             self.w_imp = self._reg("fuse.wimp", (cfg.zones, cfg.hidden_size), rng)
             self.w_a = self._reg("adj.wa", (cfg.hidden_size, cfg.hidden_size), rng)
 
         if cfg.variant in STATIC:
-            k = cfg.num_cells
-            mask0 = rng.normal(0.0, cfg.init_scale, (k, 1))
-            if cfg.mask_trainable:
-                self.mask = self.params.register(
-                    "static.mask", mask0, f"normal(0,{cfg.init_scale})"
-                ).value
-            else:
-                self.mask = ad.constant(mask0)
+            self.mask = self._reg("static.mask", (cfg.num_cells, 1), rng)
             self.static_cfg = gl.GridLSTMConfig(
-                cfg.static_hidden, cfg.num_blocks, cfg.block_skip, cfg.cell_units
+                cfg.static_hidden, cfg.num_blocks, cfg.cell_units
             )
             c_width = cfg.cell_channels + d + cfg.embed_vis
             self.w_static_in = self._reg(
@@ -161,19 +151,15 @@ class TrajectoryModel:
         if cfg.variant == "mcr_mpc":
             self.w_conv = self._reg("conv.w", (9, cfg.cell_channels), rng)
             self.b_conv = self.params.register(
-                "conv.b", np.zeros((1, cfg.cell_channels)), "zeros"
+                "conv.b", np.zeros((1, cfg.cell_channels))
             ).value
             self.w_c = self._reg(
                 "fuse.wc", (cfg.cell_channels + d, cfg.zones), rng
             )
 
-        self.w_out = self.params.register(
-            "decode.w",
-            rng.normal(0.0, cfg.init_scale, (cfg.hidden_size, 2 * cfg.pred_len)),
-            f"normal(0,{cfg.init_scale})",
-        ).value
+        self.w_out = self._reg("decode.w", (cfg.hidden_size, 2 * cfg.pred_len), rng)
         self.b_out = self.params.register(
-            "decode.b", np.zeros((1, 2 * cfg.pred_len)), "zeros"
+            "decode.b", np.zeros((1, 2 * cfg.pred_len))
         ).value
 
     # -- building blocks ----------------------------------------------------

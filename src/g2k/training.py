@@ -188,22 +188,23 @@ class SGD:
 
 
 class Adam:
-    """Adaptive moments with bias correction. The first step from zeroed
-    moments reduces to lr * g / (sqrt(g^2) + eps) elementwise."""
+    """Adaptive moments with bias correction, with Kingma & Ba's constants
+    BETA1 = 0.9, BETA2 = 0.999 and EPS = 1e-8. The first step from zeroed
+    moments reduces to lr * g / (sqrt(g^2) + EPS) elementwise."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params: ad.ParameterSet) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for p in params:
             g = p.value.grad
             m = self.m.setdefault(p.name, np.zeros_like(g))
@@ -212,13 +213,13 @@ class Adam:
             v[...] = b2 * v + (1 - b2) * g * g
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p.value.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.value.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def make_optimizer(cfg: TrainConfig):
     if cfg.optimizer == "sgd":
         return SGD(cfg.lr)
-    return Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    return Adam(cfg.lr)
 
 
 def clip_gradients(params: ad.ParameterSet, clip_norm: float) -> float:
@@ -336,8 +337,7 @@ def train(
                     wall_ms=f"{wall_ms:.1f}",
                 )
             history.append(float(np.mean(epoch_losses)))
-            if epoch % train_cfg.log_every == 0:
-                log.record(epoch=epoch, summary_loss=f"{history[-1]:.10g}")
+            log.record(epoch=epoch, summary_loss=f"{history[-1]:.10g}")
     return TrainResult(model=model, history=history, log=log)
 
 

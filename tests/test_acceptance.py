@@ -44,8 +44,7 @@ def test_c1_gradient_integrity():
 
 def test_c2_grid_reduction_to_textbook_lstm():
     t0 = time.perf_counter()
-    cfg = gl.GridLSTMConfig(hidden_size=6, num_blocks=1, block_skip=1,
-                            cell_units=1)
+    cfg = gl.GridLSTMConfig(hidden_size=6, num_blocks=1, cell_units=1)
     pset = ad.ParameterSet()
     params = gl.init_params(cfg, 5, pset, "cell", np.random.default_rng(3))
     rng = np.random.default_rng(4)
@@ -337,7 +336,7 @@ def test_c9_round_trips_and_viz(tmp_path):
     )
     dcfg = tmp_path / "desk.cfg"
     dcfg.write_text(
-        "hidden_size = 8\nnum_blocks = 2\nblock_skip = 2\ncell_units = 2\n"
+        "hidden_size = 8\nnum_blocks = 2\ncell_units = 2\n"
         "embed_pos = 4\nembed_vis = 4\nfeature_dim = 4\nzones = 4\n"
         "grid_size = 2\ncell_channels = 4\nstatic_input_dim = 8\n"
         "static_hidden = 8\nobs_len = 3\npred_len = 2\n"

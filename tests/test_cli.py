@@ -13,7 +13,6 @@ from g2k.model import TrajectoryModel
 DESK_CFG = """\
 hidden_size = 8
 num_blocks = 2
-block_skip = 2
 cell_units = 2
 embed_pos = 4
 embed_vis = 4
@@ -322,9 +321,11 @@ def _param_row(name, value):
     return edit
 
 
-def _extra_model_key(lines):
-    lines.insert(next(i for i, l in enumerate(lines) if l.startswith("train.")),
-                 "model.bogus 1")
+def _extra_model_line(line):
+    def edit(lines):
+        lines.insert(next(i for i, l in enumerate(lines) if l.startswith("train.")),
+                     line)
+    return edit
 
 
 @pytest.mark.parametrize("edit", [
@@ -334,13 +335,14 @@ def _extra_model_key(lines):
     _replace("model.hidden_size", "model.hidden_size eight"),
     _replace("param ", lambda l: l.rsplit(" ", 1)[0]),
     _non_hex_row,
-    _extra_model_key,
+    _extra_model_line("model.bogus 1"),
+    _extra_model_line("model.block_skip 4"),
     _param_row("decode.b", "nan"),
     _param_row("decode.w", "-inf"),
     _replace("0x", "inf"),
 ], ids=["hash-no-value", "epoch-x", "history-x", "int-field-eight",
-        "param-header-short", "non-hex-row", "unknown-key", "nan-param", "inf-param",
-        "inf-history"])
+        "param-header-short", "non-hex-row", "unknown-key", "retired-key",
+        "nan-param", "inf-param", "inf-history"])
 def test_eval_malformed_ckpt_exits_4(ws, desk_ckpt, capsys, edit):
     assert entry(["eval", "--ckpt", str(desk_ckpt),
                   "--scenario", str(ws / "walk.cfg")]) == 0
@@ -381,6 +383,12 @@ def test_bad_env_seed_is_usage_error(ws, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("line,field", [
+    ("block_skip = 4", "block_skip"),
+    ("mask_trainable = true", "mask_trainable"),
+    ("log_every = 1", "log_every"),
+    ("beta1 = 0.9", "beta1"),
+    ("beta2 = 0.999", "beta2"),
+    ("adam_eps = 1e-8", "adam_eps"),
     ("log_every = 0", "log_every"),
     ("log_every = -3", "log_every"),
     ("beta1 = 1.0", "beta1"),
@@ -391,11 +399,46 @@ def test_bad_env_seed_is_usage_error(ws, monkeypatch, capsys):
     ("adam_eps = -1e-8", "adam_eps"),
 ])
 def test_out_of_range_train_config_is_usage_error(ws, capsys, line, field):
+    """block_skip, mask_trainable, log_every and Adam's beta1, beta2 and
+    adam_eps are constants, not settings: a config line for any of them is
+    an unknown key, whatever its value."""
     (ws / "desk.cfg").write_text(DESK_CFG + line + "\n")
     assert run_train(ws, variant="g_lstm") == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
     assert not (ws / "run").exists()
+
+
+def test_block_skip_flag_is_usage_error(ws, capsys):
+    assert run_train(ws, "--block-skip", "2") == 2
+    assert "--block-skip" in capsys.readouterr().err
+    assert not (ws / "run").exists()
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["train", "--variant", "mc", "--config", "{cfg}", "--dataset", "{no_pan}",
+      "--out", "{out}"], "vislets"),
+    (["train", "--variant", "mcr_mpc", "--config", "{cfg}", "--scenario", "{walk}",
+      "--image", "{pgm}", "--out", "{out}"], "smaller than grid"),
+    (["eval", "--ckpt", "{ckpt}", "--dataset", "{no_pan}"], "vislets"),
+], ids=["train-no-pan", "train-tiny-image", "eval-no-pan"])
+def test_input_the_variant_cannot_use_is_usage_error(ws, capsys, argv, cause):
+    # a TSV without the pan column has no vislets; a 1x1 map is smaller than
+    # the desk grid (grid_size = 2)
+    assert entry(["synth", "--scenario", str(ws / "walk.cfg"),
+                  "--out", str(ws / "walk.tsv")]) == 0
+    rows = (ws / "walk.tsv").read_text().splitlines()
+    (ws / "no_pan.tsv").write_text(
+        "".join(" ".join(r.split()[:4]) + "\n" for r in rows if not r.startswith("#")))
+    (ws / "tiny.pgm").write_text("P2\n1 1\n255\n7\n")
+    model = TrajectoryModel(desk_config("mc"), seed=7)
+    tr.save_checkpoint(str(ws / "ckpt"), model, TrainConfig(epochs=1), 1, [0.5])
+    capsys.readouterr()
+    names = {"cfg": ws / "desk.cfg", "walk": ws / "walk.cfg", "out": ws / "run",
+             "no_pan": ws / "no_pan.tsv", "pgm": ws / "tiny.pgm", "ckpt": ws / "ckpt"}
+    assert entry([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err
 
 
 def test_static_hidden_not_divisible_by_blocks_is_usage_error(ws, capsys):

@@ -13,8 +13,8 @@ from g2k import autodiff as ad
 from g2k import gridlstm as gl
 
 
-def make_cell(hidden=8, blocks=2, skip=2, units=1, input_len=8, seed=0):
-    cfg = gl.GridLSTMConfig(hidden, blocks, skip, units)
+def make_cell(hidden=8, blocks=2, units=1, input_len=8, seed=0):
+    cfg = gl.GridLSTMConfig(hidden, blocks, units)
     pset = ad.ParameterSet()
     params = gl.init_params(cfg, input_len, pset, "cell", np.random.default_rng(seed))
     return cfg, pset, params
@@ -108,7 +108,7 @@ GRID_SHAPES = [(nb, u) for nb in (1, 2, 4) for u in (1, 2, 3)]
 def unroll_setup(blocks, units, n=3, seed=0):
     """Cell (block_hidden 2, block input 2) plus a ParameterSet that also
     holds two steps of inputs and the initial h and c as leaves."""
-    cfg = gl.GridLSTMConfig(2 * blocks, blocks, 1, units)
+    cfg = gl.GridLSTMConfig(2 * blocks, blocks, units)
     pset = ad.ParameterSet()
     g = np.random.default_rng(seed)
     params = gl.init_params(cfg, 2 * blocks, pset, "cell", g, std=0.5)
@@ -215,7 +215,7 @@ def test_sigmoid_saturation_is_finite():
 def test_fused_step_reads_non_contiguous_operands(layout):
     """The kernel reshapes inputs and state.h; views must give the same
     forward and gradients as the composed graph."""
-    cfg = gl.GridLSTMConfig(8, 2, 2, 2)
+    cfg = gl.GridLSTMConfig(8, 2, 2)
     n, width = 5, 8
     pset = ad.ParameterSet()
     g = np.random.default_rng(11)
@@ -261,7 +261,7 @@ def test_zero_preactivation_gates_are_half():
 
 
 def test_init_state_shapes_and_zeros():
-    cfg = gl.GridLSTMConfig(128, 4, 4, 2)
+    cfg = gl.GridLSTMConfig(128, 4, 2)
     st_ = gl.init_state(cfg, 3)
     assert st_.h.data.shape == (3, 128)
     assert st_.c.data.shape == (3, 128)
@@ -271,11 +271,11 @@ def test_init_state_shapes_and_zeros():
 
 def test_config_validation():
     with pytest.raises(gl.GridConfigError):
-        gl.GridLSTMConfig(10, 4, 1, 1)  # 10 % 4 != 0
+        gl.GridLSTMConfig(10, 4, 1)  # 10 % 4 != 0
     with pytest.raises(gl.GridConfigError):
-        gl.GridLSTMConfig(8, 0, 1, 1)
+        gl.GridLSTMConfig(8, 0, 1)
     with pytest.raises(gl.GridConfigError):
-        gl.GridLSTMConfig(8, 2, 3, 1).block_input(8)  # 8 % 6 != 0
+        gl.GridLSTMConfig(8, 2, 1).block_input(9)  # 9 % 2 != 0
 
 
 def test_input_width_mismatch_raises():
@@ -295,7 +295,7 @@ def test_zero_everything_is_fixed_point():
 
 
 def test_single_block_matches_textbook_lstm():
-    cfg, _, params = make_cell(hidden=6, blocks=1, skip=1, units=1, input_len=5, seed=3)
+    cfg, _, params = make_cell(hidden=6, blocks=1, units=1, input_len=5, seed=3)
     g = np.random.default_rng(4)
     xs = [g.normal(size=(4, 5)) for _ in range(100)]
 
@@ -316,7 +316,7 @@ def test_single_block_matches_textbook_lstm():
 
 
 def test_two_step_unroll_gradients():
-    cfg = gl.GridLSTMConfig(4, 2, 1, 2)
+    cfg = gl.GridLSTMConfig(4, 2, 2)
     pset = ad.ParameterSet()
     g = np.random.default_rng(5)
     params = gl.init_params(cfg, 6, pset, "cell", g)
@@ -334,8 +334,8 @@ def test_two_step_unroll_gradients():
 
 
 def test_parameter_count_independent_of_num_blocks():
-    _, pset1, _ = make_cell(hidden=8, blocks=1, skip=1, units=2, input_len=8)
-    _, pset4, _ = make_cell(hidden=8, blocks=4, skip=1, units=2, input_len=8)
+    _, pset1, _ = make_cell(hidden=8, blocks=1, units=2, input_len=8)
+    _, pset4, _ = make_cell(hidden=8, blocks=4, units=2, input_len=8)
     assert len(pset1) == len(pset4)
     assert pset1.names() == pset4.names()
 

@@ -45,7 +45,7 @@ def steps(node):
 
 
 def test_embed_positions_identity_maps():
-    m = desk_model("g_lstm", embed_pos=2, num_blocks=1, block_skip=1)
+    m = desk_model("g_lstm", embed_pos=2, num_blocks=1)
     m.w_pos1.data[...] = np.eye(2)
     m.w_pos2.data[...] = np.eye(2)
     x = np.array([[0.5, -1.5], [2.0, 3.0]])
@@ -53,7 +53,7 @@ def test_embed_positions_identity_maps():
 
 
 def test_embed_positions_annihilator_and_oracle():
-    m = desk_model("g_lstm", embed_pos=2, num_blocks=1, block_skip=1)
+    m = desk_model("g_lstm", embed_pos=2, num_blocks=1)
     g = np.random.default_rng(0)
     w1, w2 = g.normal(size=(2, 2)), g.normal(size=(2, 2))
     m.w_pos1.data[...] = w1
@@ -65,7 +65,7 @@ def test_embed_positions_annihilator_and_oracle():
 
 
 def test_embed_vislets_identity_and_column_selection():
-    m = desk_model("mc", embed_pos=2, embed_vis=2, num_blocks=1, block_skip=1)
+    m = desk_model("mc", embed_pos=2, embed_vis=2, num_blocks=1)
     m.w_vis.data[...] = np.eye(2)
     v = np.array([[0.0, 1.0], [0.0, 0.0]])  # pan pi/2 and absent
     out = m.embed_vislets(ad.constant(v))

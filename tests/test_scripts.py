@@ -51,7 +51,7 @@ def test_mcr_mpc_without_image_warns_once_per_call(tmp_path):
     # train() warns once over all of its scenes; the gradient check, whose
     # forwards run in forked workers, warns nothing
     (tmp_path / "desk.cfg").write_text(
-        "hidden_size = 8\nnum_blocks = 2\nblock_skip = 2\nembed_pos = 4\n"
+        "hidden_size = 8\nnum_blocks = 2\nembed_pos = 4\n"
         "embed_vis = 4\nfeature_dim = 4\nzones = 4\ngrid_size = 2\n"
         "cell_channels = 4\nstatic_input_dim = 8\nstatic_hidden = 8\n"
         "obs_len = 3\npred_len = 2\nneighborhood_size = 8\nepochs = 2\n"
