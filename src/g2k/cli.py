@@ -21,7 +21,7 @@ from . import neighborhood as nb
 from . import training as tr
 from .config import (VARIANTS, ConfigError, ModelConfig, TrainConfig,
                      parse_fields, read_key_values, read_text, write_text)
-from .model import InputError, VariantError
+from .model import InputError
 
 # flag -> field; argparse converts each value with parse_fields
 _MODEL_FLAGS = [
@@ -71,8 +71,6 @@ def _add_config_flags(sub: argparse.ArgumentParser, with_variant: bool) -> None:
     _add_field_flags(sub, _MODEL_FLAGS, ModelConfig)
     sub.add_argument("--no-attention", action="store_true",
                      help="replace learned attention by uniform weights")
-    sub.add_argument("--no-static", action="store_true",
-                     help="disable the static scene grid")
     _add_field_flags(sub, _TRAIN_FLAGS, TrainConfig)
 
 
@@ -141,8 +139,6 @@ def resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
             setattr(mc, dest, v)
     if getattr(args, "no_attention", False):
         mc.attention_enabled = False
-    if getattr(args, "no_static", False):
-        mc.static_grid_enabled = False
     for _, dest in _TRAIN_FLAGS:
         v = getattr(args, dest, None)
         if v is not None:
@@ -196,12 +192,12 @@ def load_batches(args, mc: ModelConfig | None) -> list[da.SceneBatch]:
 def cmd_train(args) -> int:
     mc, tc = resolve_configs(args)
     batches = load_batches(args, mc)
-    os.makedirs(args.out, exist_ok=True)
     try:
         result = tr.train(batches, mc, tc)
     except tr.DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "ckpt")
     tr.save_checkpoint(ckpt_path, result.model, tc, tc.epochs, result.history)
     result.log.write(os.path.join(args.out, "log"))
@@ -338,7 +334,7 @@ def entry(argv: list[str] | None = None) -> int:
     except tr.CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except (ConfigError, VariantError, InputError, nb.GridError, da.ParseError,
+    except (ConfigError, InputError, nb.GridError, da.ParseError,
             da.IntegrityError, da.ScenarioError, ev.MetricError, ev.AblationError,
             FileNotFoundError, IsADirectoryError, FileExistsError,
             NotADirectoryError) as e:

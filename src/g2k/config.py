@@ -46,10 +46,9 @@ class ModelConfig:
     neighborhood_size: int = 32
     obs_len: int = 8
     pred_len: int = 12
-    tau: float = -1.0  # -1 means 1/N at runtime
+    tau: float = -1.0  # -1 means 1/hidden_size, a message row's uniform level
     self_loops: bool = True
     attention_enabled: bool = True
-    static_grid_enabled: bool = True
     init_scale: float = 0.1
 
     def validate(self) -> None:
@@ -86,9 +85,6 @@ class ModelConfig:
         if self.variant != "g_lstm":
             w += self.embed_vis
         return w
-
-    def resolve_tau(self, n_peds: int) -> float:
-        return (1.0 / n_peds) if self.tau == -1.0 else self.tau
 
 
 @dataclass

@@ -18,8 +18,8 @@ from . import autodiff as ad
 from . import data as da
 from .config import ModelConfig, TrainConfig, config_hash, write_text
 from .data import SceneBatch, TrajectoryWindow
-from .model import TrajectoryModel
-from .training import TrainResult, pack_rows, train
+from .model import RELATIONAL, TrajectoryModel
+from .training import pack_rows, train
 
 
 # pedestrian rows per forward graph in evaluate(). The packs are what the
@@ -155,60 +155,51 @@ def _pooled_row(label: str, preds: list[np.ndarray], gts: list[np.ndarray]) -> E
     )
 
 
+def _targets(batches: list[SceneBatch]) -> list[np.ndarray]:
+    return [np.transpose(da.target_positions(b), (1, 0, 2)) for b in batches]
+
+
 def evaluate(
     model: TrajectoryModel,
-    batches: list[SceneBatch] | dict[str, list[SceneBatch]],
+    batches: list[SceneBatch],
     label: str = "synthetic",
 ) -> EvalReport:
-    """Run the model over scenes and pool displacement errors per label.
+    """Run the model over scenes and pool their displacement errors in one
+    row under label.
 
-    Each label's scenes are packed, in order, into forward-only graphs of at
-    most EVAL_PACK_ROWS pedestrians (training.pack_rows), and the packs run
-    under no_grad() on the CPUs the process may use, through one
-    ad.workers() pool for the call. Scenes of every label that lack the
-    image an mcr_mpc model reads are counted in one warning for the call."""
-    groups = batches if isinstance(batches, dict) else {label: batches}
-    for name, group in groups.items():
-        if not group:
-            raise MetricError(f"no scenes under label {name!r}")
-    model.warn_missing_images([b for group in groups.values() for b in group])
+    The scenes are packed, in order, into forward-only graphs of at most
+    EVAL_PACK_ROWS pedestrians (training.pack_rows), and the packs run under
+    no_grad() on the CPUs the process may use, through one ad.spread() call.
+    Scenes that lack the image an mcr_mpc model reads are counted in one
+    warning for the call."""
+    if not batches:
+        raise MetricError(f"no scenes under label {label!r}")
+    model.warn_missing_images(batches)
     t0 = time.perf_counter()
-    rows = []
-    with ad.workers(lambda item: _predict(model, groups[item[0]], item[1])) as run:
-        for name, group in groups.items():
-            packs = pack_rows(range(len(group)), group, EVAL_PACK_ROWS)
-            preds = [p for scenes in run([(name, pack) for pack in packs]) for p in scenes]
-            gts = [np.transpose(da.target_positions(b), (1, 0, 2)) for b in group]
-            rows.append(_pooled_row(name, preds, gts))
+    packs = pack_rows(range(len(batches)), batches, EVAL_PACK_ROWS)
+    preds = [p for scenes in ad.spread(lambda pack: _predict(model, batches, pack), packs)
+             for p in scenes]
     return EvalReport(
         variant=model.cfg.variant,
         cfg_hash=config_hash(model.cfg),
-        rows=rows,
+        rows=[_pooled_row(label, preds, _targets(batches))],
         runtime_s=time.perf_counter() - t0,
     )
 
 
-def _predict(model: TrajectoryModel, group: list[SceneBatch],
+def _predict(model: TrajectoryModel, batches: list[SceneBatch],
              pack: list[int]) -> list[np.ndarray]:
     with ad.no_grad():
-        return model.run([group[i] for i in pack]).scene_predictions()
+        return model.run([batches[i] for i in pack]).scene_predictions()
 
 
-def evaluate_baseline(
-    batches: list[SceneBatch] | dict[str, list[SceneBatch]],
-    label: str = "synthetic",
-) -> EvalReport:
-    groups = batches if isinstance(batches, dict) else {label: batches}
+def evaluate_baseline(batches: list[SceneBatch], label: str = "synthetic") -> EvalReport:
     t0 = time.perf_counter()
-    rows = []
-    for name, group in groups.items():
-        preds = [baseline_predictions(b) for b in group]
-        gts = [np.transpose(da.target_positions(b), (1, 0, 2)) for b in group]
-        rows.append(_pooled_row(name, preds, gts))
+    preds = [baseline_predictions(b) for b in batches]
     return EvalReport(
         variant="constant_velocity",
         cfg_hash="baseline",
-        rows=rows,
+        rows=[_pooled_row(label, preds, _targets(batches))],
         runtime_s=time.perf_counter() - t0,
     )
 
@@ -350,10 +341,14 @@ def ablate(
     """Retrain one model per grid cell and compare against the reference.
 
     The reference is the base config's own cell (its neighborhood capacity,
-    attention and static grid on). A failing cell is recorded and skipped;
-    the sweep always finishes.
+    attention and the base variant). A cell without the static grid trains
+    mcr_n, the variant the paper gets by taking the static grid away. Cells
+    whose configs differ only in neighborhood capacity and whose capped
+    scenes have the same sizes train identical models, so they share one
+    training; each gets the report under its own label and config hash. A
+    failing cell is recorded and skipped; the sweep always finishes.
     """
-    if base_cfg.variant not in ("mcr_n", "mcr_mp", "mcr_mpc"):
+    if base_cfg.variant not in RELATIONAL:
         raise AblationError(
             f"ablation needs a relational variant, got {base_cfg.variant!r}"
         )
@@ -363,21 +358,29 @@ def ablate(
             f"sweep values {tuple(neighborhoods)}"
         )
     reference = AblationCell(base_cfg.neighborhood_size, True, True)
+    trained: dict[tuple, EvalReport | str] = {}
     outcomes = []
     for cell in ablation_grid(neighborhoods):
         cfg = replace(
             base_cfg,
+            variant=base_cfg.variant if cell.static_grid else "mcr_n",
             neighborhood_size=cell.neighborhood,
             attention_enabled=cell.attention,
-            static_grid_enabled=cell.static_grid,
         )
         capped = [_cap_scene(b, cell.neighborhood) for b in batches]
-        try:
-            result: TrainResult = train(capped, cfg, train_cfg)
-            report = evaluate(result.model, capped, label=cell.label)
-            outcomes.append(AblationOutcome(cell=cell, report=report))
-        except Exception as e:  # noqa: BLE001 - cell isolation is the contract
-            outcomes.append(
-                AblationOutcome(cell=cell, error=f"{type(e).__name__}: {e}")
-            )
+        key = (config_hash(replace(cfg, neighborhood_size=0)),
+               tuple(b.n_peds for b in capped))
+        if key not in trained:
+            try:
+                trained[key] = evaluate(train(capped, cfg, train_cfg).model, capped)
+            except Exception as e:  # noqa: BLE001 - cell isolation is the contract
+                trained[key] = f"{type(e).__name__}: {e}"
+        done = trained[key]
+        if isinstance(done, str):
+            outcomes.append(AblationOutcome(cell=cell, error=done))
+        else:
+            outcomes.append(AblationOutcome(cell=cell, report=replace(
+                done, cfg_hash=config_hash(cfg),
+                rows=[replace(r, label=cell.label) for r in done.rows],
+            )))
     return AblationResult(reference=reference, outcomes=outcomes)

@@ -43,10 +43,6 @@ class InputError(ValueError):
     """Batch content unusable for the requested variant."""
 
 
-class VariantError(ValueError):
-    """Operation invoked for a variant that does not wire it."""
-
-
 RELATIONAL = ("mcr_n", "mcr_mp", "mcr_mpc")
 STATIC = ("mcr_mp", "mcr_mpc")
 
@@ -57,7 +53,7 @@ class Diagnostics:
     than copies: only parameter leaves are written in place, so nothing
     changes a map once its step returns. A packed run stacks its scenes'
     rows: the adjacency is block-diagonal and the cell entries hold k rows
-    per scene. TrajectoryModel.edges thresholds a kept adjacency."""
+    per scene."""
 
     adjacency: list[np.ndarray] = field(default_factory=list)
     attention: list[np.ndarray] = field(default_factory=list)
@@ -73,7 +69,7 @@ class KernelRun:
     2k:2k+2; positions, its ad.running_sum from the last observed position,
     telescopes exactly. sizes holds each packed scene's pedestrian count in
     row order; empty means one scene. diagnostics holds each observed step's
-    maps; model.edges(run.diagnostics.adjacency[t], run.sizes) gives edges.
+    maps.
     """
 
     positions: DiffValue
@@ -183,22 +179,17 @@ class TrajectoryModel:
         f_s: DiffValue,
         v_emb: DiffValue,
         rel_feat: DiffValue,
+        blocks: nb.SceneBlocks,
         c_mat: DiffValue | None = None,
-        blocks: nb.SceneBlocks | None = None,
     ) -> DiffValue:
         """Fused relational embedding: (W_v [f_S || V] + b_v) ⊙ (W_r ℱ),
         with ℱ the social features (mcr_n) or the pedestrian-cell score map
-        (static variants); conv context enters as a multiplicative row term,
-        the mean of each scene's cell context rows (blocks lays them out;
-        without it c_mat holds one scene's cells)."""
-        if self.cfg.variant not in RELATIONAL:
-            raise VariantError(f"fuse_features not wired for {self.cfg.variant}")
+        (static variants); mcr_mpc's conv context c_mat enters as a
+        multiplicative row term, the mean of each scene's cell context rows
+        as blocks lays them out."""
         u = ad.bias_add(ad.matmul(ad.concat_cols([f_s, v_emb]), self.w_v), self.b_v)
         f_prime = ad.mul(u, ad.matmul(rel_feat, self.w_r))
         if c_mat is not None:
-            if self.cfg.variant != "mcr_mpc":
-                raise VariantError("conv context only enters the mcr_mpc fusion")
-            blocks = blocks or nb.SceneBlocks([f_s.data.shape[0]], c_mat.data.shape[0])
             mean = ad.matmul(ad.constant(blocks.cell_mean), c_mat)
             f_prime = blocks.scene_row_mul(f_prime, ad.matmul(mean, self.w_c))
         return f_prime
@@ -212,8 +203,6 @@ class TrajectoryModel:
 
     def message_pass(self, h: DiffValue, static_imp: DiffValue, tau: float) -> DiffValue:
         """Importance-weight node states, softmax, zero sub-threshold links."""
-        if self.cfg.variant not in STATIC:
-            raise VariantError(f"message_pass not wired for {self.cfg.variant}")
         mixed = ad.stable_softmax(ad.mul(static_imp, h))
         if tau <= 0.0:
             return mixed
@@ -229,20 +218,6 @@ class TrajectoryModel:
             logits = ad.add(logits, ad.constant(mask))
         return ad.stable_softmax(logits)
 
-    def edges(self, a: np.ndarray, sizes: Sequence[int]) -> list[tuple[int, int]]:
-        """Surviving edges of an adjacency map a kept in Diagnostics, for a
-        run whose scenes hold sizes pedestrians (KernelRun.sizes). Each
-        scene is thresholded at its own resolve_tau(n_s), no edge crosses
-        scenes and the diagonal is dropped without self loops. Pairs are
-        packed row indices, row-major, as Python ints."""
-        blocks = nb.SceneBlocks(sizes, 0)
-        taus = np.array([self.cfg.resolve_tau(n) for n in blocks.sizes])
-        keep = (a >= taus[blocks.scene_of, None]) & blocks.same_scene
-        if not self.cfg.self_loops:
-            np.fill_diagonal(keep, False)
-        # argwhere walks row-major; tolist() gives Python ints
-        return list(map(tuple, np.argwhere(keep).tolist()))
-
     # -- full unroll ---------------------------------------------------------
 
     def _resolve_mp_tau(self) -> float:
@@ -256,7 +231,7 @@ class TrajectoryModel:
         without a scene image, naming how many; run() gives each such scene
         a constant map, silently. train(), evaluate() and g2k viz call this
         once per call, over all of that call's scenes."""
-        if self.cfg.variant != "mcr_mpc" or not self.cfg.static_grid_enabled:
+        if self.cfg.variant != "mcr_mpc":
             return
         missing = sum(b.scene_image is None for b in scenes)
         if missing:
@@ -317,7 +292,7 @@ class TrajectoryModel:
         blocks = nb.SceneBlocks([o.shape[1] for o in parts], cfg.num_cells)
 
         relational = cfg.variant in RELATIONAL
-        static_on = cfg.variant in STATIC and cfg.static_grid_enabled
+        static_on = cfg.variant in STATIC
         diag = Diagnostics()
         state = gl.init_state(self.social_cfg, blocks.n)
 
@@ -370,9 +345,8 @@ class TrajectoryModel:
                 rel_feat = f_s
 
             f_prime = self.fuse_features(
-                f_s, v_emb, rel_feat,
-                c_mat if (cfg.variant == "mcr_mpc" and static_on) else None,
-                blocks,
+                f_s, v_emb, rel_feat, blocks,
+                c_mat if cfg.variant == "mcr_mpc" else None,
             )
 
             a_z = self.attention(f_prime)

@@ -485,7 +485,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     stored_hash = take_value("hash")
     epoch = count(take_value("epoch"))
-    pairs: dict[str, list[tuple[str, str]]] = {"model": [], "train": []}
+    pairs: dict[str, list[tuple[int, str, str]]] = {"model": [], "train": []}
     while True:
         key, _, value = take().partition(" ")
         if key == "history":
@@ -493,7 +493,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         section, _, name = key.partition(".")
         if section not in pairs:
             raise fail(f"unexpected line {lines[i - 1]!r}")
-        pairs[section].append((name, value))
+        pairs[section].append((i, name, value))
     history = hex_rows(count(value), 1)[:, 0].tolist()
     model_cfg = _stored_config(ModelConfig, pairs["model"], path)
     train_cfg = _stored_config(TrainConfig, pairs["train"], path)
@@ -512,13 +512,15 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(model_cfg, train_cfg, epoch, history, state, stored_hash)
 
 
-def _stored_config(cls, pairs: list[tuple[str, str]], path: str):
-    """Config dataclass from a checkpoint's `section.key value` lines, every
-    field present."""
-    try:
-        kw = parse_fields(cls, pairs)
-    except ConfigError as e:
-        raise CheckpointError(f"{path}: {e}") from None
+def _stored_config(cls, lines: list[tuple[int, str, str]], path: str):
+    """Config dataclass from a checkpoint's `section.key value` lines, given
+    as (line number, key, value), every field present."""
+    kw = {}
+    for lineno, key, raw in lines:
+        try:
+            kw.update(parse_fields(cls, [(key, raw)]))
+        except ConfigError as e:
+            raise CheckpointError(f"{path}:{lineno}: {e}") from None
     missing = [f.name for f in fields(cls) if f.name not in kw]
     if missing:
         raise CheckpointError(f"{path}: checkpoint misses config field {missing[0]}")

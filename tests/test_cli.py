@@ -1,5 +1,7 @@
 """End-to-end subcommand behavior via entry(), including exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,21 @@ def test_train_non_finite_gradient_exits_3(ws, capsys, monkeypatch):
     assert run_train(ws) == 3
     assert "gradient norm is not finite" in capsys.readouterr().err
     assert not (ws / "run" / "ckpt").exists()
+
+
+@pytest.mark.parametrize("code", [2, 3], ids=["tiny-image", "divergence"])
+def test_failed_train_leaves_no_run_directory(ws, capsys, code):
+    # both fail inside train(): a map smaller than the grid, a diverging loss
+    (ws / "tiny.pgm").write_text("P2\n1 1\n255\n7\n")
+    if code == 2:
+        argv = ["--image", str(ws / "tiny.pgm")]
+        variant = "mcr_mpc"
+    else:
+        argv = ["--optimizer", "sgd", "--lr", "1e12", "--epochs", "20"]
+        variant = "g_lstm"
+    assert run_train(ws, *argv, variant=variant) == code
+    assert "error:" in capsys.readouterr().err
+    assert not (ws / "run").exists()
 
 
 def test_flag_beats_config_file(ws):
@@ -337,11 +354,13 @@ def _extra_model_line(line):
     _non_hex_row,
     _extra_model_line("model.bogus 1"),
     _extra_model_line("model.block_skip 4"),
+    _extra_model_line("model.static_grid_enabled true"),
     _param_row("decode.b", "nan"),
     _param_row("decode.w", "-inf"),
     _replace("0x", "inf"),
 ], ids=["hash-no-value", "epoch-x", "history-x", "int-field-eight",
         "param-header-short", "non-hex-row", "unknown-key", "retired-key",
+        "retired-static-grid",
         "nan-param", "inf-param", "inf-history"])
 def test_eval_malformed_ckpt_exits_4(ws, desk_ckpt, capsys, edit):
     assert entry(["eval", "--ckpt", str(desk_ckpt),
@@ -354,6 +373,17 @@ def test_eval_malformed_ckpt_exits_4(ws, desk_ckpt, capsys, edit):
                   "--scenario", str(ws / "walk.cfg")])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_ckpt_config_error_names_its_line(desk_ckpt):
+    # a checkpoint written while the static grid had an on/off switch
+    line = "model.static_grid_enabled true"
+    lines = desk_ckpt.read_text().splitlines()
+    _extra_model_line(line)(lines)
+    desk_ckpt.write_text("\n".join(lines) + "\n")
+    want = f"{desk_ckpt}:{lines.index(line) + 1}: unknown key 'static_grid_enabled'"
+    with pytest.raises(tr.CheckpointError, match=re.escape(want)):
+        tr.load_checkpoint(str(desk_ckpt))
 
 
 @pytest.mark.parametrize("bad,argv,code", [
@@ -397,11 +427,14 @@ def test_bad_env_seed_is_usage_error(ws, monkeypatch, capsys):
     ("beta2 = -0.5", "beta2"),
     ("adam_eps = 0.0", "adam_eps"),
     ("adam_eps = -1e-8", "adam_eps"),
+    ("static_grid_enabled = true", "static_grid_enabled"),
+    ("static_grid_enabled = false", "static_grid_enabled"),
 ])
 def test_out_of_range_train_config_is_usage_error(ws, capsys, line, field):
     """block_skip, mask_trainable, log_every and Adam's beta1, beta2 and
-    adam_eps are constants, not settings: a config line for any of them is
-    an unknown key, whatever its value."""
+    adam_eps are constants, not settings, and a model without the static
+    grid is the variant mcr_n: a config line for any of them is an unknown
+    key, whatever its value."""
     (ws / "desk.cfg").write_text(DESK_CFG + line + "\n")
     assert run_train(ws, variant="g_lstm") == 2
     err = capsys.readouterr().err
@@ -412,6 +445,12 @@ def test_out_of_range_train_config_is_usage_error(ws, capsys, line, field):
 def test_block_skip_flag_is_usage_error(ws, capsys):
     assert run_train(ws, "--block-skip", "2") == 2
     assert "--block-skip" in capsys.readouterr().err
+    assert not (ws / "run").exists()
+
+
+def test_no_static_flag_is_usage_error(ws, capsys):
+    assert run_train(ws, "--no-static", variant="mcr_mp") == 2
+    assert "--no-static" in capsys.readouterr().err
     assert not (ws / "run").exists()
 
 

@@ -1,6 +1,7 @@
 """Metric oracles, baseline behavior, report plumbing, the ablation sweep."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,17 +189,10 @@ def test_check_invariants_flags_non_finite_metrics(bad):
     assert "a: non-finite metric" in ev.check_invariants(report)
 
 
-def test_evaluate_multi_label():
-    model = md.TrajectoryModel(desk_config("g_lstm"), seed=2)
-    rep = ev.evaluate(model, {"a": [scene(seed=1)], "b": [scene(seed=2)]})
-    assert [r.label for r in rep.rows] == ["a", "b"]
-    assert rep.mean_ade == pytest.approx(np.mean([r.ade for r in rep.rows]))
-
-
 def test_evaluate_empty_label_rejected():
     model = md.TrajectoryModel(desk_config("g_lstm"), seed=2)
     with pytest.raises(ev.MetricError):
-        ev.evaluate(model, {"empty": []})
+        ev.evaluate(model, [], label="empty")
 
 
 def test_report_csv_deterministic_and_runtime_free():
@@ -266,6 +260,44 @@ def test_ablate_deterministic():
     r1 = ev.ablate(batches, sweep_cfg(), small_train_cfg())
     r2 = ev.ablate(batches, sweep_cfg(), small_train_cfg())
     assert ev.ablation_csv(r1) == ev.ablation_csv(r2)
+
+
+def rows_bits(report):
+    return [(r.label, r.ade.hex(), r.fde.hex(), [e.hex() for e in r.step_errors],
+             r.n_scenes, r.n_peds) for r in report.rows]
+
+
+def test_ablate_nostatic_cells_train_mcr_n():
+    batches = [scene(seed=1), scene(kind="group_walk", seed=2)]
+    result = ev.ablate(batches, sweep_cfg(), small_train_cfg())
+    cfg = replace(sweep_cfg("mcr_n"), attention_enabled=False)
+    want = ev.evaluate(tr.train(batches, cfg, small_train_cfg()).model, batches)
+    for n in (32, 64):
+        cell = ev.AblationCell(n, False, False)
+        got = result.outcome(cell).report
+        assert got.variant == "mcr_n"
+        assert got.cfg_hash == config_hash(replace(cfg, neighborhood_size=n))
+        assert rows_bits(got) == rows_bits(replace(want, rows=[
+            replace(r, label=cell.label) for r in want.rows]))
+
+
+def test_ablate_trains_each_distinct_cell_once(monkeypatch):
+    calls = []
+    real_train = ev.train
+
+    def counted(batches, cfg, tcfg):
+        calls.append(cfg.neighborhood_size)
+        return real_train(batches, cfg, tcfg)
+
+    monkeypatch.setattr(ev, "train", counted)
+    three = [scene(seed=1)]
+    ev.ablate(three, sweep_cfg(), small_train_cfg())
+    assert calls == [32] * 4  # both caps keep all 3: the n64 cells share
+    calls.clear()
+    result = ev.ablate(three, replace(sweep_cfg(), neighborhood_size=2),
+                       small_train_cfg(), neighborhoods=(2, 3))
+    assert calls == [2] * 4 + [3] * 4  # a cap of 2 drops a pedestrian
+    assert [o.report.rows[0].n_peds for o in result.outcomes] == [2] * 4 + [3] * 4
 
 
 def test_ablate_isolates_cell_failures(monkeypatch):

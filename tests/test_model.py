@@ -29,10 +29,8 @@ def desk_model(variant="mcr_n", seed=0, **overrides):
 
 
 def adjacency(m, h):
-    """One scene's adjacency map over node states h, and its edges."""
-    n = h.data.shape[0]
-    a = m.adjacency_map(h, nb.SceneBlocks([n], 0))
-    return a, m.edges(a.data, [n])
+    """One scene's adjacency map over node states h."""
+    return m.adjacency_map(h, nb.SceneBlocks([h.data.shape[0]], 0))
 
 
 def steps(node):
@@ -121,23 +119,22 @@ def test_adjacency_rows_sum_to_one():
     m = desk_model()
     g = np.random.default_rng(3)
     h = ad.constant(g.normal(size=(5, m.cfg.hidden_size)))
-    a, nu = adjacency(m, h)
+    a = adjacency(m, h)
+    assert a.data.shape == (5, 5)
     assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-9)
-    assert all(0 <= i < 5 and 0 <= j < 5 for i, j in nu)
 
 
 def test_adjacency_single_node():
     m = desk_model()
-    a, nu = adjacency(m, ad.constant(np.ones((1, m.cfg.hidden_size))))
+    a = adjacency(m, ad.constant(np.ones((1, m.cfg.hidden_size))))
     assert a.data.shape == (1, 1)
     assert a.data[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert nu == [(0, 0)]
 
 
 def test_adjacency_identical_rows_uniform():
     m = desk_model()
     h = ad.constant(np.tile(np.linspace(0, 1, m.cfg.hidden_size), (3, 1)))
-    a, _ = adjacency(m, h)
+    a = adjacency(m, h)
     assert np.allclose(a.data, 1.0 / 3.0, atol=1e-12)
 
 
@@ -145,7 +142,7 @@ def test_adjacency_matches_bilinear_oracle():
     m = desk_model()
     g = np.random.default_rng(4)
     h = g.normal(size=(3, m.cfg.hidden_size))
-    a, _ = adjacency(m, ad.constant(h))
+    a = adjacency(m, ad.constant(h))
     logits = h @ m.w_a.data @ h.T
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     assert np.max(np.abs(a.data - e / e.sum(axis=1, keepdims=True))) < 1e-12
@@ -154,26 +151,9 @@ def test_adjacency_matches_bilinear_oracle():
 def test_adjacency_self_loop_flag():
     m = desk_model(self_loops=False)
     g = np.random.default_rng(5)
-    a, nu = adjacency(m, ad.constant(g.normal(size=(3, m.cfg.hidden_size))))
+    a = adjacency(m, ad.constant(g.normal(size=(3, m.cfg.hidden_size))))
     assert np.allclose(np.diag(a.data), 0.0, atol=1e-12)
-    assert all(i != j for i, j in nu)
     assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-9)
-
-
-@pytest.mark.parametrize("self_loops", [True, False], ids=["loops", "no-loops"])
-def test_adjacency_edges_match_double_loop_oracle(self_loops):
-    m = desk_model(self_loops=self_loops, tau=-1.0)
-    g = np.random.default_rng(8)
-    for n in (1, 2, 3, 5, 8):
-        for _ in range(4):
-            h = g.normal(size=(n, m.cfg.hidden_size)) * g.uniform(0.1, 3.0)
-            a, nu = adjacency(m, ad.constant(h))
-            tau = m.cfg.resolve_tau(max(n, 1))
-            oracle = [(i, j) for i in range(n) for j in range(n)
-                      if a.data[i, j] >= tau and (self_loops or i != j)]
-            assert nu == oracle
-            assert all(type(e) is tuple and type(e[0]) is int
-                       and type(e[1]) is int for e in nu)
 
 
 def test_update_states_cases():
@@ -214,19 +194,14 @@ def test_message_pass_thresholds_sub_uniform():
     assert (out.data == 0).sum() == 2  # exactly the sub-uniform entry per row
 
 
-def test_message_pass_wrong_variant():
-    m = desk_model("mcr_n")
-    with pytest.raises(md.VariantError):
-        m.message_pass(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))), 0.0)
-
-
 def test_fuse_features_term_by_term_oracle():
     m = desk_model("mcr_n", seed=3)
     g = np.random.default_rng(8)
     d, dv, z = m.cfg.feature_dim, m.cfg.embed_vis, m.cfg.zones
     f_s = g.normal(size=(2, d))
     v = g.normal(size=(2, dv))
-    out = m.fuse_features(ad.constant(f_s), ad.constant(v), ad.constant(f_s))
+    out = m.fuse_features(ad.constant(f_s), ad.constant(v), ad.constant(f_s),
+                          nb.SceneBlocks([2], m.cfg.num_cells))
     u = np.hstack([f_s, v]) @ m.w_v.data + m.b_v.data
     r = f_s @ m.w_r.data
     assert np.max(np.abs(out.data - u * r)) < 1e-12
@@ -241,6 +216,7 @@ def test_fuse_features_wr_zero_annihilates():
         ad.constant(g.normal(size=(2, m.cfg.feature_dim))),
         ad.constant(g.normal(size=(2, m.cfg.embed_vis))),
         ad.constant(g.normal(size=(2, m.cfg.feature_dim))),
+        nb.SceneBlocks([2], m.cfg.num_cells),
     )
     assert np.all(out.data == 0.0)
 
@@ -253,17 +229,10 @@ def test_fuse_features_conv_context_term():
     rel = g.normal(size=(2, m.cfg.num_cells))
     c_mat = g.normal(size=(m.cfg.num_cells, m.cfg.cell_channels + m.cfg.feature_dim))
     out = m.fuse_features(ad.constant(f_s), ad.constant(v), ad.constant(rel),
-                          ad.constant(c_mat))
+                          nb.SceneBlocks([2], m.cfg.num_cells), ad.constant(c_mat))
     u = np.hstack([f_s, v]) @ m.w_v.data + m.b_v.data
     ctx = c_mat.mean(axis=0, keepdims=True) @ m.w_c.data
     assert np.max(np.abs(out.data - u * (rel @ m.w_r.data) * ctx)) < 1e-12
-
-
-def test_fuse_features_guards_variant():
-    m = desk_model("g_lstm")
-    with pytest.raises(md.VariantError):
-        m.fuse_features(ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4))),
-                        ad.constant(np.zeros((1, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +379,6 @@ def test_recorded_maps_survive_backward_update_and_rerun():
         assert a.tobytes() != c.tobytes()  # the update moved every map
 
 
-def test_static_grid_ablated_falls_back_to_node_softmax():
-    a = desk_model("mcr_mp", seed=9, static_grid_enabled=False)
-    run = a.run(desk_batch(seed=29))
-    assert run.diagnostics.cell_attention == []
-    assert run.predictions.shape == (3, 2, 2)
-
-
 def test_attention_ablated_still_runs():
     m = desk_model("mcr_mp", seed=10, attention_enabled=False)
     run = m.run(desk_batch(seed=31))
@@ -438,7 +400,6 @@ def test_mpc_without_image_warns_and_runs():
         run = m.run(batch)
         # no static grid reads an image here
         desk_model("mcr_mp").warn_missing_images([batch])
-        desk_model("mcr_mpc", static_grid_enabled=False).warn_missing_images([batch])
     assert run.predictions.shape == (3, 2, 2)
 
 

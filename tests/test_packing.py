@@ -59,7 +59,6 @@ CASES = [
     {},
     {"self_loops": False},
     {"attention_enabled": False},
-    {"static_grid_enabled": False},
     {"tau": 0.0},
 ]
 
@@ -73,7 +72,7 @@ def test_packed_run_matches_per_scene_loop(variant, overrides):
         with_images(batch_list)
     targets = [da.target_positions(b) for b in batch_list]
 
-    preds, losses, edges, want = [], [], [], None
+    preds, losses, maps, want = [], [], [], None
     for b, t in zip(batch_list, targets):
         model.params.zero_grad()
         run = model.run(b)
@@ -81,7 +80,7 @@ def test_packed_run_matches_per_scene_loop(variant, overrides):
         ad.backward(loss)
         preds.append(run.predictions)
         losses.append(float(loss.data[0, 0]))
-        edges.append([model.edges(a, run.sizes) for a in run.diagnostics.adjacency])
+        maps.append(run.diagnostics.adjacency)
         g = grads(model)
         want = g if want is None else {k: want[k] + g[k] for k in g}
 
@@ -98,13 +97,14 @@ def test_packed_run_matches_per_scene_loop(variant, overrides):
     for name, g in grads(model).items():
         assert np.max(np.abs(g - want[name] / len(batch_list))) < TOL, name
 
-    # edges stay inside each scene's block, and are that scene's own edges
+    # each scene's adjacency block is that scene's own map, and no weight
+    # crosses scenes
+    blocks = nb.SceneBlocks(CROWDS, model.cfg.num_cells)
     starts = np.cumsum([0, *CROWDS])
     for t, a in enumerate(run.diagnostics.adjacency):
-        packed = model.edges(a, run.sizes)
-        shifted = [(i + s0, j + s0) for s0, per_scene in zip(starts, edges)
-                   for i, j in per_scene[t]]
-        assert packed == sorted(shifted)
+        assert np.all(a[~blocks.same_scene] == 0.0)
+        for s0, s1, per_scene in zip(starts, starts[1:], maps):
+            assert np.max(np.abs(a[s0:s1, s0:s1] - per_scene[t])) < TOL
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -155,15 +155,15 @@ def test_scene_blocks_one_scene_is_the_plain_mean():
 
 
 def test_fallback_warning_once_per_run_counts_scenes():
-    # evaluate() warns once, counting the scenes of every label; run()
-    # itself never warns
+    # evaluate() warns once, counting the call's scenes; run() itself never
+    # warns
     model = packing_model("mcr_mpc")
     batch_list = with_images(scenes((2, 3, 1, 4)))  # images on scenes 1 and 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model.run(batch_list)
     with pytest.warns(UserWarning) as caught:
-        ev.evaluate(model, {"a": batch_list, "b": batch_list[:1]})
+        ev.evaluate(model, batch_list + batch_list[:1])
     assert [str(w.message) for w in caught] == [
         "no scene image in 3 of 5 scenes; using a constant fallback map"]
     with warnings.catch_warnings():
@@ -383,20 +383,19 @@ def test_training_reports_a_failed_child_and_reaps_every_child(tmp_path, monkeyp
 def test_evaluate_is_bit_identical_for_any_worker_count(monkeypatch, tmp_path):
     model = packing_model("mcr_mp")
     batch_list = scenes((5, 2, 1, 4, 3, 6, 2))
-    labels = {"a": batch_list, "b": batch_list[::-1][:4]}
     monkeypatch.setattr(ev, "EVAL_PACK_ROWS", 6)  # packs of 5, 3, 4, 3, 6, 2 rows
     reports = []
     for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus)
         forked = record_forks(monkeypatch)
         with only_caller_returns(tmp_path / "log"):
-            report = ev.evaluate(model, labels)
+            report = ev.evaluate(model, batch_list)
         assert_no_child_left()
         assert len(forked) == cpus - 1
         reports.append([(r.label, r.ade.hex(), r.fde.hex(), [e.hex() for e in r.step_errors],
                          r.n_scenes, r.n_peds) for r in report.rows])
     assert reports[0] == reports[1] == reports[2]
-    assert [row[-1] for row in reports[0]] == [23, 15]
+    assert [row[-1] for row in reports[0]] == [23]
 
 
 def test_training_shows_pack_warnings_in_pack_order(tmp_path, monkeypatch):
