@@ -2,11 +2,11 @@
 """Retrain the ablation grid on the curved synthetic fixture.
 
 Eight cells: neighborhood capacity {32, 64} x attention {on, off} x static
-grid {on, off}, every cell trained from scratch with the same seed, scored
-against the capacity-32 cell with everything on. A cell without the static
-grid trains mcr_n. Synthetic crowds are far below either capacity, so the
-two capacities share each training here; on real data it is the axis that
-matters.
+grid {on, off}, each distinct cell trained from scratch with the same seed,
+scored against the capacity-32 cell with everything on. A cell without the
+static grid trains mcr_n. Synthetic crowds are far below either capacity, so
+the two capacities share each training here; on real data it is the axis
+that matters.
 """
 
 import argparse
