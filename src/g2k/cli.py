@@ -2,8 +2,15 @@
 
 Configuration resolves in three layers: dataclass defaults, then a key=value
 config file, then explicit flags; the G2K_SEED environment variable beats all
-of them for the seed. Exit codes: 0 ok, 2 usage or bad input, 3 divergence,
-4 checkpoint/config mismatch, 5 gradient check failure.
+of them for the seed.
+
+Exit codes, mapped in entry() by error class:
+  0  ok
+  1  the eval report failed its own invariants
+  2  usage or bad input: InputError, or an OSError on a path the user named
+  3  training diverged: DivergenceError
+  4  unusable checkpoint, or flags that contradict it: CheckpointError
+  5  gradient check failure
 """
 
 from __future__ import annotations
@@ -17,11 +24,9 @@ import numpy as np
 from . import autodiff as ad
 from . import data as da
 from . import evaluation as ev
-from . import neighborhood as nb
 from . import training as tr
-from .config import (VARIANTS, ConfigError, ModelConfig, TrainConfig,
+from .config import (VARIANTS, InputError, ModelConfig, TrainConfig,
                      parse_fields, read_key_values, read_text, write_text)
-from .model import InputError
 
 # flag -> field; argparse converts each value with parse_fields
 _MODEL_FLAGS = [
@@ -59,7 +64,7 @@ def _add_field_flags(sub: argparse.ArgumentParser, flags, cls) -> None:
         def convert(raw: str, dest=dest):
             try:
                 return parse_fields(cls, [(dest, raw)])[dest]
-            except ConfigError as e:
+            except InputError as e:
                 raise argparse.ArgumentTypeError(str(e)) from None
         sub.add_argument(flag, dest=dest, type=convert, default=None)
 
@@ -128,8 +133,8 @@ def resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
         text = read_text(args.config)
         try:
             model_kw, train_kw = read_key_values(text, ModelConfig, TrainConfig)
-        except ConfigError as e:
-            raise ConfigError(f"{args.config}: {e}") from None
+        except InputError as e:
+            raise InputError(f"{args.config}: {e}") from None
     mc, tc = ModelConfig(**model_kw), TrainConfig(**train_kw)
     if getattr(args, "variant", None):
         mc.variant = args.variant
@@ -147,8 +152,8 @@ def resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
     if env_seed is not None:
         try:
             tc.seed = parse_fields(TrainConfig, [("seed", env_seed)])["seed"]
-        except ConfigError as e:
-            raise ConfigError(f"G2K_SEED: {e}") from None
+        except InputError as e:
+            raise InputError(f"G2K_SEED: {e}") from None
     mc.validate()
     tc.validate()
     return mc, tc
@@ -163,7 +168,7 @@ def load_batches(args, mc: ModelConfig | None) -> list[da.SceneBatch]:
     if getattr(args, "scenario", None):
         sc = da.load_scenario(args.scenario)
         if mc is not None and (sc.obs_len, sc.pred_len) != (mc.obs_len, mc.pred_len):
-            raise ConfigError(
+            raise InputError(
                 f"scenario windows {sc.obs_len}/{sc.pred_len} do not match "
                 f"model obs/pred {mc.obs_len}/{mc.pred_len}"
             )
@@ -175,9 +180,9 @@ def load_batches(args, mc: ModelConfig | None) -> list[da.SceneBatch]:
             points, cfg.obs_len, cfg.pred_len, max_peds=cfg.neighborhood_size
         )
     else:
-        raise ConfigError("need --scenario or --dataset")
+        raise InputError("need --scenario or --dataset")
     if not batches:
-        raise ConfigError("input produced no complete windows")
+        raise InputError("input produced no complete windows")
     if getattr(args, "image", None):
         img = da.read_pgm(args.image)
         for b in batches:
@@ -189,14 +194,22 @@ def load_batches(args, mc: ModelConfig | None) -> list[da.SceneBatch]:
 # subcommands
 
 
+def _check_out_dir(path: str) -> None:
+    """InputError if path cannot become a directory: it names an existing
+    non-directory, or its first existing ancestor is not a directory.
+    Creates nothing."""
+    probe = path
+    while probe and not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if probe and not os.path.isdir(probe):
+        raise InputError(f"--out {path}: {probe} is not a directory")
+
+
 def cmd_train(args) -> int:
     mc, tc = resolve_configs(args)
     batches = load_batches(args, mc)
-    try:
-        result = tr.train(batches, mc, tc)
-    except tr.DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    _check_out_dir(args.out)
+    result = tr.train(batches, mc, tc)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "ckpt")
     tr.save_checkpoint(ckpt_path, result.model, tc, tc.epochs, result.history)
@@ -207,13 +220,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _flag_mismatches(args, cfg: ModelConfig) -> list[str]:
-    out = []
+def _check_flags_match(args, cfg: ModelConfig) -> None:
+    """CheckpointError naming every model flag that contradicts cfg."""
+    bad = []
     for _, dest in _MODEL_FLAGS:
         v = getattr(args, dest, None)
         if v is not None and getattr(cfg, dest) != v:
-            out.append(f"{dest}: checkpoint has {getattr(cfg, dest)}, flag says {v}")
-    return out
+            bad.append(f"{dest}: checkpoint has {getattr(cfg, dest)}, flag says {v}")
+    if bad:
+        raise tr.CheckpointError("config mismatch: " + "; ".join(bad))
 
 
 def cmd_eval(args) -> int:
@@ -222,13 +237,9 @@ def cmd_eval(args) -> int:
         report = ev.evaluate_baseline(batches)
     else:
         if not args.ckpt:
-            raise ConfigError("need --ckpt (or --baseline)")
+            raise InputError("need --ckpt (or --baseline)")
         ck = tr.load_checkpoint(args.ckpt)
-        bad = _flag_mismatches(args, ck.model_cfg)
-        if bad:
-            for b in bad:
-                print(f"config mismatch: {b}", file=sys.stderr)
-            return 4
+        _check_flags_match(args, ck.model_cfg)
         model = ck.restore()
         batches = load_batches(args, ck.model_cfg)
         report = ev.evaluate(model, batches)
@@ -257,17 +268,15 @@ def cmd_viz(args) -> int:
     model = ck.restore()
     batches = load_batches(args, ck.model_cfg)
     if not 0 <= args.scene < len(batches):
-        print(f"error: --scene {args.scene} out of range "
-              f"(have {len(batches)} batches)", file=sys.stderr)
-        return 2
+        raise InputError(f"--scene {args.scene} out of range "
+                         f"(have {len(batches)} batches)")
     model.warn_missing_images([batches[args.scene]])
     with ad.no_grad():
         run = model.run(batches[args.scene])
     diag = run.diagnostics
     if not diag.adjacency:
-        print(f"error: variant {ck.model_cfg.variant} infers no adjacency; "
-              "nothing to export", file=sys.stderr)
-        return 2
+        raise InputError(f"variant {ck.model_cfg.variant} infers no adjacency; "
+                         "nothing to export")
     os.makedirs(args.out, exist_ok=True)
     h = ck.cfg_hash
 
@@ -323,7 +332,15 @@ _DISPATCH = {
 }
 
 
+def _fail(err: Exception, code: int) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return code
+
+
 def entry(argv: list[str] | None = None) -> int:
+    """Run one subcommand; its errors become exit codes by class (module
+    docstring). Any other error propagates with its traceback: it is a fault
+    of the program, not of its input."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -332,14 +349,13 @@ def entry(argv: list[str] | None = None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except tr.CheckpointError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (ConfigError, InputError, nb.GridError, da.ParseError,
-            da.IntegrityError, da.ScenarioError, ev.MetricError, ev.AblationError,
-            FileNotFoundError, IsADirectoryError, FileExistsError,
-            NotADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _fail(e, 4)
+    except tr.DivergenceError as e:
+        return _fail(e, 3)
+    except (InputError, OSError) as e:
+        if isinstance(e, OSError) and e.filename is None:
+            raise  # names no path the user gave
+        return _fail(e, 2)
 
 
 def main() -> None:

@@ -18,8 +18,9 @@ from dataclasses import dataclass, fields
 VARIANTS = ("g_lstm", "mc", "mcr_n", "mcr_mp", "mcr_mpc")
 
 
-class ConfigError(ValueError):
-    """Invalid or inconsistent configuration values."""
+class InputError(ValueError):
+    """Input from outside the program that g2k cannot use: a config, scenario,
+    track file, scene image, flag value or batch. The CLI exits 2 on it."""
 
 
 @dataclass
@@ -53,28 +54,28 @@ class ModelConfig:
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+            raise InputError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         for name in ("hidden_size", "num_blocks", "cell_units", "embed_pos",
                      "embed_vis", "feature_dim", "zones", "grid_size",
                      "cell_channels", "static_input_dim", "static_hidden",
                      "neighborhood_size", "obs_len", "pred_len"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+                raise InputError(f"{name} must be a positive integer, got {v!r}")
         for name, width in (("hidden_size", self.hidden_size),
                             ("static_hidden", self.static_hidden),
                             ("social input width", self.social_input_width()),
                             ("static_input_dim", self.static_input_dim)):
             if width % self.num_blocks != 0:
-                raise ConfigError(
+                raise InputError(
                     f"{name} {width} not divisible by num_blocks {self.num_blocks}"
                 )
         if self.lambda_reg <= 0:
-            raise ConfigError(f"lambda_reg must be positive, got {self.lambda_reg}")
+            raise InputError(f"lambda_reg must be positive, got {self.lambda_reg}")
         if self.tau != -1.0 and not (0.0 <= self.tau <= 1.0):
-            raise ConfigError(f"tau must be -1 (auto) or in [0, 1], got {self.tau}")
+            raise InputError(f"tau must be -1 (auto) or in [0, 1], got {self.tau}")
         if self.init_scale <= 0:
-            raise ConfigError(f"init_scale must be positive, got {self.init_scale}")
+            raise InputError(f"init_scale must be positive, got {self.init_scale}")
 
     @property
     def num_cells(self) -> int:
@@ -100,13 +101,13 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+            raise InputError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+            raise InputError("epochs and batch_size must be >= 1")
         if self.lr < 0:
-            raise ConfigError(f"lr must be nonnegative, got {self.lr}")
+            raise InputError(f"lr must be nonnegative, got {self.lr}")
         if self.clip_norm < 0:
-            raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
+            raise InputError(f"clip_norm must be >= 0, got {self.clip_norm}")
 
 
 def config_items(cfg) -> list[tuple[str, str]]:
@@ -145,18 +146,18 @@ def parse_fields(cls, pairs) -> dict[str, object]:
 
     The type comes from the field's annotation, a string such as "int" under
     postponed evaluation. Bools are exactly true/false and floats must be
-    finite; an unknown key or a malformed value raises ConfigError naming the
+    finite; an unknown key or a malformed value raises InputError naming the
     key. Inverse of config_items.
     """
     types = {f.name: f.type for f in fields(cls)}
     out = {}
     for key, raw in pairs:
         if key not in types:
-            raise ConfigError(f"unknown key {key!r}")
+            raise InputError(f"unknown key {key!r}")
         try:
             out[key] = _PARSERS[types[key]](raw)
         except ValueError:
-            raise ConfigError(
+            raise InputError(
                 f"bad value for {key}: expected {types[key]}, got {raw!r}"
             ) from None
     return out
@@ -167,7 +168,7 @@ def read_key_values(text: str, *classes) -> list[dict[str, object]]:
 
     '#' starts a comment that runs to the end of the line and blank lines are
     skipped. Each key goes to the first class that has a field of that name;
-    a later line for the same key wins. Errors are ConfigErrors that carry
+    a later line for the same key wins. Errors are InputErrors that carry
     the 1-based line number.
     """
     out: list[dict[str, object]] = [{} for _ in classes]
@@ -178,16 +179,16 @@ def read_key_values(text: str, *classes) -> list[dict[str, object]]:
             continue
         key, eq, raw = (s.strip() for s in line.partition("="))
         if not eq:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+            raise InputError(f"line {lineno}: expected key = value, got {line!r}")
         j = next((j for j, n in enumerate(names) if key in n), 0)
         try:
             out[j].update(parse_fields(classes[j], [(key, raw)]))
-        except ConfigError as e:
-            raise ConfigError(f"line {lineno}: {e}") from None
+        except InputError as e:
+            raise InputError(f"line {lineno}: {e}") from None
     return out
 
 
-def read_text(path: str, error: type[Exception] = ConfigError) -> str:
+def read_text(path: str, error: type[Exception] = InputError) -> str:
     """A UTF-8 file's text; undecodable bytes raise error, not a traceback."""
     try:
         with open(path, encoding="utf-8") as fh:

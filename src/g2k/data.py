@@ -16,22 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (ConfigError, read_key_values, read_text, write_bytes,
+from .config import (InputError, read_key_values, read_text, write_bytes,
                      write_text)
 
 DT_SECONDS = 0.4  # sampling period the window lengths are quoted in
-
-
-class ParseError(ValueError):
-    """Malformed input file; message carries the 1-based line number."""
-
-
-class IntegrityError(ValueError):
-    """Structurally valid input violating a dataset invariant."""
-
-
-class ScenarioError(ValueError):
-    """Invalid synthetic-scenario description."""
 
 
 @dataclass(frozen=True)
@@ -94,17 +82,17 @@ class SyntheticScenario:
 
     def validate(self) -> None:
         if self.kind not in self.KINDS:
-            raise ScenarioError(f"unknown kind {self.kind!r}, expected one of {self.KINDS}")
+            raise InputError(f"unknown kind {self.kind!r}, expected one of {self.KINDS}")
         if self.kind == "crossing_pair" and self.n_peds != 2:
-            raise ScenarioError("crossing_pair requires n_peds == 2")
+            raise InputError("crossing_pair requires n_peds == 2")
         if self.n_peds < 1:
-            raise ScenarioError("n_peds must be >= 1")
+            raise InputError("n_peds must be >= 1")
         if not (0.0 < self.speed_min <= self.speed_max):
-            raise ScenarioError("need 0 < speed_min <= speed_max")
+            raise InputError("need 0 < speed_min <= speed_max")
         if self.noise_sigma < 0:
-            raise ScenarioError("noise_sigma must be >= 0")
+            raise InputError("noise_sigma must be >= 0")
         if self.obs_len < 2 or self.pred_len < 1:
-            raise ScenarioError("obs_len >= 2 and pred_len >= 1 required")
+            raise InputError("obs_len >= 2 and pred_len >= 1 required")
 
 
 def _wrap_angle(a: float) -> float:
@@ -122,13 +110,13 @@ def _wrap_angle(a: float) -> float:
 def load_dataset(path: str) -> list[TrackPoint]:
     points: list[TrackPoint] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(read_text(path, ParseError).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         cols = line.split()
         if len(cols) not in (4, 5):
-            raise ParseError(f"{path}:{lineno}: expected 4 or 5 columns, got {len(cols)}")
+            raise InputError(f"{path}:{lineno}: expected 4 or 5 columns, got {len(cols)}")
         try:
             frame = int(cols[0])
             ped = int(cols[1])
@@ -136,14 +124,14 @@ def load_dataset(path: str) -> list[TrackPoint]:
             y = float(cols[3])
             pan = float(cols[4]) if len(cols) == 5 else None
         except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from None
+            raise InputError(f"{path}:{lineno}: {e}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"{path}:{lineno}: non-finite coordinates")
+            raise InputError(f"{path}:{lineno}: non-finite coordinates")
         if pan is not None and not (-math.pi < pan <= math.pi + 1e-12):
-            raise ParseError(f"{path}:{lineno}: pan {pan} outside (-pi, pi]")
+            raise InputError(f"{path}:{lineno}: pan {pan} outside (-pi, pi]")
         key = (frame, ped)
         if key in seen:
-            raise IntegrityError(
+            raise InputError(
                 f"{path}:{lineno}: duplicate (frame {frame}, ped {ped})"
             )
         seen.add(key)
@@ -199,7 +187,7 @@ def make_windows(
     start tests only the pedestrians present at its first frame.
     """
     if obs_len < 2 or pred_len < 1:
-        raise IntegrityError("obs_len >= 2 and pred_len >= 1 required")
+        raise InputError("obs_len >= 2 and pred_len >= 1 required")
     if not points:
         return []
     s = infer_stride(points) if stride is None else stride
@@ -336,21 +324,18 @@ def synthesize(scenario: SyntheticScenario) -> list[SceneBatch]:
 
 def parse_scenario(text: str) -> SyntheticScenario:
     """Scenario from `key = value` lines, the grammar of --config files."""
-    try:
-        (kw,) = read_key_values(text, SyntheticScenario)
-    except ConfigError as e:
-        raise ScenarioError(str(e)) from None
+    (kw,) = read_key_values(text, SyntheticScenario)
     sc = SyntheticScenario(**kw)
     sc.validate()
     return sc
 
 
 def load_scenario(path: str) -> SyntheticScenario:
-    text = read_text(path, ScenarioError)
+    text = read_text(path)
     try:
         return parse_scenario(text)
-    except ScenarioError as e:
-        raise ScenarioError(f"{path}: {e}") from None
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -379,40 +364,40 @@ def read_pgm(path: str) -> np.ndarray:
                 i += 1
             tokens.append(blob[start:i])
     if len(tokens) < 4:
-        raise ParseError(f"{path}: truncated PGM header")
+        raise InputError(f"{path}: truncated PGM header")
     magic = tokens[0]
     if magic not in (b"P2", b"P5"):
-        raise ParseError(f"{path}: not a PGM (magic {magic!r})")
+        raise InputError(f"{path}: not a PGM (magic {magic!r})")
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
-        raise ParseError(f"{path}: non-numeric PGM header") from None
+        raise InputError(f"{path}: non-numeric PGM header") from None
     if width < 1 or height < 1:
-        raise ParseError(f"{path}: bad dimensions {width}x{height}")
+        raise InputError(f"{path}: bad dimensions {width}x{height}")
     if not (0 < maxval <= 255):
-        raise ParseError(f"{path}: unsupported maxval {maxval}")
+        raise InputError(f"{path}: unsupported maxval {maxval}")
 
     if magic == b"P5":
         i += 1  # single whitespace after maxval
         raster = blob[i : i + width * height]
         if len(raster) != width * height:
-            raise ParseError(f"{path}: raster size mismatch")
+            raise InputError(f"{path}: raster size mismatch")
         img = np.frombuffer(raster, dtype=np.uint8)
         if img.max() > maxval:
-            raise ParseError(f"{path}: sample outside [0, {maxval}]")
+            raise InputError(f"{path}: sample outside [0, {maxval}]")
     else:
         vals = blob[i:].split()
         if len(vals) != width * height:
-            raise ParseError(
+            raise InputError(
                 f"{path}: expected {width * height} samples, got {len(vals)}"
             )
         try:
             samples = [int(v) for v in vals]
         except ValueError:
-            raise ParseError(f"{path}: non-numeric sample") from None
+            raise InputError(f"{path}: non-numeric sample") from None
         # range-checked as Python ints: a sample past int64 must not overflow
         if min(samples) < 0 or max(samples) > maxval:
-            raise ParseError(f"{path}: sample outside [0, {maxval}]")
+            raise InputError(f"{path}: sample outside [0, {maxval}]")
         img = np.array(samples, dtype=np.uint8)
     scaled = (img.astype(np.int64) * 255 + maxval // 2) // maxval  # rounded
     return scaled.astype(np.uint8).reshape(height, width)
@@ -424,9 +409,9 @@ def write_pgm(path: str, img: np.ndarray, magic: str = "P5",
     0..255; the file is replaced atomically."""
     arr = np.asarray(img)
     if arr.ndim != 2:
-        raise ParseError("PGM image must be 2-D")
+        raise InputError("PGM image must be 2-D")
     if comment is not None and "\n" in comment:
-        raise ParseError("PGM comment must be a single line")
+        raise InputError("PGM comment must be a single line")
     arr = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
     h, w = arr.shape
     note = f"# {comment}\n" if comment else ""
@@ -436,5 +421,5 @@ def write_pgm(path: str, img: np.ndarray, magic: str = "P5",
     elif magic == "P2":
         body = "".join(" ".join(map(str, r)) + "\n" for r in arr.tolist()).encode("ascii")
     else:
-        raise ParseError(f"unsupported PGM magic {magic!r}")
+        raise InputError(f"unsupported PGM magic {magic!r}")
     write_bytes(path, header + body)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as da
-from .config import ModelConfig, TrainConfig, config_hash, write_text
+from .config import InputError, ModelConfig, TrainConfig, config_hash, write_text
 from .data import SceneBatch, TrajectoryWindow
 from .model import RELATIONAL, TrajectoryModel
 from .training import pack_rows, train
@@ -30,25 +30,17 @@ from .training import pack_rows, train
 EVAL_PACK_ROWS = 120
 
 
-class MetricError(ValueError):
-    pass
-
-
-class AblationError(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray) -> None:
     if pred.shape != gt.shape:
-        raise MetricError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
+        raise InputError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
     if pred.ndim != 3 or pred.shape[2] != 2:
-        raise MetricError(f"expected (N, T, 2) arrays, got {pred.shape}")
+        raise InputError(f"expected (N, T, 2) arrays, got {pred.shape}")
     if pred.shape[1] < 1:
-        raise MetricError("need at least one predicted step")
+        raise InputError("need at least one predicted step")
 
 
 def point_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -76,7 +68,7 @@ def constant_velocity_baseline(
 ) -> np.ndarray:
     """Extrapolate the last observed velocity; (pred_len, 2) positions."""
     if len(window.obs) < 2:
-        raise MetricError("baseline needs at least two observed points")
+        raise InputError("baseline needs at least two observed points")
     if pred_len is None:
         pred_len = len(window.target)
     last = np.array([window.obs[-1].x, window.obs[-1].y])
@@ -173,7 +165,7 @@ def evaluate(
     Scenes that lack the image an mcr_mpc model reads are counted in one
     warning for the call."""
     if not batches:
-        raise MetricError(f"no scenes under label {label!r}")
+        raise InputError(f"no scenes under label {label!r}")
     model.warn_missing_images(batches)
     t0 = time.perf_counter()
     packs = pack_rows(range(len(batches)), batches, EVAL_PACK_ROWS)
@@ -265,13 +257,13 @@ class AblationResult:
         for o in self.outcomes:
             if o.cell == cell:
                 return o
-        raise AblationError(f"no outcome for {cell}")
+        raise InputError(f"no outcome for {cell}")
 
     def relative_change(self) -> list[tuple[str, float | None, float | None]]:
         """(label, dADE, dFDE) fractions vs the reference cell; None on failure."""
         ref = self.outcome(self.reference)
         if ref.report is None:
-            raise AblationError(f"reference cell failed: {ref.error}")
+            raise InputError(f"reference cell failed: {ref.error}")
         ra, rf = ref.report.mean_ade, ref.report.mean_fde
         out = []
         for o in self.outcomes:
@@ -349,11 +341,11 @@ def ablate(
     failing cell is recorded and skipped; the sweep always finishes.
     """
     if base_cfg.variant not in RELATIONAL:
-        raise AblationError(
+        raise InputError(
             f"ablation needs a relational variant, got {base_cfg.variant!r}"
         )
     if base_cfg.neighborhood_size not in neighborhoods:
-        raise AblationError(
+        raise InputError(
             f"reference capacity {base_cfg.neighborhood_size} missing from "
             f"sweep values {tuple(neighborhoods)}"
         )

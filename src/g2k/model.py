@@ -36,12 +36,7 @@ from . import data as da
 from . import gridlstm as gl
 from . import neighborhood as nb
 from .autodiff import DiffValue
-from .config import ModelConfig
-
-
-class InputError(ValueError):
-    """Batch content unusable for the requested variant."""
-
+from .config import InputError, ModelConfig
 
 RELATIONAL = ("mcr_n", "mcr_mp", "mcr_mpc")
 STATIC = ("mcr_mp", "mcr_mpc")

@@ -22,10 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue
-
-
-class GridError(ValueError):
-    """Scene/grid geometry problems (image too small, bad bounds)."""
+from .config import InputError
 
 
 @dataclass(frozen=True)
@@ -186,16 +183,16 @@ def downsample_image(img: np.ndarray, grid_size: int) -> np.ndarray:
     samples are taken as they are and must already lie in [0, 1]."""
     arr = np.asarray(img)
     if arr.ndim != 2:
-        raise GridError("scene image must be 2-D grayscale")
+        raise InputError("scene image must be 2-D grayscale")
     h, w = arr.shape
     if h < grid_size or w < grid_size:
-        raise GridError(
+        raise InputError(
             f"scene image {h}x{w} smaller than grid {grid_size}x{grid_size}; "
             f"provide at least {grid_size} pixels per side or drop the image"
         )
     arr = arr / 255.0 if np.issubdtype(arr.dtype, np.integer) else arr.astype(np.float64)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise GridError("scene image samples must be 0..255 integers or floats in [0, 1]")
+        raise InputError("scene image samples must be 0..255 integers or floats in [0, 1]")
     rows = np.array_split(np.arange(h), grid_size)
     cols = np.array_split(np.arange(w), grid_size)
     out = np.empty((grid_size, grid_size))
@@ -230,7 +227,7 @@ def conv_encode(
     downs = down if down.ndim == 3 else down[None]
     k = downs.shape[1] * downs.shape[2]
     if mask.data.shape != (k, 1):
-        raise GridError(f"mask must be ({k}, 1), got {mask.data.shape}")
+        raise ad.ShapeMismatch(f"mask must be ({k}, 1), got {mask.data.shape}")
     d_c = w_conv.data.shape[1]
     patches = np.concatenate([conv_patches(d) for d in downs])
     out = ad.bias_add(ad.matmul(ad.constant(patches), w_conv), b_conv)
@@ -268,7 +265,7 @@ def fuse_mask(f_s: DiffValue, f_o_prime: DiffValue) -> DiffValue:
     """Score every pedestrian against every static row: F = f_S @ f_O'^T,
     (N, S*k); SceneBlocks.own_cells keeps each pedestrian's own scene."""
     if f_s.data.shape[1] != f_o_prime.data.shape[1]:
-        raise GridError(
+        raise ad.ShapeMismatch(
             f"feature widths differ: social {f_s.data.shape[1]} "
             f"vs static {f_o_prime.data.shape[1]}"
         )

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as da
 from .autodiff import DiffValue
-from .config import (ConfigError, ModelConfig, TrainConfig, config_hash,
+from .config import (InputError, ModelConfig, TrainConfig, config_hash,
                      config_items, desk_config, parse_fields, read_text,
                      write_text)
 from .model import KernelRun, TrajectoryModel
@@ -64,7 +64,7 @@ def loss_graph(run: KernelRun, targets: np.ndarray) -> DiffValue:
     losses: scene s's pedestrians weigh N / (S * n_s), 1 for one scene."""
     n, pred_len = run.predictions.shape[:2]
     if targets.shape[0] != pred_len:
-        raise ConfigError(
+        raise InputError(
             f"targets have {targets.shape[0]} steps, run decoded {pred_len}"
         )
     sizes = run.sizes or [n]
@@ -290,13 +290,13 @@ def train(
     model = TrajectoryModel(model_cfg, seed=train_cfg.seed)  # validates model_cfg
     train_cfg.validate()
     if not batches:
-        raise ConfigError("no training batches")
+        raise InputError("no training batches")
     opt = make_optimizer(train_cfg)
     order_rng = np.random.default_rng(train_cfg.seed)
     targets = [da.target_positions(b) for b in batches]
     for t in targets:
         if t.shape[0] != model_cfg.pred_len:
-            raise ConfigError(
+            raise InputError(
                 f"targets have {t.shape[0]} steps, config predicts {model_cfg.pred_len}"
             )
     model.warn_missing_images(batches)
@@ -423,11 +423,9 @@ class Checkpoint:
     state: dict[str, np.ndarray]
     cfg_hash: str
 
-    def restore(self, seed: int | None = None) -> TrajectoryModel:
+    def restore(self) -> TrajectoryModel:
         try:
-            model = TrajectoryModel(
-                self.model_cfg, seed=self.train_cfg.seed if seed is None else seed
-            )
+            model = TrajectoryModel(self.model_cfg, seed=self.train_cfg.seed)
             model.params.load_state(self.state)
         except ValueError as e:  # config unbuildable, or state does not fit it
             raise CheckpointError(str(e)) from None
@@ -519,7 +517,7 @@ def _stored_config(cls, lines: list[tuple[int, str, str]], path: str):
     for lineno, key, raw in lines:
         try:
             kw.update(parse_fields(cls, [(key, raw)]))
-        except ConfigError as e:
+        except InputError as e:
             raise CheckpointError(f"{path}:{lineno}: {e}") from None
     missing = [f.name for f in fields(cls) if f.name not in kw]
     if missing:

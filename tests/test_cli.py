@@ -1,10 +1,13 @@
 """End-to-end subcommand behavior via entry(), including exit codes."""
 
+import importlib
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import g2k
 from g2k import autodiff as ad
 from g2k import data as da
 from g2k import training as tr
@@ -498,3 +501,63 @@ def test_out_not_a_directory_is_usage_error(ws, desk_ckpt, capsys, command, out)
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert (ws / "taken").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
+def test_train_checks_out_before_training(ws, capsys, monkeypatch, out):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train() ran before --out was checked")
+
+    monkeypatch.setattr(tr, "train", no_training)
+    (ws / "taken").write_text("keep\n")
+    assert run_train(ws, out=out) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert (ws / "taken").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--variant", "mcr_n", "--config", "{cfg}", "--scenario", "{walk}"],
+    ["eval", "--baseline", "--scenario", "{walk}"],
+    ["synth", "--scenario", "{walk}"],
+], ids=["train", "eval-baseline", "synth"])
+def test_overlong_out_is_usage_error(ws, capsys, argv):
+    names = {"cfg": ws / "desk.cfg", "walk": ws / "walk.cfg"}
+    out = str(ws / ("o" * 300))
+    assert entry([a.format(**names) for a in argv] + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_eval_flag_mismatch_names_every_flag(ws, desk_ckpt, capsys):
+    code = entry(["eval", "--ckpt", str(desk_ckpt), "--scenario", str(ws / "walk.cfg"),
+                  "--grid-size", "4", "--hidden", "16"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "grid_size: checkpoint has 2, flag says 4" in err
+    assert "hidden_size: checkpoint has 8, flag says 16" in err
+
+
+def test_os_error_naming_no_path_propagates(ws, monkeypatch):
+    def broken(points, path):
+        raise OSError("no path in this one")
+
+    monkeypatch.setattr(da, "write_dataset", broken)
+    with pytest.raises(OSError, match="no path"):
+        entry(["synth", "--scenario", str(ws / "walk.cfg"), "--out", str(ws / "w.tsv")])
+
+
+def test_package_defines_only_the_mapped_error_classes():
+    """Every exception class is one the CLI maps to an exit code, or an
+    internal fault that no input can reach; a new class must pick a side."""
+    defined = set()
+    for info in pkgutil.iter_modules(g2k.__path__):
+        mod = importlib.import_module(f"g2k.{info.name}")
+        defined |= {f"{info.name}.{name}" for name, obj in vars(mod).items()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == mod.__name__}
+    assert defined == {
+        "config.InputError", "training.CheckpointError", "training.DivergenceError",
+        "autodiff.ShapeMismatch", "autodiff.ContractError", "autodiff.NumericError",
+        "gridlstm.GridConfigError",
+    }

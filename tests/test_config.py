@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from g2k import cli
 from g2k import data as da
-from g2k.config import (VARIANTS, ConfigError, ModelConfig, TrainConfig,
+from g2k.config import (VARIANTS, InputError, ModelConfig, TrainConfig,
                         config_items, desk_config, parse_fields,
                         read_key_values)
 
@@ -40,7 +40,7 @@ def test_config_items_round_trip(cfg):
     ("bogus", "1"),
 ])
 def test_parse_fields_rejects(key, raw):
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(InputError, match=key):
         parse_fields(ModelConfig, [(key, raw)])
 
 
@@ -50,9 +50,9 @@ def test_reader_routes_keys_and_reports_lines():
     )
     assert model_kw == {"hidden_size": 8}
     assert train_kw == {"lr": 0.5}
-    with pytest.raises(ConfigError, match="line 2: expected key = value"):
+    with pytest.raises(InputError, match="line 2: expected key = value"):
         read_key_values("lr = 1\nlr 2\n", TrainConfig)
-    with pytest.raises(ConfigError, match="line 1: unknown key"):
+    with pytest.raises(InputError, match="line 1: unknown key"):
         read_key_values("gravity = 9.8\n", ModelConfig, TrainConfig)
 
 
@@ -80,7 +80,7 @@ def test_fuzz_config_file(tmp_path, monkeypatch, text):
     path.write_text(text, encoding="utf-8")
     try:
         cli.resolve_configs(argparse.Namespace(config=str(path)))
-    except ConfigError:
+    except InputError:
         pass
 
 
@@ -89,5 +89,5 @@ def test_fuzz_config_file(tmp_path, monkeypatch, text):
 def test_fuzz_scenario_text(text):
     try:
         da.parse_scenario(text)
-    except da.ScenarioError:
+    except InputError:
         pass

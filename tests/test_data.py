@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from g2k import data as d
 from g2k import neighborhood as nb
 from g2k.cli import entry
+from g2k.config import InputError
 
 
 def write(tmp_path, text, name="t.tsv"):
@@ -40,19 +41,19 @@ def test_load_comments_and_blank_lines(tmp_path):
 
 
 def test_load_duplicate_key_rejected(tmp_path):
-    with pytest.raises(d.IntegrityError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate"):
         d.load_dataset(write(tmp_path, "0 1 0.0 0.0\n0 1 1.0 1.0\n"))
 
 
 def test_load_malformed_row_reports_line(tmp_path):
-    with pytest.raises(d.ParseError, match=":2:"):
+    with pytest.raises(InputError, match=":2:"):
         d.load_dataset(write(tmp_path, "0 1 0.0 0.0\n0 2 oops 0.0\n"))
-    with pytest.raises(d.ParseError, match=":1:"):
+    with pytest.raises(InputError, match=":1:"):
         d.load_dataset(write(tmp_path, "0 1 0.0\n"))
 
 
 def test_load_rejects_out_of_range_pan(tmp_path):
-    with pytest.raises(d.ParseError, match="pan"):
+    with pytest.raises(InputError, match="pan"):
         d.load_dataset(write(tmp_path, "0 1 0.0 0.0 7.0\n"))
 
 
@@ -254,11 +255,11 @@ def test_vislets_are_unit_vectors():
 
 
 def test_scenario_validation():
-    with pytest.raises(d.ScenarioError):
+    with pytest.raises(InputError):
         d.SyntheticScenario(kind="teleport").validate()
-    with pytest.raises(d.ScenarioError):
+    with pytest.raises(InputError):
         d.SyntheticScenario(kind="crossing_pair", n_peds=3).validate()
-    with pytest.raises(d.ScenarioError):
+    with pytest.raises(InputError):
         d.SyntheticScenario(speed_min=0.0).validate()
 
 
@@ -301,14 +302,14 @@ def test_pgm_with_header_comment(tmp_path):
 def test_pgm_bad_magic(tmp_path):
     p = tmp_path / "b.pgm"
     p.write_bytes(b"P6\n1 1\n255\nxxx")
-    with pytest.raises(d.ParseError, match="magic"):
+    with pytest.raises(InputError, match="magic"):
         d.read_pgm(str(p))
 
 
 def test_pgm_truncated_raster(tmp_path):
     p = tmp_path / "t.pgm"
     p.write_bytes(b"P5\n3 3\n255\nab")
-    with pytest.raises(d.ParseError, match="raster"):
+    with pytest.raises(InputError, match="raster"):
         d.read_pgm(str(p))
 
 
@@ -327,7 +328,7 @@ def test_pgm_samples_scale_from_maxval_to_255(tmp_path, body):
 def test_pgm_p5_sample_above_maxval_exits_2(tmp_path, capsys):
     p = tmp_path / "o.pgm"
     p.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 5, 16, 15]))
-    with pytest.raises(d.ParseError, match=r"sample outside \[0, 15\]"):
+    with pytest.raises(InputError, match=r"sample outside \[0, 15\]"):
         d.read_pgm(str(p))
     scenario = tmp_path / "walk.cfg"
     scenario.write_text("kind = group_walk\nobs_len = 3\npred_len = 2\n")
@@ -350,12 +351,12 @@ def test_parse_scenario_file():
 
 
 def test_parse_scenario_rejects_unknown_key():
-    with pytest.raises(d.ScenarioError, match="unknown key"):
+    with pytest.raises(InputError, match="unknown key"):
         d.parse_scenario("kind = group_walk\ngravity = 9.8\n")
 
 
 def test_parse_scenario_rejects_bad_value():
-    with pytest.raises(d.ScenarioError, match="bad value"):
+    with pytest.raises(InputError, match="bad value"):
         d.parse_scenario("kind = group_walk\nn_peds = many\n")
 
 
@@ -383,7 +384,7 @@ def test_fuzz_load_dataset(tmp_path, capsys, text):
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     try:
         d.load_dataset(str(path))
-    except (d.ParseError, d.IntegrityError):
+    except InputError:
         pass
     # twelve lines never hold a complete window, so the CLI always exits 2
     assert entry(["eval", "--baseline", "--dataset", str(path)]) == 2
@@ -439,7 +440,7 @@ def test_fuzz_read_pgm(tmp_path, capsys, blob):
     capsys.readouterr()
     try:
         img = d.read_pgm(str(path))
-    except d.ParseError:
+    except InputError:
         assert code == 2
         return
     assert img.dtype == np.uint8 and img.ndim == 2

@@ -12,7 +12,7 @@ from g2k import data as da
 from g2k import evaluation as ev
 from g2k import model as md
 from g2k import training as tr
-from g2k.config import TrainConfig, config_hash, desk_config
+from g2k.config import InputError, TrainConfig, config_hash, desk_config
 
 
 def scene(kind="constant_velocity", n=3, seed=1, **kw):
@@ -83,9 +83,9 @@ def test_single_step_ade_equals_fde():
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ev.MetricError):
+    with pytest.raises(InputError):
         ev.ade(np.zeros((2, 3, 2)), np.zeros((2, 4, 2)))
-    with pytest.raises(ev.MetricError):
+    with pytest.raises(InputError):
         ev.fde(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
@@ -155,7 +155,7 @@ def test_baseline_needs_two_observations():
     batch = scene()
     w = batch.windows[0]
     short = da.TrajectoryWindow(ped_id=0, obs=w.obs[:1], target=w.target)
-    with pytest.raises(ev.MetricError):
+    with pytest.raises(InputError):
         ev.constant_velocity_baseline(short)
 
 
@@ -191,7 +191,7 @@ def test_check_invariants_flags_non_finite_metrics(bad):
 
 def test_evaluate_empty_label_rejected():
     model = md.TrajectoryModel(desk_config("g_lstm"), seed=2)
-    with pytest.raises(ev.MetricError):
+    with pytest.raises(InputError):
         ev.evaluate(model, [], label="empty")
 
 
@@ -319,11 +319,11 @@ def test_ablate_isolates_cell_failures(monkeypatch):
 
 
 def test_ablate_rejects_non_relational():
-    with pytest.raises(ev.AblationError):
+    with pytest.raises(InputError):
         ev.ablate([scene(seed=1)], sweep_cfg("g_lstm"), small_train_cfg())
 
 
 def test_ablate_requires_reference_capacity():
-    with pytest.raises(ev.AblationError):
+    with pytest.raises(InputError):
         ev.ablate([scene(seed=1)], sweep_cfg(), small_train_cfg(),
                   neighborhoods=(64, 128))

@@ -6,6 +6,7 @@ import pytest
 
 from g2k import autodiff as ad
 from g2k import neighborhood as nb
+from g2k.config import InputError
 
 
 def test_bounds_cover_all_points():
@@ -74,12 +75,12 @@ def test_downsample_scales_by_dtype_not_content():
 def test_downsample_rejects_float_samples_outside_unit_range(value):
     img = np.full((8, 8), 0.5)
     img[3, 3] = value
-    with pytest.raises(nb.GridError, match="floats in"):
+    with pytest.raises(InputError, match="floats in"):
         nb.downsample_image(img, 2)
 
 
 def test_downsample_rejects_small_image():
-    with pytest.raises(nb.GridError, match="smaller than grid"):
+    with pytest.raises(InputError, match="smaller than grid"):
         nb.downsample_image(np.zeros((2, 8)), 4)
 
 
@@ -171,7 +172,7 @@ def test_fuse_mask_is_bilinear():
 
 
 def test_fuse_mask_width_mismatch():
-    with pytest.raises(nb.GridError):
+    with pytest.raises(ad.ShapeMismatch):
         nb.fuse_mask(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((4, 5))))
 
 

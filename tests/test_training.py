@@ -17,7 +17,7 @@ from g2k import data as da
 from g2k import evaluation as ev
 from g2k import model as md
 from g2k import training as tr
-from g2k.config import ConfigError, TrainConfig, desk_config
+from g2k.config import InputError, TrainConfig, desk_config
 
 
 def loss_value(pred, gt):
@@ -99,7 +99,7 @@ def test_loss_permutation_invariant(n, seed):
 
 
 def test_loss_shape_mismatch_raises():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         tr.loss_graph(fake_run(np.zeros((2, 3, 2))), np.zeros((2, 2, 2)))
 
 
@@ -188,7 +188,7 @@ def test_zero_learning_rate_is_null_update():
 
 
 def test_empty_batches_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         tr.train([], desk_config("g_lstm"), TrainConfig())
 
 
