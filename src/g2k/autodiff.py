@@ -9,8 +9,10 @@ loss; the grid-LSTM gate math is one fused node with its own backward
 
 Gradients are allocated lazily. A trainable leaf (leaf(), parameters) gets
 its gradient array when it is made; constants and nodes that need no
-gradient keep grad None; an interior node that requires grad gets a fresh
-zero gradient at the start of each backward(). Forward-only work runs under
+gradient keep grad None. backward() gives an interior node that requires
+grad a zero gradient just before its first consumer's rule writes to it and
+drops it once the node's own rule has run, so only the gradients of the
+graph's frontier are alive at once. Forward-only work runs under
 no_grad(): its nodes record no parents and keep no backward closure, so
 each one is freed as soon as nothing reads it. Forward values are the same
 either way.
@@ -78,10 +80,11 @@ class DiffValue:
     data must be a 2-D float64 array and is kept as is; constant() and
     leaf() convert anything else. grad is None unless the node requires
     grad: an explicit requires_grad=True leaf gets a zero array of data's
-    shape at once, an interior node one at each backward(). Nodes without
-    parents are leaves (parameters or inputs); backward() accumulates into
-    leaf grads and leaves them for the optimizer, so repeated backward calls
-    without zero_grad sum. Under no_grad() parents and backward are dropped.
+    shape at once; an interior node holds one only while backward() routes
+    through it. Nodes without parents are leaves (parameters or inputs);
+    backward() accumulates into leaf grads and leaves them for the
+    optimizer, so repeated backward calls without zero_grad sum. Under
+    no_grad() parents and backward are dropped.
     """
 
     __slots__ = ("data", "grad", "parents", "requires_grad", "_backward")
@@ -386,11 +389,14 @@ def _topo_order(root: DiffValue) -> list[DiffValue]:
 def backward(loss: DiffValue) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf with requires_grad.
 
-    Interior nodes that require grad get a fresh zero gradient at the start
-    of each call; leaf grads are not reset, so two backward calls without
-    zero_grad double the leaf gradients. A loss that requires no grad (built
-    under no_grad(), or from constants only) raises ContractError: it would
-    leave every gradient at zero.
+    An interior node's gradient is allocated when the first of its consumers
+    (in reverse topological order) is about to write to it and set back to
+    None once the node's own rule has run, since no later rule reads it: the
+    call's peak is the forward graph plus the gradients in flight, not a
+    second copy of the graph. Leaf grads are not reset, so two backward calls
+    without zero_grad double the leaf gradients. A loss that requires no
+    grad (built under no_grad(), or from constants only) raises
+    ContractError: it would leave every gradient at zero.
     """
     if loss.data.shape != (1, 1):
         raise ContractError(f"backward: loss must be 1x1, got {loss.data.shape}")
@@ -401,12 +407,19 @@ def backward(loss: DiffValue) -> None:
         )
     order = _topo_order(loss)
     for node in order:
-        if node.parents and node.requires_grad:
-            node.grad = np.zeros(node.data.shape)
+        if node.parents:
+            node.grad = None  # none left over from a backward cut short
+    if loss.grad is None:
+        loss.grad = np.zeros((1, 1))
     loss.grad[...] = 1.0
     for node in reversed(order):
-        if node._backward is not None and node.requires_grad:
-            node._backward(node.grad)
+        if node._backward is None or not node.requires_grad:
+            continue
+        for p in node.parents:
+            if p.grad is None and p.requires_grad:
+                p.grad = np.zeros(p.data.shape)
+        node._backward(node.grad)
+        node.grad = None  # every consumer ran before it: nothing writes here again
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 import numpy as np
@@ -197,12 +198,18 @@ def load_batches(args, mc: ModelConfig | None) -> list[da.SceneBatch]:
 def _check_out_dir(path: str) -> None:
     """InputError if path cannot become a directory: it names an existing
     non-directory, or its first existing ancestor is not a directory.
-    Creates nothing."""
+    Creates nothing. Any other OSError of the probe, such as a name too long
+    for the file system, propagates; it names the path."""
     probe = path
-    while probe and not os.path.exists(probe):
-        probe = os.path.dirname(probe)
-    if probe and not os.path.isdir(probe):
-        raise InputError(f"--out {path}: {probe} is not a directory")
+    while probe:
+        try:
+            is_dir = stat.S_ISDIR(os.stat(probe).st_mode)
+        except (FileNotFoundError, NotADirectoryError):
+            probe = os.path.dirname(probe)
+            continue
+        if not is_dir:
+            raise InputError(f"--out {path}: {probe} is not a directory")
+        return
 
 
 def cmd_train(args) -> int:

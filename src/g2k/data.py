@@ -12,6 +12,7 @@ Scene images ride along as PGM grayscale (P2 and P5, read and written).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,37 +33,60 @@ class TrackPoint:
 
 
 @dataclass
-class TrajectoryWindow:
-    """One pedestrian's observed and future points at a fixed frame stride.
+class Tracks:
+    """A dataset as columns, one row per point, sorted by (ped, frame) with
+    one point per key: frame and ped (n,) int64, xy (n, 2) float64 and pan
+    (n,) float64, NaN where a point has no pan. len() counts the points;
+    iterating yields them as TrackPoints of Python numbers, so write_dataset
+    takes Tracks as they are."""
 
-    vislets holds per-observed-step unit vectors (cos pan, sin pan), present
-    only when every observed point carries a pan angle.
-    """
+    frame: np.ndarray
+    ped: np.ndarray
+    xy: np.ndarray
+    pan: np.ndarray
 
-    ped_id: int
-    obs: list[TrackPoint]
-    target: list[TrackPoint]
-    vislets: np.ndarray | None = None
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __iter__(self):
+        for f, p, (x, y), a in zip(self.frame.tolist(), self.ped.tolist(),
+                                   self.xy.tolist(), self.pan.tolist()):
+            yield TrackPoint(f, p, x, y, None if math.isnan(a) else a)
 
 
 @dataclass
 class SceneBatch:
-    """Co-present pedestrian windows over one shared time span."""
+    """Co-present pedestrians over one shared span of frames.
 
-    windows: list[TrajectoryWindow]
+    ped_ids is (N,); obs (obs_len, N, 2) and target (pred_len, N, 2) hold
+    their positions; vislets holds the observed unit vectors (cos pan,
+    sin pan) as (obs_len, N, 2), or None when some pedestrian lacks a pan at
+    some observed step.
+    """
+
+    ped_ids: np.ndarray
+    obs: np.ndarray
+    target: np.ndarray
+    vislets: np.ndarray | None = None
     scene_image: np.ndarray | None = None
 
     @property
     def n_peds(self) -> int:
-        return len(self.windows)
+        return len(self.ped_ids)
 
     @property
     def obs_len(self) -> int:
-        return len(self.windows[0].obs)
+        return self.obs.shape[0]
 
     @property
     def pred_len(self) -> int:
-        return len(self.windows[0].target)
+        return self.target.shape[0]
+
+    def take(self, rows) -> SceneBatch:
+        """The pedestrians at rows (indices or a slice), in that order."""
+        vis = None if self.vislets is None else self.vislets[:, rows]
+        return SceneBatch(self.ped_ids[rows], self.obs[:, rows], self.target[:, rows],
+                          vis, self.scene_image)
 
 
 @dataclass
@@ -107,40 +131,90 @@ def _wrap_angle(a: float) -> float:
 # canonical TSV
 
 
-def load_dataset(path: str) -> list[TrackPoint]:
-    points: list[TrackPoint] = []
-    seen: set[tuple[int, int]] = set()
+def load_dataset(path: str) -> Tracks:
+    """The points of a canonical TSV. InputError names the first bad line: a
+    wrong column count, a malformed number, an id outside int64, a
+    non-finite coordinate, a pan outside (-pi, pi] or a (frame, ped) key
+    seen on an earlier line."""
+    cols: tuple[list, ...] = ([], [], [], [], [])  # frame, ped, x, y, pan
+    linenos: list[int] = []
+    fault = None
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        cols = line.split()
-        if len(cols) not in (4, 5):
-            raise InputError(f"{path}:{lineno}: expected 4 or 5 columns, got {len(cols)}")
         try:
-            frame = int(cols[0])
-            ped = int(cols[1])
-            x = float(cols[2])
-            y = float(cols[3])
-            pan = float(cols[4]) if len(cols) == 5 else None
-        except ValueError as e:
-            raise InputError(f"{path}:{lineno}: {e}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InputError(f"{path}:{lineno}: non-finite coordinates")
-        if pan is not None and not (-math.pi < pan <= math.pi + 1e-12):
-            raise InputError(f"{path}:{lineno}: pan {pan} outside (-pi, pi]")
-        key = (frame, ped)
-        if key in seen:
-            raise InputError(
-                f"{path}:{lineno}: duplicate (frame {frame}, ped {ped})"
-            )
-        seen.add(key)
-        points.append(TrackPoint(frame, ped, x, y, pan))
-    points.sort(key=lambda p: (p.ped_id, p.frame_id))
-    return points
+            row = _parse_row(line.split())
+        except InputError as e:
+            fault = InputError(f"{path}:{lineno}: {e}")
+            break  # the lines read so far may still hold an earlier duplicate
+        for col, v in zip(cols, row):
+            col.append(v)
+        linenos.append(lineno)
+    frame = np.array(cols[0], dtype=np.int64)
+    ped = np.array(cols[1], dtype=np.int64)
+    order, last = _key_order(frame, ped)
+    if not last.all():
+        i = order[np.flatnonzero(~last) + 1].min()  # the earliest repeat
+        raise InputError(
+            f"{path}:{linenos[i]}: duplicate (frame {frame[i]}, ped {ped[i]})"
+        )
+    if fault is not None:
+        raise fault
+    xy = np.array(cols[2:4], dtype=np.float64).T
+    return Tracks(frame[order], ped[order], xy[order],
+                  np.array(cols[4], dtype=np.float64)[order])
 
 
-def write_dataset(points: list[TrackPoint], path: str) -> None:
+_INT64 = range(-2**63, 2**63)
+
+
+def _parse_row(cols: list[str]) -> tuple[int, int, float, float, float]:
+    """(frame, ped, x, y, pan) of one data line, pan NaN in a 4-column line."""
+    if len(cols) not in (4, 5):
+        raise InputError(f"expected 4 or 5 columns, got {len(cols)}")
+    try:
+        frame = int(cols[0])
+        ped = int(cols[1])
+        x = float(cols[2])
+        y = float(cols[3])
+        pan = float(cols[4]) if len(cols) == 5 else math.nan
+    except ValueError as e:
+        raise InputError(str(e)) from None
+    if frame not in _INT64 or ped not in _INT64:
+        raise InputError("frame and ped ids must fit in 64 bits")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InputError("non-finite coordinates")
+    if len(cols) == 5 and not (-math.pi < pan <= math.pi + 1e-12):
+        raise InputError(f"pan {pan} outside (-pi, pi]")
+    return frame, ped, x, y, pan
+
+
+def _key_order(frame: np.ndarray, ped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in (ped, frame) order, rows with equal keys in their own
+    order, and the mask of sorted rows whose key the next one differs from."""
+    order = np.lexsort((frame, ped))
+    f, p = frame[order], ped[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (f[1:] != f[:-1]) | (p[1:] != p[:-1])
+    return order, last
+
+
+def _as_tracks(points: Tracks | Iterable[TrackPoint]) -> Tracks:
+    """points as Tracks; of points with the same (frame, ped) the last wins."""
+    if isinstance(points, Tracks):
+        return points
+    pts = list(points)
+    frame = np.array([p.frame_id for p in pts], dtype=np.int64)
+    ped = np.array([p.ped_id for p in pts], dtype=np.int64)
+    order, last = _key_order(frame, ped)
+    keep = order[last]
+    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64).reshape(-1, 2)
+    pan = np.array([math.nan if p.pan is None else p.pan for p in pts], dtype=np.float64)
+    return Tracks(frame[keep], ped[keep], xy[keep], pan[keep])
+
+
+def write_dataset(points: Iterable[TrackPoint], path: str) -> None:
     """Inverse of load_dataset up to whitespace and row order: floats are
     written with repr so values round-trip bit-exactly. The file is
     replaced atomically."""
@@ -157,23 +231,17 @@ def write_dataset(points: list[TrackPoint], path: str) -> None:
 # windowing
 
 
-def infer_stride(points: list[TrackPoint]) -> int:
+def infer_stride(t: Tracks) -> int:
     """Smallest positive frame gap between a pedestrian's consecutive samples."""
-    best = None
-    by_ped: dict[int, list[int]] = {}
-    for p in points:
-        by_ped.setdefault(p.ped_id, []).append(p.frame_id)
-    for frames in by_ped.values():
-        frames.sort()
-        for a, b in zip(frames, frames[1:]):
-            d = b - a
-            if d > 0 and (best is None or d < best):
-                best = d
-    return best if best is not None else 1
+    same = t.ped[1:] == t.ped[:-1]
+    # the gaps are positive, so uint64 holds them exactly, wide ones included
+    frame = t.frame.astype(np.uint64)
+    gaps = frame[1:][same] - frame[:-1][same]
+    return int(gaps.min()) if gaps.size else 1
 
 
 def make_windows(
-    points: list[TrackPoint],
+    points: Tracks | Iterable[TrackPoint],
     obs_len: int = 8,
     pred_len: int = 12,
     max_peds: int = 32,
@@ -188,56 +256,69 @@ def make_windows(
     """
     if obs_len < 2 or pred_len < 1:
         raise InputError("obs_len >= 2 and pred_len >= 1 required")
-    if not points:
+    t = _as_tracks(points)
+    s = infer_stride(t) if stride is None else stride
+    rows = _spans(t, obs_len + pred_len, s)
+    if not rows.size:
         return []
-    s = infer_stride(points) if stride is None else stride
-    total = obs_len + pred_len
-    by_ped: dict[int, dict[int, TrackPoint]] = {}
-    at_frame: dict[int, set[int]] = {}  # pedestrians present, by frame
-    for p in points:
-        by_ped.setdefault(p.ped_id, {})[p.frame_id] = p
-        at_frame.setdefault(p.frame_id, set()).add(p.ped_id)
-
-    batches: list[SceneBatch] = []
-    for f0 in sorted(at_frame):
-        span = [f0 + k * s for k in range(total)]
-        windows: list[TrajectoryWindow] = []
-        for ped_id in sorted(at_frame[f0]):
-            track = by_ped[ped_id]
-            if all(f in track for f in span):
-                pts = [track[f] for f in span]
-                obs, target = pts[:obs_len], pts[obs_len:]
-                vis = None
-                if all(p.pan is not None for p in obs):
-                    vis = np.array([[math.cos(p.pan), math.sin(p.pan)] for p in obs])
-                windows.append(TrajectoryWindow(ped_id, obs, target, vis))
-        if windows:
-            batches.append(SceneBatch(windows=windows[:max_peds]))
+    starts = t.frame[rows[0]]
+    batches = []
+    for idx in np.split(rows, np.flatnonzero(np.diff(starts)) + 1, axis=1):
+        idx = idx[:, :max_peds]
+        pan = t.pan[idx[:obs_len]]
+        vis = None if np.isnan(pan).any() else np.stack([np.cos(pan), np.sin(pan)], axis=2)
+        batches.append(SceneBatch(t.ped[idx[0]], t.xy[idx[:obs_len]], t.xy[idx[obs_len:]], vis))
     return batches
+
+
+def _spans(t: Tracks, total: int, s: int) -> np.ndarray:
+    """(total, m) rows of t: column j holds the points at frames f0, f0 + s,
+    ..., f0 + (total - 1) s of one pedestrian, for every (pedestrian, f0)
+    whose span has no gap, ordered by f0 and then ped."""
+    # the sort kernel of the last line, not np.sort: each NumPy kernel's
+    # first call adds resident memory
+    frames = _distinct(t.frame[np.argsort(t.frame, kind="stable")])
+    ped_rank = np.searchsorted(_distinct(t.ped), t.ped)  # t is sorted by ped
+    # (ped rank, frame rank) keys: below len(t)**2, and ascending in row order
+    key = ped_rank * len(frames) + np.searchsorted(frames, t.frame)
+    key_end = np.append(key, -1)  # a search past the last key finds no match
+    # starts whose span ends by the last frame; in uint64, f0 + k s wraps to
+    # the exact frame for each of them, also where k s exceeds int64
+    base = t.frame.astype(np.uint64)
+    need = (total - 1) * s
+    room = frames[-1:].astype(np.uint64) - base
+    rows = [np.flatnonzero(room >= np.uint64(need)) if need < 2**64 else np.arange(0)]
+    for k in range(1, total):
+        start = rows[0]
+        f = (base[start] + np.uint64(k * s)).view(np.int64)
+        r = np.searchsorted(frames, f)
+        q = ped_rank[start] * len(frames) + r
+        hit = np.searchsorted(key, q)
+        ok = (frames[r] == f) & (key_end[hit] == q)
+        rows = [a[ok] for a in rows] + [hit[ok]]
+    rows = np.stack(rows)
+    return rows[:, np.argsort(t.frame[rows[0]], kind="stable")]
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array. (np.unique would import
+    numpy.ma, 1.5 MB, on its first call.)"""
+    return np.concatenate([a[:1], a[1:][a[1:] != a[:-1]]])
 
 
 def obs_positions(batch: SceneBatch) -> np.ndarray:
     """(obs_len, n_peds, 2) array of observed coordinates."""
-    return np.array(
-        [[[w.obs[t].x, w.obs[t].y] for w in batch.windows] for t in range(batch.obs_len)]
-    )
+    return batch.obs
 
 
 def target_positions(batch: SceneBatch) -> np.ndarray:
     """(pred_len, n_peds, 2) array of future coordinates."""
-    return np.array(
-        [
-            [[w.target[t].x, w.target[t].y] for w in batch.windows]
-            for t in range(batch.pred_len)
-        ]
-    )
+    return batch.target
 
 
 def obs_vislets(batch: SceneBatch) -> np.ndarray | None:
-    """(obs_len, n_peds, 2) unit vectors, or None if any window lacks them."""
-    if any(w.vislets is None for w in batch.windows):
-        return None
-    return np.stack([w.vislets for w in batch.windows], axis=1)
+    """(obs_len, n_peds, 2) unit vectors, or None if a pedestrian lacks them."""
+    return batch.vislets
 
 
 # ---------------------------------------------------------------------------

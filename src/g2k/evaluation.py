@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as da
 from .config import InputError, ModelConfig, TrainConfig, config_hash, write_text
-from .data import SceneBatch, TrajectoryWindow
+from .data import SceneBatch
 from .model import RELATIONAL, TrajectoryModel
 from .training import pack_rows, train
 
@@ -63,25 +63,15 @@ def fde(pred: np.ndarray, gt: np.ndarray) -> float:
 # constant-velocity baseline
 
 
-def constant_velocity_baseline(
-    window: TrajectoryWindow, pred_len: int | None = None
-) -> np.ndarray:
-    """Extrapolate the last observed velocity; (pred_len, 2) positions."""
-    if len(window.obs) < 2:
-        raise InputError("baseline needs at least two observed points")
-    if pred_len is None:
-        pred_len = len(window.target)
-    last = np.array([window.obs[-1].x, window.obs[-1].y])
-    prev = np.array([window.obs[-2].x, window.obs[-2].y])
-    v = last - prev
-    return np.stack([last + (k + 1) * v for k in range(pred_len)])
-
-
 def baseline_predictions(batch: SceneBatch) -> np.ndarray:
-    """(N, pred_len, 2) constant-velocity forecasts for a whole scene."""
-    return np.stack(
-        [constant_velocity_baseline(w, batch.pred_len) for w in batch.windows]
-    )
+    """(N, pred_len, 2) constant-velocity forecasts for a whole scene: the
+    last observed velocity extrapolated."""
+    if batch.obs_len < 2:
+        raise InputError("baseline needs at least two observed points")
+    last = batch.obs[-1]
+    v = last - batch.obs[-2]
+    steps = np.arange(1, batch.pred_len + 1)[:, None, None]
+    return np.transpose(last + steps * v, (1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +302,7 @@ def _cap_scene(batch: SceneBatch, capacity: int) -> SceneBatch:
     """Clamp a scene to the first `capacity` pedestrians."""
     if batch.n_peds <= capacity:
         return batch
-    return SceneBatch(windows=batch.windows[:capacity], scene_image=batch.scene_image)
+    return batch.take(slice(capacity))
 
 
 def ablation_grid(neighborhoods=(32, 64)) -> list[AblationCell]:

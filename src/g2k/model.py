@@ -271,7 +271,7 @@ class TrajectoryModel:
         if not scenes:
             raise InputError("no scenes to run")
         for i, b in enumerate(scenes):
-            if not b.windows:
+            if not b.n_peds:
                 raise InputError(f"scene {i} of the pack has no pedestrians")
         parts = [da.obs_positions(b) for b in scenes]
         for o in parts:

@@ -24,12 +24,13 @@ from .model import KernelRun, TrajectoryModel
 
 CKPT_MAGIC = "g2k-ckpt-v1"
 
-# pedestrian rows per training graph. At paper scale a recorded graph and
-# its gradients take about 0.6 MB per row, so a group of 16 scenes of up to
-# 24 pedestrians runs as several packs whose gradients add up before the
-# one optimizer step; one graph per such group would peak near 230 MB. The
-# cap also sets the parallel grain: train()'s workers pull a group's packs
-# one at a time, so a group that fits one pack runs in the caller alone
+# pedestrian rows per training graph. At paper scale a recorded graph
+# peaks at about 0.5 MB per row in its backward pass, so a group of 16
+# scenes of up to 24 pedestrians runs as several packs whose gradients add
+# up before the one optimizer step; one graph per such group (235 rows)
+# would peak near 125 MB. The cap also sets the parallel grain: train()'s
+# workers pull a group's packs one at a time, so a group that fits one pack
+# runs in the caller alone
 TRAIN_PACK_ROWS = 40
 
 

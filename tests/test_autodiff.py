@@ -4,6 +4,7 @@ against finite differences, graph bookkeeping rules."""
 import mmap
 import os
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -222,16 +223,59 @@ def test_constant_receives_no_grad():
     assert np.all(x.grad == 1.0)
 
 
-def test_interior_grad_is_allocated_by_backward():
+def test_interior_grad_is_freed_by_backward():
     x = ad.leaf(np.ones((2, 2)))
     c = ad.constant(np.ones((2, 2)))
     assert x.grad is not None and c.grad is None
     y = ad.mul(x, x)
     z = ad.mul(c, c)
     assert y.requires_grad and y.grad is None
-    ad.backward(ad.sum_all(ad.add(y, z)))
-    assert np.all(y.grad == 1.0)
+    loss = ad.sum_all(ad.add(y, z))
+    ad.backward(loss)
+    assert y.grad is None and loss.grad is None
+    assert np.all(x.grad == 2.0)
     assert not z.requires_grad and z.grad is None
+
+
+def test_backward_peak_does_not_grow_with_depth():
+    # a chain of K adds on a 200 x 200 leaf: the forward holds K arrays, but
+    # backward needs only the gradients in flight, so its peak above the
+    # forward is the same for K = 10 and K = 100
+    size = 200 * 200 * 8
+    peaks = {}
+    for k in (10, 100):
+        x = ad.leaf(np.full((200, 200), 0.5))
+        node = x
+        for _ in range(k):
+            node = ad.add(node, x)
+        loss = ad.sum_all(node)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss)
+            peaks[k] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.all(x.grad == k + 1)
+    assert peaks[10] < 4 * size
+    assert peaks[100] < peaks[10] + size // 2
+
+
+def test_backward_cut_short_leaves_no_interior_grad():
+    x = ad.leaf(np.ones((2, 2)))
+    y = ad.mul(x, x)
+    loss = ad.sum_all(y)
+    rule = y._backward
+
+    def interrupted(g):
+        raise KeyboardInterrupt
+
+    y._backward = interrupted
+    with pytest.raises(KeyboardInterrupt):
+        ad.backward(loss)
+    y._backward = rule
+    ad.backward(loss)
+    assert np.all(x.grad == 2.0)
 
 
 def test_no_grad_records_no_graph():

@@ -305,7 +305,7 @@ def test_synth_roundtrip(ws, capsys):
     capsys.readouterr()
     points = da.load_dataset(str(path))
     sc = da.load_scenario(str(ws / "walk.cfg"))
-    assert points == da.scenario_points(sc)
+    assert list(points) == da.scenario_points(sc)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +521,11 @@ def test_train_checks_out_before_training(ws, capsys, monkeypatch, out):
     ["eval", "--baseline", "--scenario", "{walk}"],
     ["synth", "--scenario", "{walk}"],
 ], ids=["train", "eval-baseline", "synth"])
-def test_overlong_out_is_usage_error(ws, capsys, argv):
+def test_overlong_out_is_usage_error(ws, capsys, monkeypatch, argv):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train() ran before --out was checked")
+
+    monkeypatch.setattr(tr, "train", no_training)
     names = {"cfg": ws / "desk.cfg", "walk": ws / "walk.cfg"}
     out = str(ws / ("o" * 300))
     assert entry([a.format(**names) for a in argv] + ["--out", out]) == 2

@@ -26,13 +26,13 @@ def write(tmp_path, text, name="t.tsv"):
 def test_load_minimal_two_rows(tmp_path):
     pts = d.load_dataset(write(tmp_path, "0 1 0.0 0.0\n10 1 0.4 0.0\n"))
     assert len(pts) == 2
-    assert pts[0] == d.TrackPoint(0, 1, 0.0, 0.0, None)
+    assert list(pts)[0] == d.TrackPoint(0, 1, 0.0, 0.0, None)
     assert d.infer_stride(pts) == 10
 
 
 def test_load_pan_column(tmp_path):
     pts = d.load_dataset(write(tmp_path, "0 1 0.0 0.0 1.5708\n"))
-    assert pts[0].pan == pytest.approx(math.pi / 2, abs=1e-4)
+    assert list(pts)[0].pan == pytest.approx(math.pi / 2, abs=1e-4)
 
 
 def test_load_comments_and_blank_lines(tmp_path):
@@ -50,6 +50,51 @@ def test_load_malformed_row_reports_line(tmp_path):
         d.load_dataset(write(tmp_path, "0 1 0.0 0.0\n0 2 oops 0.0\n"))
     with pytest.raises(InputError, match=":1:"):
         d.load_dataset(write(tmp_path, "0 1 0.0\n"))
+
+
+def test_load_mixed_four_and_five_columns(tmp_path):
+    pts = d.load_dataset(write(tmp_path, "0 1 0.0 0.0 0.5\n10 1 0.4 0.0\n0 2 1.0 1.0\n"))
+    assert [p.pan for p in pts] == [0.5, None, None]
+    assert np.isnan(pts.pan[1:]).all()
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0 1 0.0 0.0\n0 1 1.0 1.0\n0 2 oops 0.0\n", 2, "duplicate (frame 0, ped 1)"),
+    ("0 1 0.0 0.0\n0 2 oops 0.0\n0 1 1.0 1.0\n", 2,
+     "could not convert string to float: 'oops'"),
+    ("0 1 0.0 0.0\n0 2 0.0 0.0 7.0\n0 1 0.0 0.0\n", 2, "pan 7.0 outside (-pi, pi]"),
+    ("0 1 0.0 0.0\n10 1 nan 0.0\n0 1 0.0 0.0\n", 2, "non-finite coordinates"),
+    ("0 1 0.0 0.0\n0 1 0.0\n0 1 0.0 0.0\n", 2, "expected 4 or 5 columns, got 3"),
+], ids=["duplicate-first", "value-first", "pan-first", "nan-first", "columns-first"])
+def test_load_two_faults_names_the_earlier_line(tmp_path, text, line, message):
+    path = write(tmp_path, text)
+    with pytest.raises(InputError) as exc:
+        d.load_dataset(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("row", [f"{2**63} 1 0.0 0.0", f"0 {-2**63 - 1} 0.0 0.0"])
+def test_load_id_beyond_int64_names_its_line(tmp_path, row):
+    with pytest.raises(InputError, match=r":2: frame and ped ids must fit in 64 bits"):
+        d.load_dataset(write(tmp_path, "0 1 0.0 0.0\n" + row + "\n"))
+
+
+def test_windows_at_the_int64_limits(tmp_path):
+    # ids at both ends of int64, and frame spans wider than int64: the
+    # (ped, frame) keys and f0 + k * stride must neither overflow nor wrap
+    lo, hi = -2**63, 2**63 - 1
+    wide = [(lo, 5), (-1, 5), (hi - 1, 5), (lo, 7), (hi, 7)]  # gaps 2**63 - 1, 2**64 - 1
+    edge = [(hi - 20 + k * 10, p) for p in (lo, hi) for k in range(3)]  # stride 10
+    text = "".join(f"{f} {p} {0.5 * i} 1.0\n" for i, (f, p) in enumerate(wide + edge))
+    pts = d.load_dataset(write(tmp_path, text))
+    assert d.infer_stride(pts) == 10
+    for stride in (10, 2**63 - 1):
+        got = d.make_windows(pts, obs_len=2, pred_len=1, stride=stride)
+        want = windows_oracle(list(pts), 2, 1, 32, stride)
+        assert [list(zip(b.ped_ids.tolist(), np.swapaxes(b.obs, 0, 1).tolist()))
+                for b in got] == [[(ped, [[p.x, p.y] for p in obs]) for ped, obs, _ in wins]
+                                  for wins in want]
+        assert len(got) == 1
 
 
 def test_load_rejects_out_of_range_pan(tmp_path):
@@ -71,7 +116,7 @@ def test_write_load_round_trip(tmp_path):
     ]
     path = str(tmp_path / "rt.tsv")
     d.write_dataset(src, path)
-    assert d.load_dataset(path) == sorted(src, key=lambda p: (p.ped_id, p.frame_id))
+    assert list(d.load_dataset(path)) == sorted(src, key=lambda p: (p.ped_id, p.frame_id))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +131,8 @@ def test_exact_fit_gives_one_window():
     batches = d.make_windows(track(1, 20))
     assert len(batches) == 1
     assert batches[0].n_peds == 1
-    assert len(batches[0].windows[0].obs) == 8
-    assert len(batches[0].windows[0].target) == 12
+    assert batches[0].obs.shape == (8, 1, 2)
+    assert batches[0].target.shape == (12, 1, 2)
 
 
 def test_21_samples_give_two_windows():
@@ -109,16 +154,16 @@ def test_gap_breaks_coverage():
 def test_windowing_is_loss_free():
     pts = track(1, 25)
     for b in d.make_windows(pts):
-        w = b.windows[0]
-        joined = w.obs + w.target
-        i0 = next(i for i, p in enumerate(pts) if p.frame_id == joined[0].frame_id)
-        assert joined == pts[i0 : i0 + 20]
+        joined = np.concatenate([b.obs[:, 0], b.target[:, 0]]).tolist()
+        # every point of the track has its own position
+        i0 = next(i for i, p in enumerate(pts) if [p.x, p.y] == joined[0])
+        assert joined == [[p.x, p.y] for p in pts[i0 : i0 + 20]]
 
 
 def test_neighborhood_cap_keeps_lowest_ids():
     pts = track(3, 20) + track(1, 20) + track(2, 20)
     b = d.make_windows(pts, max_peds=2)[0]
-    assert [w.ped_id for w in b.windows] == [1, 2]
+    assert b.ped_ids.tolist() == [1, 2]
 
 
 def windows_oracle(points, obs_len, pred_len, max_peds, stride):
@@ -158,22 +203,26 @@ def test_make_windows_matches_double_loop_oracle(seed, n_peds, stride):
                                                float(g.normal()), float(g.normal()), pan))
     got = d.make_windows(points, obs_len=2, pred_len=3, max_peds=3, stride=stride)
     want = windows_oracle(points, 2, 3, 3, stride)
-    assert [[(w.ped_id, w.obs, w.target) for w in b.windows] for b in got] == want
-    for b in got:
-        for w in b.windows:
-            if all(p.pan is not None for p in w.obs):
-                assert np.array_equal(
-                    w.vislets, [[math.cos(p.pan), math.sin(p.pan)] for p in w.obs])
-            else:
-                assert w.vislets is None
+    # the positions are drawn at random, so they identify the points
+    assert [list(zip(b.ped_ids.tolist(), np.swapaxes(b.obs, 0, 1).tolist(),
+                     np.swapaxes(b.target, 0, 1).tolist())) for b in got] == [
+        [(ped, [[p.x, p.y] for p in obs], [[p.x, p.y] for p in target])
+         for ped, obs, target in wins] for wins in want]
+    for b, wins in zip(got, want):
+        if all(p.pan is not None for _, obs, _ in wins for p in obs):
+            assert np.array_equal(np.swapaxes(d.obs_vislets(b), 0, 1), [
+                [[math.cos(p.pan), math.sin(p.pan)] for p in obs] for _, obs, _ in wins])
+        else:
+            assert d.obs_vislets(b) is None
 
 
 def test_batch_windows_share_frames():
+    # both tracks sit at x = 0.04 * frame, so equal positions mean equal frames
     pts = track(1, 22) + track(2, 22)
     for b in d.make_windows(pts):
-        f = [p.frame_id for p in b.windows[0].obs + b.windows[0].target]
-        for w in b.windows[1:]:
-            assert [p.frame_id for p in w.obs + w.target] == f
+        assert b.n_peds == 2
+        assert np.array_equal(b.obs[:, 0], b.obs[:, 1])
+        assert np.array_equal(b.target[:, 0], b.target[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +238,17 @@ def cv_scenario(**kw):
 
 def test_constant_velocity_noiseless_kinematics():
     b = d.synthesize(cv_scenario())[0]
-    w = b.windows[0]
     for k in range(12):
-        assert w.target[k].x - w.obs[7].x == pytest.approx(0.4 * (k + 1), abs=1e-12)
-        assert w.target[k].y == 0.0
+        assert b.target[k, 0, 0] - b.obs[7, 0, 0] == pytest.approx(0.4 * (k + 1), abs=1e-12)
+        assert b.target[k, 0, 1] == 0.0
 
 
 def test_constant_velocity_pan_along_x_is_zero():
-    b = d.synthesize(cv_scenario())[0]
-    for p in b.windows[0].obs + b.windows[0].target:
+    for p in d.scenario_points(cv_scenario()):
         assert p.pan == 0.0
+    # cos 0 = 1 and sin 0 = 0 exactly, and sin is 0.0 only at pan 0
+    b = d.synthesize(cv_scenario())[0]
+    assert np.all(d.obs_vislets(b) == [1.0, 0.0])
 
 
 def test_crossing_pair_seed_determinism():
@@ -233,14 +283,14 @@ def test_group_walk_is_curved():
 
 def test_group_walk_shares_heading():
     b = d.synthesize(d.SyntheticScenario(kind="group_walk", n_peds=5, seed=9))[0]
-    pans = np.array([[p.pan for p in w.obs] for w in b.windows])
-    assert np.ptp(pans, axis=0).max() < 0.15  # jitter only
+    vis = d.obs_vislets(b)
+    pans = np.arctan2(vis[..., 1], vis[..., 0])  # (obs_len, n_peds)
+    assert np.ptp(pans, axis=1).max() < 0.15  # jitter only
 
 
 def test_pan_matches_velocity_direction():
-    b = d.synthesize(d.SyntheticScenario(kind="group_walk", n_peds=2, seed=5))[0]
-    w = b.windows[0]
-    pts = w.obs + w.target
+    sc = d.SyntheticScenario(kind="group_walk", n_peds=2, seed=5)
+    pts = [p for p in d.scenario_points(sc) if p.ped_id == 0]  # its one window
     for a, bb in zip(pts, pts[1:]):
         step = math.atan2(bb.y - a.y, bb.x - a.x)
         # pan is the analytic heading at the segment start

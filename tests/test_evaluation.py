@@ -129,21 +129,21 @@ def test_baseline_exact_on_constant_velocity():
 
 
 def test_baseline_stationary_repeats_last_position():
-    pts = [da.TrackPoint(frame_id=f, ped_id=0, x=2.5, y=-1.0) for f in (0, 10, 20)]
-    w = da.TrajectoryWindow(ped_id=0, obs=pts, target=pts[:2])
-    pred = ev.constant_velocity_baseline(w)
-    assert np.allclose(pred, [[2.5, -1.0], [2.5, -1.0]], atol=1e-12)
+    pts = [da.TrackPoint(frame_id=f, ped_id=0, x=2.5, y=-1.0) for f in range(0, 50, 10)]
+    (batch,) = da.make_windows(pts, obs_len=3, pred_len=2)
+    pred = ev.baseline_predictions(batch)
+    assert np.allclose(pred, [[[2.5, -1.0], [2.5, -1.0]]], atol=1e-12)
 
 
 def test_baseline_matches_scripted_extrapolation():
     batch = scene(kind="group_walk", seed=9)
-    for w in batch.windows:
-        pred = ev.constant_velocity_baseline(w)
-        vx = w.obs[-1].x - w.obs[-2].x
-        vy = w.obs[-1].y - w.obs[-2].y
+    preds = ev.baseline_predictions(batch)
+    for i in range(batch.n_peds):
+        (x1, y1), (x2, y2) = batch.obs[-2, i].tolist(), batch.obs[-1, i].tolist()
+        vx, vy = x2 - x1, y2 - y1
         for k in range(2):
-            assert abs(pred[k, 0] - (w.obs[-1].x + (k + 1) * vx)) < 1e-12
-            assert abs(pred[k, 1] - (w.obs[-1].y + (k + 1) * vy)) < 1e-12
+            assert abs(preds[i, k, 0] - (x2 + (k + 1) * vx)) < 1e-12
+            assert abs(preds[i, k, 1] - (y2 + (k + 1) * vy)) < 1e-12
 
 
 def test_baseline_positive_error_on_curved_track():
@@ -153,10 +153,9 @@ def test_baseline_positive_error_on_curved_track():
 
 def test_baseline_needs_two_observations():
     batch = scene()
-    w = batch.windows[0]
-    short = da.TrajectoryWindow(ped_id=0, obs=w.obs[:1], target=w.target)
+    short = da.SceneBatch(batch.ped_ids, batch.obs[-1:], batch.target)
     with pytest.raises(InputError):
-        ev.constant_velocity_baseline(short)
+        ev.baseline_predictions(short)
 
 
 # ---------------------------------------------------------------------------

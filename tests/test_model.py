@@ -274,16 +274,14 @@ def test_g_lstm_ignores_vislets():
     m = desk_model("g_lstm")
     batch = desk_batch(seed=13)
     run1 = m.run(batch)
-    for w in batch.windows:
-        w.vislets = np.zeros_like(w.vislets)
+    batch.vislets = np.zeros_like(batch.vislets)
     run2 = m.run(batch)
     assert np.array_equal(run1.predictions, run2.predictions)
 
 
 def test_multi_cue_requires_vislets():
     batch = desk_batch()
-    for w in batch.windows:
-        w.vislets = None
+    batch.vislets = None
     m = desk_model("mc")
     with pytest.raises(md.InputError, match="vislet"):
         m.run(batch)
@@ -298,7 +296,7 @@ def test_obs_length_mismatch_rejected():
 
 def test_empty_scene_rejected_alone_and_in_pack():
     m = desk_model("mcr_n")
-    empty = da.SceneBatch(windows=[])
+    empty = desk_batch().take([])
     with pytest.raises(md.InputError, match="scene 0 of the pack has no pedestrians"):
         m.run(empty)
     with pytest.raises(md.InputError, match="scene 1 of the pack has no pedestrians"):
@@ -310,7 +308,7 @@ def test_permutation_equivariance(variant):
     m = desk_model(variant, seed=4)
     batch = desk_batch(seed=17)
     perm = [2, 0, 1]
-    permuted = da.SceneBatch(windows=[batch.windows[i] for i in perm])
+    permuted = batch.take(perm)
     base = m.run(batch)
     swapped = m.run(permuted)
     assert np.max(np.abs(base.predictions[perm] - swapped.predictions)) < 1e-9

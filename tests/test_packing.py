@@ -215,8 +215,7 @@ def test_divergence_names_first_bad_scene_of_a_pack(monkeypatch, tmp_path, budge
     monkeypatch.setattr(tr, "TRAIN_PACK_ROWS", budget)
     batch_list = scenes((2, 3, 2, 1))
     for bad in (1, 3):
-        w = batch_list[bad].windows[0]
-        w.obs = [da.TrackPoint(p.frame_id, p.ped_id, 1e200, p.y, p.pan) for p in w.obs]
+        batch_list[bad].obs[:, 0, 0] = 1e200
     # the group runs in shuffled order [2, 0, 1, 3]; the first bad scene in
     # it is named. Split, the bad scenes share the second pack, which any
     # worker may pull when there are several
