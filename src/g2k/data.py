@@ -60,8 +60,8 @@ class SceneBatch:
 
     ped_ids is (N,); obs (obs_len, N, 2) and target (pred_len, N, 2) hold
     their positions; vislets holds the observed unit vectors (cos pan,
-    sin pan) as (obs_len, N, 2), or None when some pedestrian lacks a pan at
-    some observed step.
+    sin pan) as (obs_len, N, 2), NaN where a pedestrian lacks a pan, so that
+    take() keeps the vislets of the pedestrians it keeps.
     """
 
     ped_ids: np.ndarray
@@ -137,8 +137,7 @@ def load_dataset(path: str) -> Tracks:
     non-finite coordinate, a pan outside (-pi, pi] or a (frame, ped) key
     seen on an earlier line."""
     cols: tuple[list, ...] = ([], [], [], [], [])  # frame, ped, x, y, pan
-    linenos: list[int] = []
-    fault = None
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,21 +145,18 @@ def load_dataset(path: str) -> Tracks:
         try:
             row = _parse_row(line.split())
         except InputError as e:
-            fault = InputError(f"{path}:{lineno}: {e}")
-            break  # the lines read so far may still hold an earlier duplicate
+            raise InputError(f"{path}:{lineno}: {e}") from None
+        key = row[:2]
+        if key in seen:
+            raise InputError(
+                f"{path}:{lineno}: duplicate (frame {key[0]}, ped {key[1]})"
+            )
+        seen.add(key)
         for col, v in zip(cols, row):
             col.append(v)
-        linenos.append(lineno)
     frame = np.array(cols[0], dtype=np.int64)
     ped = np.array(cols[1], dtype=np.int64)
-    order, last = _key_order(frame, ped)
-    if not last.all():
-        i = order[np.flatnonzero(~last) + 1].min()  # the earliest repeat
-        raise InputError(
-            f"{path}:{linenos[i]}: duplicate (frame {frame[i]}, ped {ped[i]})"
-        )
-    if fault is not None:
-        raise fault
+    order = np.lexsort((frame, ped))
     xy = np.array(cols[2:4], dtype=np.float64).T
     return Tracks(frame[order], ped[order], xy[order],
                   np.array(cols[4], dtype=np.float64)[order])
@@ -190,16 +186,6 @@ def _parse_row(cols: list[str]) -> tuple[int, int, float, float, float]:
     return frame, ped, x, y, pan
 
 
-def _key_order(frame: np.ndarray, ped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in (ped, frame) order, rows with equal keys in their own
-    order, and the mask of sorted rows whose key the next one differs from."""
-    order = np.lexsort((frame, ped))
-    f, p = frame[order], ped[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = (f[1:] != f[:-1]) | (p[1:] != p[:-1])
-    return order, last
-
-
 def _as_tracks(points: Tracks | Iterable[TrackPoint]) -> Tracks:
     """points as Tracks; of points with the same (frame, ped) the last wins."""
     if isinstance(points, Tracks):
@@ -207,7 +193,10 @@ def _as_tracks(points: Tracks | Iterable[TrackPoint]) -> Tracks:
     pts = list(points)
     frame = np.array([p.frame_id for p in pts], dtype=np.int64)
     ped = np.array([p.ped_id for p in pts], dtype=np.int64)
-    order, last = _key_order(frame, ped)
+    order = np.lexsort((frame, ped))  # equal keys stay in their own order
+    fo, po = frame[order], ped[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (fo[1:] != fo[:-1]) | (po[1:] != po[:-1])
     keep = order[last]
     xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64).reshape(-1, 2)
     pan = np.array([math.nan if p.pan is None else p.pan for p in pts], dtype=np.float64)
@@ -265,8 +254,8 @@ def make_windows(
     batches = []
     for idx in np.split(rows, np.flatnonzero(np.diff(starts)) + 1, axis=1):
         idx = idx[:, :max_peds]
-        pan = t.pan[idx[:obs_len]]
-        vis = None if np.isnan(pan).any() else np.stack([np.cos(pan), np.sin(pan)], axis=2)
+        pan = t.pan[idx[:obs_len]]  # NaN (no pan) gives NaN vislets
+        vis = np.stack([np.cos(pan), np.sin(pan)], axis=2)
         batches.append(SceneBatch(t.ped[idx[0]], t.xy[idx[:obs_len]], t.xy[idx[obs_len:]], vis))
     return batches
 
@@ -275,6 +264,9 @@ def _spans(t: Tracks, total: int, s: int) -> np.ndarray:
     """(total, m) rows of t: column j holds the points at frames f0, f0 + s,
     ..., f0 + (total - 1) s of one pedestrian, for every (pedestrian, f0)
     whose span has no gap, ordered by f0 and then ped."""
+    need = (total - 1) * s
+    if need >= 2**64:  # wider than any two int64 frames lie apart
+        return np.zeros((total, 0), dtype=np.intp)
     # the sort kernel of the last line, not np.sort: each NumPy kernel's
     # first call adds resident memory
     frames = _distinct(t.frame[np.argsort(t.frame, kind="stable")])
@@ -285,9 +277,8 @@ def _spans(t: Tracks, total: int, s: int) -> np.ndarray:
     # starts whose span ends by the last frame; in uint64, f0 + k s wraps to
     # the exact frame for each of them, also where k s exceeds int64
     base = t.frame.astype(np.uint64)
-    need = (total - 1) * s
     room = frames[-1:].astype(np.uint64) - base
-    rows = [np.flatnonzero(room >= np.uint64(need)) if need < 2**64 else np.arange(0)]
+    rows = [np.flatnonzero(room >= np.uint64(need))]
     for k in range(1, total):
         start = rows[0]
         f = (base[start] + np.uint64(k * s)).view(np.int64)
@@ -318,7 +309,8 @@ def target_positions(batch: SceneBatch) -> np.ndarray:
 
 def obs_vislets(batch: SceneBatch) -> np.ndarray | None:
     """(obs_len, n_peds, 2) unit vectors, or None if a pedestrian lacks them."""
-    return batch.vislets
+    v = batch.vislets
+    return None if v is None or np.isnan(v).any() else v
 
 
 # ---------------------------------------------------------------------------

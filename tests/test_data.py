@@ -95,6 +95,11 @@ def test_windows_at_the_int64_limits(tmp_path):
                 for b in got] == [[(ped, [[p.x, p.y] for p in obs]) for ped, obs, _ in wins]
                                   for wins in want]
         assert len(got) == 1
+    # an inferred stride whose span, (obs_len + pred_len - 1) strides, is
+    # wider than uint64 finds no window rather than overflowing
+    wide_gap = d.load_dataset(write(tmp_path, f"0 1 0.0 0.0\n{10**18} 1 1.0 0.0\n", "w.tsv"))
+    assert d.infer_stride(wide_gap) == 10**18
+    assert d.make_windows(wide_gap) == []
 
 
 def test_load_rejects_out_of_range_pan(tmp_path):

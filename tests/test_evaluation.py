@@ -232,6 +232,16 @@ def sweep_cfg(variant="mcr_mp"):
     return cfg
 
 
+def test_cap_scene_regains_vislets_of_kept_pedestrians():
+    sc = da.SyntheticScenario(n_peds=3, seed=1, obs_len=3, pred_len=2)
+    pts = [p if p.ped_id < 2 else replace(p, pan=None) for p in da.scenario_points(sc)]
+    (batch,) = da.make_windows(pts, obs_len=3, pred_len=2)
+    assert da.obs_vislets(batch) is None  # ped 2 has no pan
+    capped = ev._cap_scene(batch, 2)
+    assert capped.ped_ids.tolist() == [0, 1]
+    assert np.array_equal(da.obs_vislets(capped), da.obs_vislets(scene(seed=1))[:, :2])
+
+
 def test_ablation_grid_has_eight_cells():
     cells = ev.ablation_grid()
     assert len(cells) == 8
