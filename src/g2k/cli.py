@@ -1,8 +1,7 @@
 """Command line front end: train, eval, viz, gradcheck, synth.
 
 Configuration resolves in three layers: dataclass defaults, then a key=value
-config file, then explicit flags; the G2K_SEED environment variable beats all
-of them for the seed.
+config file, then explicit flags.
 
 Exit codes, mapped in entry() by error class:
   0  ok
@@ -127,8 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
 # config resolution
 
 
+def _set_flags(args, flags, cfg):
+    """cfg with the value of every flag in flags that args sets."""
+    for _, dest in flags:
+        v = getattr(args, dest, None)
+        if v is not None:
+            setattr(cfg, dest, v)
+    return cfg
+
+
 def resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    """defaults <- config file <- flags <- G2K_SEED, then validation."""
+    """defaults <- config file <- flags, then validation."""
     model_kw, train_kw = {}, {}
     if getattr(args, "config", None):
         text = read_text(args.config)
@@ -139,22 +147,10 @@ def resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
     mc, tc = ModelConfig(**model_kw), TrainConfig(**train_kw)
     if getattr(args, "variant", None):
         mc.variant = args.variant
-    for _, dest in _MODEL_FLAGS:
-        v = getattr(args, dest, None)
-        if v is not None:
-            setattr(mc, dest, v)
+    _set_flags(args, _MODEL_FLAGS, mc)
     if getattr(args, "no_attention", False):
         mc.attention_enabled = False
-    for _, dest in _TRAIN_FLAGS:
-        v = getattr(args, dest, None)
-        if v is not None:
-            setattr(tc, dest, v)
-    env_seed = os.environ.get("G2K_SEED")
-    if env_seed is not None:
-        try:
-            tc.seed = parse_fields(TrainConfig, [("seed", env_seed)])["seed"]
-        except InputError as e:
-            raise InputError(f"G2K_SEED: {e}") from None
+    _set_flags(args, _TRAIN_FLAGS, tc)
     mc.validate()
     tc.validate()
     return mc, tc
@@ -163,8 +159,9 @@ def resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
 def load_batches(args, mc: ModelConfig | None) -> list[da.SceneBatch]:
     """Scenario or TSV input as scene batches.
 
-    With a model config the window lengths must agree with it; without one
-    (baseline evaluation) the scenario's own lengths stand.
+    With a model config the window lengths must agree with it. Without one
+    (baseline evaluation) a scenario keeps its own lengths, and a dataset is
+    cut at the --obs-len/--pred-len flags, else the ModelConfig defaults.
     """
     if getattr(args, "scenario", None):
         sc = da.load_scenario(args.scenario)
@@ -176,7 +173,8 @@ def load_batches(args, mc: ModelConfig | None) -> list[da.SceneBatch]:
         batches = da.synthesize(sc)
     elif getattr(args, "dataset", None):
         points = da.load_dataset(args.dataset)
-        cfg = mc if mc is not None else ModelConfig()
+        cfg = mc if mc is not None else _set_flags(args, _MODEL_FLAGS, ModelConfig())
+        cfg.validate()
         batches = da.make_windows(
             points, cfg.obs_len, cfg.pred_len, max_peds=cfg.neighborhood_size
         )
@@ -301,7 +299,7 @@ def cmd_viz(args) -> int:
         peak = float(cells.max())
         img = np.zeros_like(cells) if peak <= 0 else cells / peak * 255.0
         pgm = os.path.join(args.out, "grid.pgm")
-        da.write_pgm(pgm, img, magic="P2", comment=f"config {h}")
+        da.write_pgm(pgm, img, comment=f"config {h}")
         print(f"wrote {pgm}")
     return 0
 

@@ -3,7 +3,7 @@
 Values are plain floats/ints/bools/strings so a config can round-trip through
 the key=value text formats and be hashed stably. parse_fields is the one place
 a raw string becomes a typed field value; config files, scenario files,
-checkpoints, CLI flags and G2K_SEED all go through it. Validation happens in
+checkpoints and CLI flags all go through it. Validation happens in
 validate() rather than __post_init__ so partially-built configs (e.g. during
 CLI merge) do not explode early.
 """
@@ -169,11 +169,11 @@ def read_key_values(text: str, *classes) -> list[dict[str, object]]:
     '#' starts a comment that runs to the end of the line and blank lines are
     skipped. Each key goes to the first class that has a field of that name;
     a later line for the same key wins. Errors are InputErrors that carry
-    the 1-based line number.
+    the 1-based line number, counted in newlines.
     """
     out: list[dict[str, object]] = [{} for _ in classes]
     names = [{f.name for f in fields(c)} for c in classes]
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -189,7 +189,8 @@ def read_key_values(text: str, *classes) -> list[dict[str, object]]:
 
 
 def read_text(path: str, error: type[Exception] = InputError) -> str:
-    """A UTF-8 file's text; undecodable bytes raise error, not a traceback."""
+    """A UTF-8 file's text, each CRLF or CR line end read as LF; undecodable
+    bytes raise error, not a traceback."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()

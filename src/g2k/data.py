@@ -6,7 +6,7 @@ are world meters (pre-projected; homography application is a preprocessing
 requirement, not handled here). pan is a head-pose angle in radians, world
 frame, in (-pi, pi].
 
-Scene images ride along as PGM grayscale (P2 and P5, read and written).
+Scene images ride along as PGM grayscale: P2 and P5 are read, P2 written.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def load_dataset(path: str) -> Tracks:
     seen on an earlier line."""
     cols: tuple[list, ...] = ([], [], [], [], [])  # frame, ped, x, y, pan
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -476,10 +476,9 @@ def read_pgm(path: str) -> np.ndarray:
     return scaled.astype(np.uint8).reshape(height, width)
 
 
-def write_pgm(path: str, img: np.ndarray, magic: str = "P5",
-              comment: str | None = None) -> None:
-    """Binary (P5) or plain (P2) 8-bit PGM, values rounded and clipped to
-    0..255; the file is replaced atomically."""
+def write_pgm(path: str, img: np.ndarray, comment: str | None = None) -> None:
+    """Plain (P2) 8-bit PGM, values rounded and clipped to 0..255; the file
+    is replaced atomically."""
     arr = np.asarray(img)
     if arr.ndim != 2:
         raise InputError("PGM image must be 2-D")
@@ -488,11 +487,6 @@ def write_pgm(path: str, img: np.ndarray, magic: str = "P5",
     arr = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
     h, w = arr.shape
     note = f"# {comment}\n" if comment else ""
-    header = f"{magic}\n{note}{w} {h}\n255\n".encode("ascii")
-    if magic == "P5":
-        body = arr.tobytes()
-    elif magic == "P2":
-        body = "".join(" ".join(map(str, r)) + "\n" for r in arr.tolist()).encode("ascii")
-    else:
-        raise InputError(f"unsupported PGM magic {magic!r}")
-    write_bytes(path, header + body)
+    header = f"P2\n{note}{w} {h}\n255\n"
+    body = "".join(" ".join(map(str, r)) + "\n" for r in arr.tolist())
+    write_bytes(path, (header + body).encode("ascii"))

@@ -2,8 +2,21 @@
 
 The objective is the squared Euclidean prediction error, mean-reduced over
 pedestrians and predicted steps so the learning rate does not depend on crowd
-size, then averaged over the scenes of a training group. Checkpoints are a
-text format ("g2k-ckpt-v1") storing every float as float.hex(), which
+size, then averaged over the scenes of a training group.
+
+A checkpoint ("g2k-ckpt-v2") is a text file of one record per line, each
+led by its tag:
+
+    g2k-ckpt-v2
+    hash <sha256 of the configs>
+    epoch <n>
+    model.<field> <value>             every ModelConfig field
+    train.<field> <value>             every TrainConfig field
+    history <hex>
+    param <name> <rows> <cols> <hex>  every parameter
+    end
+
+An array is the lowercase hex of its little-endian float64 bytes, so it
 round-trips bit-exactly.
 """
 
@@ -22,7 +35,7 @@ from .config import (InputError, ModelConfig, TrainConfig, config_hash,
                      write_text)
 from .model import KernelRun, TrajectoryModel
 
-CKPT_MAGIC = "g2k-ckpt-v1"
+CKPT_MAGIC = "g2k-ckpt-v2"
 
 # pedestrian rows per training graph. At paper scale a recorded graph
 # peaks at about 0.5 MB per row in its backward pass, so a group of 16
@@ -390,29 +403,40 @@ def _first_diverging(model: TrajectoryModel, batches: list[da.SceneBatch],
 # checkpoints
 
 
-def save_checkpoint(
-    path: str,
-    model: TrajectoryModel,
-    train_cfg: TrainConfig,
-    epoch: int,
-    history: list[float],
-) -> None:
+def save_checkpoint(path: str, model: TrajectoryModel, train_cfg: TrainConfig,
+                    epoch: int, history: list[float]) -> None:
     mc = model.cfg
     lines = [CKPT_MAGIC, f"hash {config_hash(mc, train_cfg)}", f"epoch {epoch}"]
-    for k, v in config_items(mc):
-        lines.append(f"model.{k} {v}")
-    for k, v in config_items(train_cfg):
-        lines.append(f"train.{k} {v}")
-    lines.append(f"history {len(history)}")
-    lines.extend(map(float.hex, map(float, history)))
-    state = model.params.state()
-    lines.append(f"params {len(state)}")
-    for name in model.params.names():
-        arr = state[name]
-        lines.append(f"param {name} {arr.shape[0]} {arr.shape[1]}")
-        lines.extend(" ".join(map(float.hex, row)) for row in arr.tolist())
-    lines.append("end")
-    write_text(path, "\n".join(lines) + "\n")
+    lines += [f"model.{k} {v}" for k, v in config_items(mc)]
+    lines += [f"train.{k} {v}" for k, v in config_items(train_cfg)]
+    lines.append(f"history {_hex(history)}")
+    for p in model.params:
+        rows, cols = p.value.data.shape
+        lines.append(f"param {p.name} {rows} {cols} {_hex(p.value.data)}")
+    write_text(path, "\n".join(lines) + "\nend\n")
+
+
+def _hex(values) -> str:
+    """The lowercase hex of values' little-endian float64 bytes."""
+    return np.asarray(values, dtype="<f8").tobytes().hex()
+
+
+def _floats(digits: str) -> np.ndarray:
+    """Inverse of _hex; ValueError unless 16 hex digits per finite value."""
+    raw = bytes.fromhex(digits) if len(digits) % 16 == 0 else b""
+    if 2 * len(raw) != len(digits):  # a digit count not 16 per value, or spaces
+        raise ValueError(f"{len(digits)} characters, not 16 hex digits per value")
+    arr = np.frombuffer(raw, "<f8")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"non-finite value at index {int(np.argmin(finite))}")
+    return arr
+
+
+def _count(raw: str) -> int:
+    if not raw.isdecimal():
+        raise ValueError(f"bad count {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -434,93 +458,52 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Inverse of save_checkpoint. Anything malformed, inconsistent or not
-    UTF-8 raises CheckpointError, with the 1-based line number where known."""
-    lines = read_text(path, CheckpointError).splitlines()
-    if not lines or lines[0] != CKPT_MAGIC:
+    """Inverse of save_checkpoint: one pass over the records, each dispatched
+    on its tag. Anything malformed, inconsistent or not UTF-8 raises
+    CheckpointError; a bad or repeated record names its 1-based line."""
+    lines = read_text(path, CheckpointError).removesuffix("\n").split("\n")
+    if lines[0] != CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a {CKPT_MAGIC} file")
-    i = 1
-
-    def fail(msg: str) -> CheckpointError:
-        return CheckpointError(f"{path}:{i}: {msg}")
-
-    def take() -> str:
-        nonlocal i
-        if i >= len(lines):
-            raise CheckpointError(f"{path}: truncated")
-        i += 1
-        return lines[i - 1]
-
-    def count(raw: str) -> int:
-        if not raw.isdecimal():
-            raise fail(f"bad count {raw!r} in {lines[i - 1]!r}")
-        return int(raw)
-
-    def take_value(tag: str) -> str:
-        key, _, value = take().partition(" ")
-        if key != tag or not value:
-            raise fail(f"expected '{tag} <value>', got {lines[i - 1]!r}")
-        return value
-
-    def hex_rows(rows: int, width: int) -> np.ndarray:
-        first = i + 1  # line number of the first row
-        values = []
-        for _ in range(rows):
-            line = take()
-            try:
-                row = list(map(float.fromhex, line.split()))
-            except ValueError:
-                raise fail(f"not float.hex() values: {line!r}") from None
-            if len(row) != width:
-                raise fail(f"expected {width} values, got {len(row)}")
-            values.append(row)
-        arr = np.array(values).reshape(rows, width)
-        finite = np.isfinite(arr)  # float.fromhex reads nan and inf
-        if not finite.all():
-            bad = first + int(np.argmin(finite.all(axis=1)))
-            raise CheckpointError(
-                f"{path}:{bad}: non-finite value in {lines[bad - 1]!r}")
-        return arr
-
-    stored_hash = take_value("hash")
-    epoch = count(take_value("epoch"))
-    pairs: dict[str, list[tuple[int, str, str]]] = {"model": [], "train": []}
-    while True:
-        key, _, value = take().partition(" ")
-        if key == "history":
-            break
-        section, _, name = key.partition(".")
-        if section not in pairs:
-            raise fail(f"unexpected line {lines[i - 1]!r}")
-        pairs[section].append((i, name, value))
-    history = hex_rows(count(value), 1)[:, 0].tolist()
-    model_cfg = _stored_config(ModelConfig, pairs["model"], path)
-    train_cfg = _stored_config(TrainConfig, pairs["train"], path)
+    cfgs = {"model": (ModelConfig, {}), "train": (TrainConfig, {})}
+    state: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        tag, _, value = line.partition(" ")
+        head = value.split(" ", 3)  # a param's name, rows, cols and hex
+        record = f"param {head[0]}" if tag == "param" else tag
+        section, _, key = tag.partition(".")
+        try:
+            if record in seen:
+                raise ValueError(f"repeated {record!r}")
+            seen.add(record)
+            if tag == "end":
+                break
+            elif tag == "hash":
+                stored_hash = value
+            elif tag == "epoch":
+                epoch = _count(value)
+            elif tag == "history":
+                history = _floats(value).tolist()
+            elif tag == "param":
+                if len(head) != 4:
+                    raise ValueError("expected 'param <name> <rows> <cols> <hex>'")
+                name, rows, cols = head[0], _count(head[1]), _count(head[2])
+                arr = _floats(head[3])
+                if arr.size != rows * cols:
+                    raise ValueError(f"{rows}x{cols} {name} holds {arr.size} values")
+                state[name] = arr.reshape(rows, cols)
+            elif section in cfgs:
+                cls, kw = cfgs[section]
+                kw.update(parse_fields(cls, [(key, value)]))
+            else:
+                raise ValueError(f"unknown tag {tag!r}")
+        except ValueError as e:
+            raise CheckpointError(f"{path}:{lineno}: {e}") from None
+    for record in ["hash", "epoch", "history", "end"] + [
+            f"{s}.{f.name}" for s, (cls, _) in cfgs.items() for f in fields(cls)]:
+        if record not in seen:
+            raise CheckpointError(f"{path}: no {record} record")
+    model_cfg, train_cfg = (cls(**kw) for cls, kw in cfgs.values())
     if config_hash(model_cfg, train_cfg) != stored_hash:
         raise CheckpointError(f"{path}: config hash mismatch")
-
-    state: dict[str, np.ndarray] = {}
-    for _ in range(count(take_value("params"))):
-        head = take().split()
-        if len(head) != 4 or head[0] != "param":
-            raise fail(f"expected 'param <name> <rows> <cols>', got {lines[i - 1]!r}")
-        name, rows, cols = head[1], count(head[2]), count(head[3])
-        state[name] = hex_rows(rows, cols)
-    if take() != "end":
-        raise fail("missing end marker")
     return Checkpoint(model_cfg, train_cfg, epoch, history, state, stored_hash)
-
-
-def _stored_config(cls, lines: list[tuple[int, str, str]], path: str):
-    """Config dataclass from a checkpoint's `section.key value` lines, given
-    as (line number, key, value), every field present."""
-    kw = {}
-    for lineno, key, raw in lines:
-        try:
-            kw.update(parse_fields(cls, [(key, raw)]))
-        except InputError as e:
-            raise CheckpointError(f"{path}:{lineno}: {e}") from None
-    missing = [f.name for f in fields(cls) if f.name not in kw]
-    if missing:
-        raise CheckpointError(f"{path}: checkpoint misses config field {missing[0]}")
-    return cls(**kw)

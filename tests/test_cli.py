@@ -45,8 +45,7 @@ pred_len = 2
 
 
 @pytest.fixture
-def ws(tmp_path, monkeypatch):
-    monkeypatch.delenv("G2K_SEED", raising=False)
+def ws(tmp_path):
     (tmp_path / "desk.cfg").write_text(DESK_CFG)
     (tmp_path / "walk.cfg").write_text(WALK_CFG)
     return tmp_path
@@ -136,14 +135,6 @@ def test_flag_beats_config_file(ws):
     assert ck.model_cfg.hidden_size == 8  # file value survives
 
 
-def test_env_seed_beats_flag(ws, monkeypatch):
-    monkeypatch.setenv("G2K_SEED", "99")
-    assert run_train(ws, "--seed", "1", out="a") == 0
-    assert run_train(ws, "--seed", "2", out="b") == 0
-    assert (ws / "a" / "ckpt").read_bytes() == (ws / "b" / "ckpt").read_bytes()
-    assert tr.load_checkpoint(str(ws / "a" / "ckpt")).train_cfg.seed == 99
-
-
 def test_train_from_tsv_dataset(ws):
     assert entry(["synth", "--scenario", str(ws / "walk.cfg"),
                   "--out", str(ws / "walk.tsv")]) == 0
@@ -175,6 +166,18 @@ def test_eval_baseline_needs_no_ckpt(ws, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "constant_velocity" in out
+
+
+def test_eval_baseline_dataset_takes_window_flags(ws, capsys):
+    tsv = ws / "walk.tsv"
+    assert entry(["synth", "--scenario", str(ws / "walk.cfg"), "--out", str(tsv)]) == 0
+    assert entry(["eval", "--baseline", "--dataset", str(tsv)]) == 2  # 8/12 > 5 frames
+    assert "no complete windows" in capsys.readouterr().err
+    assert entry(["eval", "--baseline", "--dataset", str(tsv), "--obs-len", "3",
+                  "--pred-len", "2", "--out", str(ws / "tsv.csv")]) == 0
+    assert entry(["eval", "--baseline", "--scenario", str(ws / "walk.cfg"),
+                  "--out", str(ws / "scenario.csv")]) == 0
+    assert (ws / "tsv.csv").read_bytes() == (ws / "scenario.csv").read_bytes()
 
 
 def test_eval_flag_mismatch_exits_4(ws, capsys):
@@ -328,17 +331,21 @@ def _replace(prefix, new):
     return edit
 
 
-def _non_hex_row(lines):
+def _hex(value):
+    return np.array([value], dtype="<f8").tobytes().hex()
+
+
+def _param_value(name, value):
+    """Make value the first value of parameter name."""
+    def first(line):
+        head, _, digits = line.rpartition(" ")
+        return f"{head} {_hex(value)}{digits[16:]}"
+    return _replace(f"param {name} ", first)
+
+
+def _repeat_param(lines):
     idx = next(i for i, l in enumerate(lines) if l.startswith("param "))
-    lines[idx + 1] = " ".join("zz" for _ in lines[idx + 1].split())
-
-
-def _param_row(name, value):
-    """Put value first in the first row of parameter name."""
-    def edit(lines):
-        idx = next(i for i, l in enumerate(lines) if l.startswith(f"param {name} ")) + 1
-        lines[idx] = " ".join([value, *lines[idx].split()[1:]])
-    return edit
+    lines.insert(idx + 1, lines[idx])
 
 
 def _extra_model_line(line):
@@ -349,21 +356,25 @@ def _extra_model_line(line):
 
 
 @pytest.mark.parametrize("edit", [
+    _replace("g2k-ckpt", "g2k-ckpt-v1"),
     _replace("hash", "hash"),
     _replace("epoch", "epoch x"),
     _replace("history", "history x"),
     _replace("model.hidden_size", "model.hidden_size eight"),
     _replace("param ", lambda l: l.rsplit(" ", 1)[0]),
-    _non_hex_row,
+    _replace("param ", lambda l: l[:-1] + "z"),
+    _replace("param ", lambda l: l[:-1]),
+    _replace("param ", lambda l: l[:-16]),
+    _repeat_param,
     _extra_model_line("model.bogus 1"),
     _extra_model_line("model.block_skip 4"),
     _extra_model_line("model.static_grid_enabled true"),
-    _param_row("decode.b", "nan"),
-    _param_row("decode.w", "-inf"),
-    _replace("0x", "inf"),
-], ids=["hash-no-value", "epoch-x", "history-x", "int-field-eight",
-        "param-header-short", "non-hex-row", "unknown-key", "retired-key",
-        "retired-static-grid",
+    _param_value("decode.b", float("nan")),
+    _param_value("decode.w", float("-inf")),
+    _replace("history", f"history {_hex(float('inf'))}"),
+], ids=["v1-magic", "hash-no-value", "epoch-x", "history-x", "int-field-eight",
+        "param-header-short", "non-hex-row", "odd-hex", "value-count",
+        "repeated-param", "unknown-key", "retired-key", "retired-static-grid",
         "nan-param", "inf-param", "inf-history"])
 def test_eval_malformed_ckpt_exits_4(ws, desk_ckpt, capsys, edit):
     assert entry(["eval", "--ckpt", str(desk_ckpt),
@@ -407,12 +418,6 @@ def test_non_utf8_input_exit_code(ws, capsys, bad, argv, code):
 def test_non_finite_flag_is_usage_error(ws, capsys):
     assert run_train(ws, "--lambda", "nan") == 2
     assert "lambda" in capsys.readouterr().err
-
-
-def test_bad_env_seed_is_usage_error(ws, monkeypatch, capsys):
-    monkeypatch.setenv("G2K_SEED", "seven")
-    assert run_train(ws) == 2
-    assert "G2K_SEED" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line,field", [

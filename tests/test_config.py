@@ -74,8 +74,7 @@ def _field_lines(*classes):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_field_lines(ModelConfig, TrainConfig))
-def test_fuzz_config_file(tmp_path, monkeypatch, text):
-    monkeypatch.delenv("G2K_SEED", raising=False)
+def test_fuzz_config_file(tmp_path, text):
     path = tmp_path / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
     try:

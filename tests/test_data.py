@@ -40,6 +40,18 @@ def test_load_comments_and_blank_lines(tmp_path):
     assert len(d.load_dataset(write(tmp_path, text))) == 2
 
 
+def test_load_ends_lines_at_newlines_only(tmp_path):
+    """A form feed or Unicode line separator stays inside its comment, line
+    numbers count newlines, and CRLF files load."""
+    p = tmp_path / "t.tsv"
+    text = "0 1 0.0 0.0 # note\x0cx\x85y\u2028z\r\n10 1 0.4 0.0\r\n"
+    p.write_bytes(text.encode("utf-8"))
+    assert len(d.load_dataset(str(p))) == 2
+    p.write_bytes((text + "0 2 oops 0.0\r\n").encode("utf-8"))
+    with pytest.raises(InputError, match=":3: could not convert"):
+        d.load_dataset(str(p))
+
+
 def test_load_duplicate_key_rejected(tmp_path):
     with pytest.raises(InputError, match="duplicate"):
         d.load_dataset(write(tmp_path, "0 1 0.0 0.0\n0 1 1.0 1.0\n"))
@@ -336,15 +348,16 @@ def test_synthesize_referentially_transparent(kind, n, seed):
 
 def test_pgm_p5_round_trip(tmp_path):
     img = np.arange(20, dtype=np.uint8).reshape(4, 5)
-    p = str(tmp_path / "a.pgm")
-    d.write_pgm(p, img, "P5")
-    assert np.array_equal(d.read_pgm(p), img)
+    p = tmp_path / "a.pgm"
+    p.write_bytes(b"P5\n5 4\n255\n" + img.tobytes())
+    assert np.array_equal(d.read_pgm(str(p)), img)
 
 
 def test_pgm_p2_round_trip(tmp_path):
     img = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
     p = str(tmp_path / "a.pgm")
-    d.write_pgm(p, img, "P2")
+    d.write_pgm(p, img, comment="made by write_pgm")
+    assert open(p, "rb").read().startswith(b"P2\n# made by write_pgm\n4 3\n255\n")
     assert np.array_equal(d.read_pgm(p), img)
 
 
@@ -403,6 +416,16 @@ def test_parse_scenario_file():
     )
     assert sc.kind == "crossing_pair"
     assert sc.seed == 42
+
+
+def test_scenario_file_ends_lines_at_newlines_only(tmp_path):
+    p = tmp_path / "s.cfg"
+    p.write_bytes("kind = group_walk # a\x0cb\u2029c\r\nn_peds = 4\r\n".encode("utf-8"))
+    sc = d.load_scenario(str(p))
+    assert (sc.kind, sc.n_peds) == ("group_walk", 4)
+    p.write_bytes(b"n_peds = 4 # a\x0cb\nseed\n")
+    with pytest.raises(InputError, match="line 2: expected key = value, got 'seed'"):
+        d.load_scenario(str(p))
 
 
 def test_parse_scenario_rejects_unknown_key():

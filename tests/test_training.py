@@ -4,6 +4,7 @@ import contextlib
 import errno
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from g2k import data as da
 from g2k import evaluation as ev
 from g2k import model as md
 from g2k import training as tr
-from g2k.config import InputError, TrainConfig, desk_config
+from g2k.config import (InputError, TrainConfig, config_hash, config_items,
+                        desk_config)
 
 
 def loss_value(pred, gt):
@@ -393,15 +395,33 @@ def test_fuzz_checkpoint_line(tmp_path, desk_ckpt_lines, data):
         pass
 
 
-def test_checkpoint_rows_are_float_hex(desk_ckpt_lines):
-    """Each history value and parameter row is written as float.hex()."""
-    state = md.TrajectoryModel(desk_config("mcr_n"), seed=7).params.state()
-    at = desk_ckpt_lines.index("history 2")
-    assert desk_ckpt_lines[at + 1 : at + 3] == [(0.5).hex(), (0.25).hex()]
-    for name, arr in state.items():
-        at = desk_ckpt_lines.index(f"param {name} {arr.shape[0]} {arr.shape[1]}")
-        rows = desk_ckpt_lines[at + 1 : at + 1 + arr.shape[0]]
-        assert rows == [" ".join(v.hex() for v in row) for row in arr.tolist()], name
+def test_checkpoint_arrays_are_raw_hex(desk_ckpt_lines):
+    """One record per line; each array is the lowercase hex of its
+    little-endian float64 bytes, parameters in registration order."""
+    model = md.TrajectoryModel(desk_config("mcr_n"), seed=7)
+    state = model.params.state()
+    tc = TrainConfig(epochs=1)
+    assert desk_ckpt_lines == [
+        "g2k-ckpt-v2",
+        f"hash {config_hash(model.cfg, tc)}",
+        "epoch 1",
+        *(f"model.{k} {v}" for k, v in config_items(model.cfg)),
+        *(f"train.{k} {v}" for k, v in config_items(tc)),
+        "history 000000000000e03f000000000000d03f",  # 0.5, 0.25
+        *(f"param {n} {state[n].shape[0]} {state[n].shape[1]} "
+          + b"".join(struct.pack("<d", v) for v in state[n].flat).hex()
+          for n in model.params.names()),
+        "end",
+    ]
+
+
+def with_line(tmp_path, lines, idx, new):
+    """Path of a checkpoint whose line idx (0-based) is new."""
+    lines = list(lines)
+    lines[idx] = new
+    path = tmp_path / "ckpt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 @pytest.mark.parametrize("section,row,value", [
@@ -409,14 +429,70 @@ def test_checkpoint_rows_are_float_hex(desk_ckpt_lines):
 ])
 def test_non_finite_checkpoint_value_names_its_line(tmp_path, desk_ckpt_lines,
                                                     section, row, value):
-    lines = list(desk_ckpt_lines)
-    idx = next(i for i, l in enumerate(lines) if l.startswith(section + " ")) + row
-    lines[idx] = " ".join([*lines[idx].split()[:-1], value])
+    """row is the 1-based position of the value the edit makes non-finite."""
+    idx = next(i for i, l in enumerate(desk_ckpt_lines) if l.startswith(section + " "))
+    head, digits = desk_ckpt_lines[idx].rsplit(" ", 1)
+    at = 16 * (row - 1)
+    bad = struct.pack("<d", float(value)).hex()
+    path = with_line(tmp_path, desk_ckpt_lines, idx,
+                     f"{head} {digits[:at]}{bad}{digits[at + 16:]}")
+    with pytest.raises(tr.CheckpointError) as exc:
+        tr.load_checkpoint(str(path))
+    assert str(exc.value) == f"{path}:{idx + 1}: non-finite value at index {row - 1}"
+
+
+@pytest.mark.parametrize("prefix,edit,message", [
+    ("history", lambda l: l + "0", "33 characters, not 16 hex digits per value"),
+    ("param decode.b", lambda l: l[:-16] + "zz" + l[-14:],
+     "non-hexadecimal number found"),
+    ("history", lambda l: l.replace(" 0000", " 00  "),
+     "32 characters, not 16 hex digits per value"),
+    ("param decode.w", lambda l: l[:-16], "8x4 decode.w holds 31 values"),
+    ("param decode.w", lambda l: l.replace(" 8 4 ", " 8 5 "), "8x5 decode.w holds 32 values"),
+    ("param decode.w", lambda l: l.rsplit(" ", 1)[0],
+     "expected 'param <name> <rows> <cols> <hex>'"),
+    ("param decode.b", lambda l: l.replace(" 1 ", " one "), "bad count 'one'"),
+    ("param decode.b", lambda l: "param decode.w" + l[len("param decode.b"):],
+     "repeated 'param decode.w'"),
+    ("train.seed", lambda l: "model.hidden_size 8", "repeated 'model.hidden_size'"),
+    ("param decode.b", lambda l: "epoch 1", "repeated 'epoch'"),
+    ("epoch", lambda l: "epoch -1", "bad count '-1'"),
+    ("epoch", lambda l: "weights 1", "unknown tag 'weights'"),
+    ("epoch", lambda l: "", "unknown tag ''"),
+    ("train.lr", lambda l: "train.lr fast", "bad value for lr: expected float, got 'fast'"),
+], ids=["odd-hex", "non-hex", "spaced-hex", "value-count", "shape-count", "no-hex",
+        "bad-rows", "repeated-param", "repeated-field", "repeated-epoch",
+        "negative-epoch", "unknown-tag", "blank-line", "bad-field"])
+def test_bad_checkpoint_record_names_its_line(tmp_path, desk_ckpt_lines, prefix,
+                                              edit, message):
+    """The later of two repeated records is the one named."""
+    idx = next(i for i, l in enumerate(desk_ckpt_lines) if l.startswith(prefix + " "))
+    path = with_line(tmp_path, desk_ckpt_lines, idx, edit(desk_ckpt_lines[idx]))
+    with pytest.raises(tr.CheckpointError) as exc:
+        tr.load_checkpoint(str(path))
+    assert str(exc.value).startswith(f"{path}:{idx + 1}: {message}")
+
+
+@pytest.mark.parametrize("record,message", [
+    ("end", "no end record"),
+    ("epoch", "no epoch record"),
+    ("model.tau", "no model.tau record"),
+    ("train.clip_norm", "no train.clip_norm record"),
+])
+def test_checkpoint_missing_record(tmp_path, desk_ckpt_lines, record, message):
+    lines = [l for l in desk_ckpt_lines if l.split(" ")[0] != record]
     path = tmp_path / "ckpt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(tr.CheckpointError) as exc:
         tr.load_checkpoint(str(path))
-    assert str(exc.value) == f"{path}:{idx + 1}: non-finite value in {lines[idx]!r}"
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_checkpoint_v1_is_not_read(tmp_path, desk_ckpt_lines):
+    path = with_line(tmp_path, desk_ckpt_lines, 0, "g2k-ckpt-v1")
+    with pytest.raises(tr.CheckpointError) as exc:
+        tr.load_checkpoint(str(path))
+    assert str(exc.value) == f"{path}: not a g2k-ckpt-v2 file"
 
 
 def half_then_disk_full(real_open=open):
@@ -459,7 +535,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
         "viz": lambda: cli.write_matrix_csv(str(target), np.eye(2), "h"),
         "tsv": lambda: da.write_dataset(da.scenario_points(da.SyntheticScenario()),
                                         str(target)),
-        "pgm": lambda: da.write_pgm(str(target), np.eye(2) * 255, "P2"),
+        "pgm": lambda: da.write_pgm(str(target), np.eye(2) * 255),
     }[writer]
     with monkeypatch.context() as mp:
         mp.setattr(config, "open", half_then_disk_full(), raising=False)
