@@ -32,6 +32,11 @@ collects their summed gate gradients. Per unit it reads the gate block
 anyway; it keeps them only when the node requires grad, so a step under
 ad.no_grad() keeps none. The first units' input and state-h gradients and
 every weight gradient are one product each after the block loop.
+
+The forward also runs on stacks (ad.grad_check's perturbed forwards): the
+inputs, the state and any weight may carry leading stack axes, every array
+inside the step puts their broadcast in front, and each slice of the result
+is the plain step's, bit for bit. The backward is for plain matrices only.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ class GridState:
 
     @property
     def n_entities(self) -> int:
-        return self.h.data.shape[0]
+        return self.h.data.shape[-2]
 
 
 def init_state(cfg: GridLSTMConfig, n_entities: int) -> GridState:
@@ -154,7 +159,8 @@ def step(
 ) -> tuple[DiffValue, GridState]:
     """Advance every entity one timestep.
 
-    inputs: n_entities x input_len. Returns the concatenated block hiddens
+    inputs: n_entities x input_len, or a stack of them (the module
+    docstring). Returns the concatenated block hiddens
     (the per-step feature output) and the new state. Blocks run in index
     order; block b>0 sees block b-1's freshly computed hidden slice through
     wd, block 0 has no depth predecessor. A first unit's pre-activation is
@@ -162,7 +168,7 @@ def step(
     stacked unit's is one product of [wx_deep + wh; bias] with [h; 1],
     then + depth.
     """
-    n, width = inputs.data.shape
+    n, width = inputs.data.shape[-2:]
     if n != state.n_entities:
         raise GridConfigError(
             f"batch mismatch: inputs rows {n} != state entities {state.n_entities}"
@@ -171,10 +177,10 @@ def step(
     bh = cfg.block_hidden
     hs = cfg.hidden_size
     nb, nu = cfg.num_blocks, cfg.cell_units
-    if bi != params.wx.data.shape[0]:
+    if bi != params.wx.data.shape[-2]:
         raise GridConfigError(
             f"input width {width} gives block slices of {bi}, but weights "
-            f"were built for {params.wx.data.shape[0]}"
+            f"were built for {params.wx.data.shape[-2]}"
         )
     if nu > 1 and params.wx_deep is None:
         raise GridConfigError("cell_units > 1 requires wx_deep")
@@ -182,14 +188,6 @@ def step(
     weights = [params.wx, params.wh, params.wd, params.bias]
     if params.wx_deep is not None:
         weights.append(params.wx_deep)
-    # Inside the step columns are entities, so each gate of a block is a
-    # contiguous row range. The loop writes [h | c] block by block into
-    # `new`, and the node holds its transpose.
-    new = np.empty((2, nb, bh, n))
-    node = DiffValue(
-        new.reshape(2 * hs, n).T, parents=(inputs, state.h, state.c, *weights)
-    )
-    keep = node.requires_grad
     wx, wh, wd, bias = params.wx.data, params.wh.data, params.wd.data, params.bias.data
     # i, f and o are sigmoids, g a tanh. As sigmoid(z) = (1 + tanh(z/2)) / 2,
     # halving the i, f and o columns of every weight (exact, a power of two)
@@ -197,40 +195,55 @@ def step(
     stacked = [wx, wh, bias, wd]
     if nu > 1:
         stacked += [params.wx_deep.data + wh, bias]
-    w = np.concatenate(stacked)
-    w[:, : 2 * bh] *= 0.5
-    w[:, 3 * bh :] *= 0.5
+    w = np.concatenate(ad.align_stacks(stacked), axis=-2)
+    w[..., : 2 * bh] *= 0.5
+    w[..., 3 * bh :] *= 0.5
     k = bi + bh + 1
-    w_first, w_depth, w_deep = w[:k].T, w[k : k + bh].T, w[k + bh :].T
-    first_in = _first_inputs(inputs.data, state.h.data, nb)
+    w_first = w[..., :k, :].swapaxes(-1, -2)
+    w_depth = w[..., k : k + bh, :].swapaxes(-1, -2)
+    w_deep = w[..., k + bh :, :].swapaxes(-1, -2)
+    # Inside the step columns are entities, so each gate of a block is a
+    # contiguous row range. The loop writes [h | c] block by block into
+    # `new`, and the node holds its transpose. A stacked forward puts its
+    # stack axes in front of every array here.
+    lead = ad.stack_shape([inputs.data, state.h.data, state.c.data, w])
+    new = np.empty((*lead, 2, nb, bh, n))
+    node = DiffValue(
+        new.reshape(*lead, 2 * hs, n).swapaxes(-1, -2),
+        parents=(inputs, state.h, state.c, *weights),
+    )
+    keep = node.requires_grad
+    first_in = _first_inputs(inputs.data, state.h.data, nb, lead)
     if nu > 1:
-        deep_in = np.empty((nu - 1, nb, bh + 1, n))  # [h; 1] of stacked units
-        deep_in[:, :, -1] = 1.0
+        deep_in = np.empty((*lead, nu - 1, nb, bh + 1, n))  # [h; 1] of stacked units
+        deep_in[..., -1, :] = 1.0
     c_in = _blocks_t(state.c.data, nb)
     # saved[b][u] = (gates, tanh(c_new), h_new, c_prev) of unit u of block b,
     # c_prev None for the first unit: backward reads it from state.c
     saved: list[list[tuple]] = []
     for b in range(nb):
-        c = c_in[b]
+        c = c_in[..., b, :, :]
         if b:
-            depth = w_depth @ new[0, b - 1]
+            depth = w_depth @ new[..., 0, b - 1, :, :]
         units = []
         for u in range(nu):
-            z = w_first @ first_in[b] if u == 0 else w_deep @ deep_in[u - 1, b]
+            z = (w_first @ first_in[..., b, :, :] if u == 0
+                 else w_deep @ deep_in[..., u - 1, b, :, :])
             if b:
                 z += depth
             np.tanh(z, out=z)
-            i_f, g, o = z[: 2 * bh], z[2 * bh : 3 * bh], z[3 * bh :]
+            i_f, g, o = z[..., : 2 * bh, :], z[..., 2 * bh : 3 * bh, :], z[..., 3 * bh :, :]
             i_f *= 0.5
             i_f += 0.5
             o *= 0.5
             o += 0.5
-            i, f = i_f[:bh], i_f[bh:]
+            i, f = i_f[..., :bh, :], i_f[..., bh:, :]
             last = u == nu - 1
-            c_new = np.multiply(f, c, out=new[1, b] if last else None)
+            c_new = np.multiply(f, c, out=new[..., 1, b, :, :] if last else None)
             c_new += i * g
             tc = np.tanh(c_new)
-            h = np.multiply(o, tc, out=new[0, b] if last else deep_in[u, b, :-1])
+            h = np.multiply(o, tc, out=new[..., 0, b, :, :] if last
+                            else deep_in[..., u, b, :-1, :])
             if keep:
                 units.append((z, tc, h, c if u else None))
             c = c_new
@@ -318,17 +331,21 @@ def step(
 
 
 def _blocks_t(a: np.ndarray, nb: int) -> np.ndarray:
-    """(n, nb * w) -> contiguous (nb, w, n): block b's columns as rows."""
-    return np.ascontiguousarray(a.T).reshape(nb, a.shape[1] // nb, a.shape[0])
+    """(..., n, nb * w) -> contiguous (..., nb, w, n): block b's columns as
+    rows."""
+    *lead, n, cols = a.shape
+    return np.ascontiguousarray(a.swapaxes(-1, -2)).reshape(*lead, nb, cols // nb, n)
 
 
-def _first_inputs(x: np.ndarray, h: np.ndarray, nb: int) -> np.ndarray:
-    """[x_b; h_b; 1] of every block b, as (nb, x_b rows + h_b rows + 1, n)."""
-    n, bi, bh = x.shape[0], x.shape[1] // nb, h.shape[1] // nb
-    stack = np.empty((nb, bi + bh + 1, n))
-    stack[:, :bi] = x.T.reshape(nb, bi, n)
-    stack[:, bi:-1] = h.T.reshape(nb, bh, n)
-    stack[:, -1] = 1.0
+def _first_inputs(x: np.ndarray, h: np.ndarray, nb: int, lead: tuple = ()) -> np.ndarray:
+    """[x_b; h_b; 1] of every block b, as (*lead, nb, x_b rows + h_b rows +
+    1, n); lead holds the stack axes that x and h broadcast to."""
+    *_, n, cols = x.shape
+    bi, bh = cols // nb, h.shape[-1] // nb
+    stack = np.empty((*lead, nb, bi + bh + 1, n))
+    stack[..., :bi, :] = x.swapaxes(-1, -2).reshape(*x.shape[:-2], nb, bi, n)
+    stack[..., bi:-1, :] = h.swapaxes(-1, -2).reshape(*h.shape[:-2], nb, bh, n)
+    stack[..., -1, :] = 1.0
     return stack
 
 

@@ -192,7 +192,7 @@ class TrajectoryModel:
     def attention(self, scores: DiffValue) -> DiffValue:
         """Row-stochastic attention; uniform rows when ablated off."""
         if not self.cfg.attention_enabled:
-            n, w = scores.data.shape
+            n, w = scores.data.shape[-2:]
             return ad.constant(np.full((n, w), 1.0 / w if w else 0.0))
         return ad.stable_softmax(scores)
 

@@ -169,7 +169,7 @@ def occupancy_pool(v_emb: DiffValue, cell_idx: np.ndarray, k: int) -> DiffValue:
     """Mean of occupant rows per cell, zeros for empty cells: a constant
     (k, N) pooling matrix applied to the embeddings. Packed scenes pass
     their cells offset by s*k and k = S*k."""
-    n = v_emb.data.shape[0]
+    n = v_emb.data.shape[-2]
     pool = np.zeros((k, n))
     if n:
         counts = np.bincount(cell_idx, minlength=k)
@@ -226,9 +226,9 @@ def conv_encode(
     (k, 1) and shared by every scene; returns (S*k, d_c)."""
     downs = down if down.ndim == 3 else down[None]
     k = downs.shape[1] * downs.shape[2]
-    if mask.data.shape != (k, 1):
+    if mask.data.shape[-2:] != (k, 1):
         raise ad.ShapeMismatch(f"mask must be ({k}, 1), got {mask.data.shape}")
-    d_c = w_conv.data.shape[1]
+    d_c = w_conv.data.shape[-1]
     patches = np.concatenate([conv_patches(d) for d in downs])
     out = ad.bias_add(ad.matmul(ad.constant(patches), w_conv), b_conv)
     return ad.mul(out, mask_features(mask, d_c, len(downs)))
@@ -240,7 +240,7 @@ def mask_features(mask: DiffValue, d_c: int, scenes: int = 1) -> DiffValue:
     tiled = ad.matmul(mask, ad.constant(np.ones((1, d_c))))
     if scenes == 1:
         return tiled
-    stack = np.tile(np.eye(mask.data.shape[0]), (scenes, 1))
+    stack = np.tile(np.eye(mask.data.shape[-2]), (scenes, 1))
     return ad.matmul(ad.constant(stack), tiled)
 
 
@@ -248,8 +248,8 @@ def append_social_context(base: DiffValue, f_s_prev: DiffValue | None,
                           blocks: SceneBlocks, d: int) -> DiffValue:
     """C = [base || each scene's mean previous-step social features broadcast
     to its cells]; zeros on the first step or for an empty crowd."""
-    if f_s_prev is None or f_s_prev.data.shape[0] == 0:
-        social = ad.constant(np.zeros((base.data.shape[0], d)))
+    if f_s_prev is None or f_s_prev.data.shape[-2] == 0:
+        social = ad.constant(np.zeros((base.data.shape[-2], d)))
     else:
         mean = ad.matmul(ad.constant(blocks.ped_mean), f_s_prev)
         social = ad.matmul(ad.constant(blocks.cell_spread), mean)
@@ -264,10 +264,10 @@ def regularize(f_o: DiffValue, lam: float) -> DiffValue:
 def fuse_mask(f_s: DiffValue, f_o_prime: DiffValue) -> DiffValue:
     """Score every pedestrian against every static row: F = f_S @ f_O'^T,
     (N, S*k); SceneBlocks.own_cells keeps each pedestrian's own scene."""
-    if f_s.data.shape[1] != f_o_prime.data.shape[1]:
+    if f_s.data.shape[-1] != f_o_prime.data.shape[-1]:
         raise ad.ShapeMismatch(
-            f"feature widths differ: social {f_s.data.shape[1]} "
-            f"vs static {f_o_prime.data.shape[1]}"
+            f"feature widths differ: social {f_s.data.shape[-1]} "
+            f"vs static {f_o_prime.data.shape[-1]}"
         )
     return ad.matmul(f_s, ad.transpose(f_o_prime))
 
@@ -282,7 +282,7 @@ def attend_cells(
 
     a_cells is (S*k, 1) attention from the previous step; zero-attention
     cells zero out entirely."""
-    d = f_o_prime.data.shape[1]
+    d = f_o_prime.data.shape[-1]
     h_proj = ad.matmul(h_o, w_ho)
     a_tile = ad.matmul(a_cells, ad.constant(np.ones((1, d))))
     return ad.mul(a_tile, ad.mul(f_o_prime, h_proj))

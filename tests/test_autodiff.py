@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from g2k import autodiff as ad
 
+from finite_differences import assert_stacked_differences_match
 from forking import (Rendezvous, assert_no_child_left, forks, only_caller_returns,
                      record_forks, use_cpus, within)
 
@@ -63,9 +64,11 @@ def test_softmax_shift_invariance():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_softmax_rejects_nan():
-    with pytest.raises(ad.NumericError):
-        ad.stable_softmax(ad.constant([[np.nan, 1.0]]))
+def test_softmax_passes_nan_to_its_row():
+    # a NaN reaches the loss, where train() reports the divergence
+    y = ad.stable_softmax(ad.constant([[np.nan, 1.0], [0.0, 0.0]])).data
+    assert np.isnan(y[0]).all()
+    assert np.array_equal(y[1], [0.5, 0.5])
 
 
 def test_bias_add_broadcasts_rows():
@@ -94,6 +97,71 @@ def test_concat_slice_round_trip():
     cat = ad.concat_cols([ad.constant(a), ad.constant(b)])
     assert np.array_equal(ad.slice_cols(cat, 0, 3).data, a)
     assert np.array_equal(ad.slice_cols(cat, 3, 8).data, b)
+
+
+# ---------------------------------------------------------------------------
+# stacked forwards: each slice is the matrix forward, bit for bit
+
+STACK = 5
+START = rng(20).normal(size=(3, 2))
+
+# (op, operand matrix shapes)
+STACKED_OPS = {
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "matmul_vector": (ad.matmul, [(1, 4), (4, 3)]),
+    "transpose": (ad.transpose, [(3, 4)]),
+    "add": (ad.add, [(3, 4), (3, 4)]),
+    "sub": (ad.sub, [(3, 4), (3, 4)]),
+    "mul": (ad.mul, [(3, 4), (3, 4)]),
+    "scale": (lambda a: ad.scale(a, 0.3), [(3, 4)]),
+    "bias_add": (ad.bias_add, [(3, 4), (1, 4)]),
+    "stable_softmax": (ad.stable_softmax, [(3, 4)]),
+    "concat_cols": (lambda *parts: ad.concat_cols(parts), [(3, 2), (3, 1), (3, 4)]),
+    "slice_cols": (lambda a: ad.slice_cols(a, 1, 3), [(3, 4)]),
+    "running_sum": (lambda a: ad.running_sum(a, START), [(3, 6)]),
+    "sum_all": (ad.sum_all, [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", STACKED_OPS)
+@pytest.mark.parametrize("stacked", ["all", "first", "last"])
+def test_stacked_forward_slices_match_the_matrix_forward(name, stacked):
+    op, shapes = STACKED_OPS[name]
+    g = rng(21)
+    # every matrix differs from slice to slice; an operand that is not
+    # stacked is slice 0's matrix in every forward
+    mats = [g.normal(size=(STACK, *shape)) * 10.0 for shape in shapes]
+    on = [stacked == "all" or (stacked == "first" and i == 0)
+          or (stacked == "last" and i == len(mats) - 1) for i in range(len(mats))]
+    with ad.no_grad():
+        out = op(*[ad.constant(m if s else m[0]) for m, s in zip(mats, on)]).data
+    assert out.shape[0] == STACK
+    for k in range(STACK):
+        ref = op(*[ad.constant(m[k] if s else m[0]) for m, s in zip(mats, on)]).data
+        assert out[k].shape == ref.shape
+        assert out[k].tobytes() == ref.tobytes(), k
+
+
+def test_stacks_broadcast_only_leading_axes():
+    a = ad.constant(np.ones((STACK, 3, 4)))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.add(a, ad.constant(np.ones((1, 4))))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.bias_add(a, ad.constant(np.ones((3, 4))))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.concat_cols([a, ad.constant(np.ones((STACK, 2, 4)))])
+    with pytest.raises(ad.ShapeMismatch):
+        ad.leaf(np.ones((STACK, 3, 4)))
+
+
+def test_backward_rejects_a_stacked_loss():
+    w = ad.leaf(rng(22).normal(size=(2, 2)))
+    x = ad.constant(rng(23).normal(size=(STACK, 2, 2)))
+    loss = ad.sum_all(ad.mul(x, w))
+    assert loss.requires_grad and loss.data.shape == (STACK, 1, 1)
+    with pytest.raises(ad.ContractError, match="1x1"):
+        ad.backward(loss)
+    assert np.all(w.grad == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,116 +442,76 @@ def test_grad_check_passes_on_correct_graph():
     assert report.passed(1e-4), report.format()
 
 
-@forks
-def test_grad_check_records_only_the_analytic_pass(monkeypatch, tmp_path):
-    # perturbed forwards run in forked workers, so every call records its
-    # pid and requires_grad in a file that all processes append to; the
-    # first three elements go to the three workers
-    use_cpus(monkeypatch, 3)
-    ps = ad.ParameterSet()
-    w = ps.register("w", rng(14).normal(size=(2, 2)))
-    log = tmp_path / "calls.txt"
-    meet = Rendezvous(tmp_path / "meet")
-
-    def build():
-        loss = ad.sum_all(ad.mul(w.value, w.value))
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()} {loss.requires_grad}\n")
-        if not loss.requires_grad:
-            meet.arrive()
-        return loss
-
-    meet.expect(3)
-    with only_caller_returns(log):
-        ad.grad_check(build, ps)
-    assert_no_child_left()
-    calls = [line.split() for line in log.read_text().splitlines()]
-    assert [pid for pid, rec in calls if rec == "True"] == [str(os.getpid())]
-    assert [rec for _, rec in calls if rec != "True"] == ["False"] * (2 * w.value.data.size)
-    assert len({pid for pid, _ in calls}) == 3
-
-
-def test_grad_check_leaves_parameters_bit_identical(monkeypatch):
-    use_cpus(monkeypatch, 3)
+def test_grad_check_leaves_parameters_bit_identical():
     ps = ad.ParameterSet()
     g = rng(16)
     w = ps.register("w", g.normal(size=(3, 2)))
     b = ps.register("b", g.normal(size=(1, 2)))
-    before = [p.value.data.tobytes() for p in ps]
+    arrays = [p.value.data for p in ps]
+    before = [a.tobytes() for a in arrays]
 
     def build():
         h = ad.stable_softmax(ad.bias_add(w.value, b.value))
         return ad.sum_all(ad.mul(h, h))
 
     assert ad.grad_check(build, ps).passed(1e-4)
+    assert all(p.value.data is a for p, a in zip(ps, arrays))
     assert [p.value.data.tobytes() for p in ps] == before
 
 
-@forks
-@pytest.mark.parametrize("element, where", [(0, "caller"), (1, "child")])
-def test_grad_check_raises_a_worker_error_and_reaps_every_child(
-        monkeypatch, tmp_path, element, where):
-    # the perturbed forwards of elements >= element fail where they run in
-    # the caller (or in a child). The first three elements go to the three
-    # workers, so one of the failing kind pulls an element >= element. The
-    # error raised is the lowest failed element's
-    use_cpus(monkeypatch, 3)
+@pytest.mark.parametrize("fail_at", [2, 3])
+def test_grad_check_restores_the_parameter_array_when_a_stack_raises(fail_at):
+    # w has 2 stacks (32 + 8 elements); build call 1 is the analytic pass,
+    # call 2 w's first stack, call 3 its second
     ps = ad.ParameterSet()
-    w = ps.register("w", rng(15).normal(size=(2, 3)))
-    before = w.value.data.copy()
-    caller = os.getpid()
-    failed = tmp_path / "failed"
-    meet = Rendezvous(tmp_path / "meet")
+    w = ps.register("w", rng(17).normal(size=(5, 8)))
+    arr, before = w.value.data, w.value.data.tobytes()
+    calls = []
 
     def build():
-        moved = np.flatnonzero(w.value.data != before)
-        if moved.size:
-            meet.arrive()
-            k = int(moved[0])
-            if (os.getpid() == caller) == (where == "caller") and k >= element:
-                with open(failed, "a") as f:
-                    f.write(f"{k}\n")
-                raise ad.NumericError(f"element {k} in {os.getpid()}")
+        calls.append(w.value.data.shape)
+        if len(calls) == fail_at:
+            raise ValueError("stack failed")
         return ad.sum_all(ad.mul(w.value, w.value))
 
-    meet.expect(3)
-    with pytest.raises(ad.NumericError) as err, only_caller_returns(tmp_path / "log"):
+    with pytest.raises(ValueError, match="stack failed"):
         ad.grad_check(build, ps)
-    _, k, _, raised_in = str(err.value).split()
-    assert int(k) == min(map(int, failed.read_text().split()))
-    assert (int(raised_in) == caller) == (where == "caller")
-    assert_no_child_left()
-    assert w.value.data.tobytes() == before.tobytes()
-    assert not (tmp_path / "log").exists()
+    assert calls[1:] == [(64, 5, 8), (16, 5, 8)][: fail_at - 1]
+    assert w.value.data is arr
+    assert arr.tobytes() == before
 
 
-@forks
-def test_grad_check_names_the_status_of_a_child_that_died(monkeypatch, tmp_path):
-    # a child dies on its first perturbed forward; the first three elements
-    # go to the three workers, so the children pull some
-    use_cpus(monkeypatch, 3)
+def test_grad_check_matches_the_per_element_loop():
+    # parameters of 1, 32, 33 and 35 elements: whole stacks, a stack of
+    # one, and stacks that end mid-row
     ps = ad.ParameterSet()
-    w = ps.register("w", rng(15).normal(size=(2, 3)))
-    before = w.value.data.copy()
-    caller = os.getpid()
-    meet = Rendezvous(tmp_path / "meet")
+    g = rng(18)
+    w = ps.register("w", g.normal(size=(5, 7)) * 0.5)
+    v = ps.register("v", g.normal(size=(7, 4)) * 0.5)
+    u = ps.register("u", g.normal(size=(3, 11)) * 0.5)
+    b = ps.register("b", g.normal(size=(1, 1)))
+    x = ad.constant(g.normal(size=(5, 5)))
+    y = ad.constant(g.normal(size=(4, 3)))
 
     def build():
-        if w.value.data.tobytes() != before.tobytes():
-            meet.arrive()
-            if os.getpid() != caller:
-                os._exit(7)
-        return ad.sum_all(ad.mul(w.value, w.value))
+        h = ad.stable_softmax(ad.matmul(ad.matmul(x, w.value), v.value))
+        z = ad.matmul(ad.matmul(h, y), ad.slice_cols(u.value, 2, 7))
+        return ad.matmul(ad.sum_all(ad.mul(z, z)), ad.mul(b.value, b.value))
 
-    meet.expect(3)
-    with pytest.raises(RuntimeError, match="status 7"), only_caller_returns(tmp_path / "log"):
-        ad.grad_check(build, ps)
-    assert_no_child_left()
-    assert w.value.data.tobytes() == before.tobytes()
+    assert_stacked_differences_match(build, ps)
+    assert ad.grad_check(build, ps).passed(1e-4)
+
+
+def test_grad_check_report_fails_a_nan_error():
+    report = ad.GradCheckReport(eps=1e-5, per_param={"a": 1e-6, "b": float("nan"), "c": 2e-6})
+    assert not report.passed()
+    assert report.failures() == ["b"]
+    assert np.isnan(report.worst)
+    assert "FAIL b" in report.format()
 
 
 # ---------------------------------------------------------------------------
-# spread: the fan-out behind grad_check and train
+# spread: the fan-out behind evaluate
 
 
 def shared(work, n, meet):
@@ -541,10 +569,10 @@ def test_spread_restores_blas_threads_after_a_worker_error(monkeypatch, tmp_path
 
     def work(i):
         if i == 1:
-            raise ad.NumericError(f"item {i}")
+            raise ValueError(f"item {i}")
         return i
 
-    with pytest.raises(ad.NumericError, match="item 1"), only_caller_returns(tmp_path / "log"):
+    with pytest.raises(ValueError, match="item 1"), only_caller_returns(tmp_path / "log"):
         ad.spread(work, range(4))
     assert_no_child_left()
     assert three_blas_threads() == 3
@@ -684,10 +712,10 @@ def test_workers_report_a_child_that_fails_mid_block(monkeypatch, tmp_path, how)
         if i >= 100 and os.getpid() != caller:
             if how == "exit":
                 os._exit(7)
-            raise ad.NumericError(f"item {i} in {os.getpid()}")
+            raise ValueError(f"item {i} in {os.getpid()}")
         return i
 
-    want = (RuntimeError, "status 7") if how == "exit" else (ad.NumericError, "item 10")
+    want = (RuntimeError, "status 7") if how == "exit" else (ValueError, "item 10")
     with only_caller_returns(tmp_path / "log"), ad.workers(work) as run:
         assert run(range(4)) == list(range(4))
         meet.expect(3)
@@ -734,10 +762,10 @@ def test_workers_raise_the_lowest_failed_item(monkeypatch, tmp_path):
     use_cpus(monkeypatch, 2)
 
     def work(i):
-        raise ad.NumericError(f"item {i} in {os.getpid()}")
+        raise ValueError(f"item {i} in {os.getpid()}")
 
     for _ in range(4):
-        with pytest.raises(ad.NumericError, match="item 0 in"), \
+        with pytest.raises(ValueError, match="item 0 in"), \
                 only_caller_returns(tmp_path / "log"):
             ad.spread(shared(work, 2, Rendezvous(tmp_path / "meet")), range(2))
         assert_no_child_left()

@@ -12,6 +12,7 @@ from g2k import autodiff as ad
 from g2k import data as da
 from g2k import training as tr
 from g2k.cli import entry
+from g2k.config import VARIANTS
 from g2k.config import TrainConfig, desk_config
 from g2k.model import TrajectoryModel
 
@@ -93,11 +94,14 @@ def test_train_window_mismatch(ws):
 
 
 def test_train_divergence_exits_3(ws, capsys):
-    code = run_train(ws, "--optimizer", "sgd", "--lr", "1e12", "--epochs", "20",
-                     variant="g_lstm")
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "not finite" in err
+    # every variant: a NaN inside the model (mcr_mp's adjacency softmax
+    # among them) reaches the loss and ends in DivergenceError
+    for variant in VARIANTS:
+        code = run_train(ws, "--optimizer", "sgd", "--lr", "1e12", "--epochs", "20",
+                         variant=variant, out=f"run-{variant}")
+        err = capsys.readouterr().err
+        assert code == 3, (variant, err)
+        assert "not finite" in err, variant
 
 
 def test_train_non_finite_gradient_exits_3(ws, capsys, monkeypatch):
@@ -567,6 +571,6 @@ def test_package_defines_only_the_mapped_error_classes():
                     and obj.__module__ == mod.__name__}
     assert defined == {
         "config.InputError", "training.CheckpointError", "training.DivergenceError",
-        "autodiff.ShapeMismatch", "autodiff.ContractError", "autodiff.NumericError",
+        "autodiff.ShapeMismatch", "autodiff.ContractError",
         "gridlstm.GridConfigError",
     }

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from g2k import autodiff as ad
 from g2k import gridlstm as gl
 
+from finite_differences import assert_stacked_differences_match
+
 
 def make_cell(hidden=8, blocks=2, units=1, input_len=8, seed=0):
     cfg = gl.GridLSTMConfig(hidden, blocks, units)
@@ -143,6 +145,37 @@ def test_fused_step_forward_matches_composed_graph(blocks, units):
         ref_out, ref = composed_step(cfg, x, ref, params)
         assert np.max(np.abs(out.data - ref_out.data)) < 1e-12
         assert np.max(np.abs(state.c.data - ref.c.data)) < 1e-12
+
+
+@pytest.mark.parametrize("blocks,units", GRID_SHAPES)
+def test_stacked_step_slices_match_the_matrix_step(blocks, units):
+    # one leaf at a time (the input, the state or a weight) holds a stack of
+    # 4 copies; each slice of the stacked step is the plain step, bit for bit
+    cfg, pset, params, _ = unroll_setup(blocks, units, seed=blocks * 10 + units)
+    x0, h0, c0 = (pset[name].value for name in ("x0", "h0", "c0"))
+    g = np.random.default_rng(units)
+    for p in pset:
+        if p.name == "x1":  # the second step's input
+            continue
+        orig = p.value.data
+        stack = orig + g.normal(size=(4, *orig.shape)) * 0.1
+        try:
+            p.value.data = stack
+            with ad.no_grad():
+                out, state = gl.step(cfg, x0, gl.GridState(h0, c0), params)
+            for k in range(4):
+                p.value.data = stack[k]
+                ref, ref_state = gl.step(cfg, x0, gl.GridState(h0, c0), params)
+                assert out.data[k].tobytes() == ref.data.tobytes(), (p.name, k)
+                assert state.c.data[k].tobytes() == ref_state.c.data.tobytes(), (p.name, k)
+        finally:
+            p.value.data = orig
+
+
+@pytest.mark.parametrize("blocks,units", [(1, 1), (2, 2), (4, 3)])
+def test_grad_check_of_an_unroll_matches_the_per_element_loop(blocks, units):
+    _, pset, _, build = unroll_setup(blocks, units, seed=blocks * 10 + units)
+    assert_stacked_differences_match(build, pset)
 
 
 @pytest.mark.parametrize("blocks,units", GRID_SHAPES)

@@ -8,6 +8,8 @@ from g2k import autodiff as ad
 from g2k import neighborhood as nb
 from g2k.config import InputError
 
+from finite_differences import assert_stacked_differences_match
+
 
 def test_bounds_cover_all_points():
     pts = np.array([[0.0, -2.0], [5.0, 3.0], [2.5, 0.0]])
@@ -222,3 +224,23 @@ def test_gradients_flow_through_grid_path():
 
     report = ad.grad_check(build, pset)
     assert report.passed(1e-4), report.format()
+
+
+@pytest.mark.parametrize("scenes", [1, 2])
+def test_grad_check_of_the_conv_path_matches_the_per_element_loop(scenes):
+    g = np.random.default_rng(8)
+    pset = ad.ParameterSet()
+    w = pset.register("w", g.normal(size=(9, 2)))
+    b = pset.register("b", g.normal(size=(1, 2)))
+    mask = pset.register("mask", g.normal(size=(4, 1)))
+    down = g.random((scenes, 2, 2))
+    blocks = nb.SceneBlocks([3] * scenes, 4)
+    f_s = ad.constant(g.normal(size=(3 * scenes, 2)))
+
+    def build():
+        conv = nb.conv_encode(down, w.value, b.value, mask.value)
+        c_mat = nb.append_social_context(conv, f_s, blocks, 2)
+        fused = blocks.own_cells(nb.fuse_mask(f_s, ad.slice_cols(c_mat, 0, 2)))
+        return ad.sum_all(ad.mul(fused, fused))
+
+    assert_stacked_differences_match(build, pset)

@@ -366,12 +366,12 @@ def test_training_reports_a_failed_child_and_reaps_every_child(tmp_path, monkeyp
         if os.getpid() != caller:
             if how == "exit":
                 os._exit(7)
-            raise ad.NumericError(f"pack in {os.getpid()}")
+            raise ValueError(f"pack in {os.getpid()}")
         return PACK_GRADIENT(*args)
 
     share_packs(monkeypatch, tmp_path / "packs", Rendezvous(tmp_path / "meet"),
                 record_forks(monkeypatch), failing)
-    want = (RuntimeError, "status 7") if how == "exit" else (ad.NumericError, "pack in")
+    want = (RuntimeError, "status 7") if how == "exit" else (ValueError, "pack in")
     with pytest.raises(want[0], match=want[1]), only_caller_returns(tmp_path / "log"):
         train_bytes(tmp_path, how, 8, monkeypatch)
     assert_no_child_left()

@@ -3,7 +3,6 @@
 import contextlib
 import errno
 import math
-import os
 import struct
 
 import numpy as np
@@ -17,8 +16,10 @@ from g2k import data as da
 from g2k import evaluation as ev
 from g2k import model as md
 from g2k import training as tr
-from g2k.config import (InputError, TrainConfig, config_hash, config_items,
+from g2k.config import (VARIANTS, InputError, TrainConfig, config_hash, config_items,
                         desk_config)
+
+from finite_differences import assert_stacked_differences_match
 
 
 def loss_value(pred, gt):
@@ -265,6 +266,17 @@ def test_gradient_accumulation_is_group_mean():
         assert np.max(np.abs(p.value.grad - want)) < 1e-14, p.name
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_grad_check_differences_match_the_per_element_loop(monkeypatch, variant):
+    # the instance quick_grad_check audits (C1), every element of every
+    # parameter
+    seen = []
+    monkeypatch.setattr(ad, "grad_check", lambda build, params: seen.append((build, params)))
+    tr.quick_grad_check(variant)
+    build, params = seen[0]
+    assert_stacked_differences_match(build, params)
+
+
 @pytest.mark.parametrize("variant", ["g_lstm", "mcr_n"])
 def test_grad_check_no_grad_forwards_match_recording(monkeypatch, variant):
     def errors():
@@ -274,16 +286,6 @@ def test_grad_check_no_grad_forwards_match_recording(monkeypatch, variant):
     free = errors()
     monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
     assert errors() == free
-
-
-@pytest.mark.parametrize("variant", ["g_lstm", "mcr_n"])
-def test_grad_check_report_same_for_any_worker_count(monkeypatch, variant):
-    def errors(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        rep = tr.quick_grad_check(variant)
-        return {k: v.hex() for k, v in rep.per_param.items()}
-
-    assert errors(1) == errors(3)
 
 
 # ---------------------------------------------------------------------------
