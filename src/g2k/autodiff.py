@@ -35,7 +35,7 @@ import multiprocessing
 import os
 import pickle
 import signal
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,18 +253,6 @@ def add(a: DiffValue, b: DiffValue) -> DiffValue:
             b.grad += g
 
     return DiffValue(a.data + b.data, (a, b), backward=_bw)
-
-
-def sub(a: DiffValue, b: DiffValue) -> DiffValue:
-    _require_same_shape("sub", a, b)
-
-    def _bw(g):
-        if a.requires_grad:
-            a.grad += g
-        if b.requires_grad:
-            b.grad -= g
-
-    return DiffValue(a.data - b.data, (a, b), backward=_bw)
 
 
 def mul(a: DiffValue, b: DiffValue) -> DiffValue:
@@ -573,9 +561,11 @@ def workers(work, sync=()):
     filters it inherited at fork, and one that a filter turns into an
     error fails its item. The exception of the lowest-index failed item is
     raised, a RuntimeError naming its exit status where a child died; a
-    failure ends the run, so no worker starts an item past it. After an
+    failure ends the run, so no worker starts an item past it. Children
+    keep SIGINT blocked, so an interrupt reaches only the caller. After an
     error or interrupt every child is killed and reaped and the next run
-    forks afresh. On exit the children are reaped and the BLAS thread count
+    forks afresh; if the caller dies, the children read end of file and
+    exit. On exit the children are reaped and the BLAS thread count
     restored.
     """
     pool = _Pool(work, list(sync))
@@ -586,11 +576,15 @@ def workers(work, sync=()):
 
 
 class _Pool:
-    """The state behind one workers() block."""
+    """The state behind one workers() block. Each child is a fork-context
+    Process with two one-way Pipes: per run, the caller sends the pickled
+    items and sync arrays down the command pipe and the child sends its
+    results back up the reply pipe. End of file on a pipe means the process
+    at the other end closed it or died."""
 
     def __init__(self, work, sync: list[np.ndarray]):
         self.work, self.sync = work, sync
-        self.children: list[tuple[int, int, int]] = []  # (pid, command fd, reply fd)
+        self.children: list[tuple] = []  # (process, command writer, reply reader)
         self.next = None  # the index of the next item to pull, shared with the children
         self.threads: int | None = None  # BLAS thread count before pinning
 
@@ -607,33 +601,54 @@ class _Pool:
             raise
 
     def _grow(self, w: int) -> None:
-        """Fork children until the pool has at least w workers, the caller
-        included. The first fork pins BLAS to one thread."""
+        """Start children until the pool has at least w workers, the caller
+        included. The first start pins BLAS to one thread.
+
+        SIGINT is blocked from just before a child's start() until the child
+        is recorded, so an interrupt cannot leave it unreaped. The child
+        never unblocks it: an interrupt reaches only the caller, which kills
+        and reaps the children. At start a child closes its copies of the
+        caller's ends of its own pipes and of its elder siblings' pipes, so
+        if the caller dies every child reads end of file and exits."""
+        ctx = multiprocessing.get_context("fork")
         if self.next is None:
             get_threads, set_threads = _blas()
             self.threads = get_threads()
             set_threads(1)
-            self.next = multiprocessing.get_context("fork").Value("q")
+            self.next = ctx.Value("q")
         while len(self.children) < w - 1:
-            _fork(self._serve, self.children,
-                  [fd for _, c, r in self.children for fd in (c, r)])
+            cmd_r, cmd_w = ctx.Pipe(duplex=False)
+            reply_r, reply_w = ctx.Pipe(duplex=False)
+            foreign = [cmd_w, reply_r, *(c for child in self.children for c in child[1:])]
+            process = ctx.Process(target=self._serve, args=(cmd_r, reply_w, foreign))
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                process.start()
+                self.children.append((process, cmd_w, reply_r))
+            except OSError:
+                cmd_w.close()
+                reply_r.close()
+                raise
+            finally:
+                cmd_r.close()
+                reply_w.close()
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def _spread(self, items: list) -> list:
         self.next.value = 0  # no child pulls until it has the blob
         blob = pickle.dumps((items, self.sync))
         for child in list(self.children):
             try:
-                _send(child[1], blob)
+                child[1].send_bytes(blob)
             except BrokenPipeError:
                 raise self._reap(child) from None
         results = dict(self._pull(items, Exception))
         died = None
         for child in list(self.children):
-            blob = _receive(child[2])
-            if blob is None:
+            try:
+                results.update(child[2].recv())
+            except (EOFError, OSError):  # end of file, between messages or inside one
                 died = died or self._reap(child)
-            else:
-                results.update(pickle.loads(blob))
         out = []
         for j in range(len(items)):
             if j not in results:
@@ -667,37 +682,40 @@ class _Pool:
             self.next.value = j + 1
         return j
 
-    def _serve(self, cmd: int, reply: int) -> None:
-        """A child's loop: per run, read the items and the sync arrays, pull
-        items, send the results back; return when the caller closes the
-        command pipe."""
-        while (blob := _receive(cmd)) is not None:
-            items, state = pickle.loads(blob)
+    def _serve(self, cmd, reply, foreign: list) -> None:
+        """A child's loop: close the caller's pipe ends it inherited, then
+        per run read the items and the sync arrays, pull items and send the
+        results back; return when the caller closes the command pipe."""
+        for conn in foreign:
+            conn.close()
+        while True:
+            try:
+                items, state = pickle.loads(cmd.recv_bytes())
+            except EOFError:
+                return
             for a, value in zip(self.sync, state):
                 a[...] = value
-            done = [(j, (ok, value if ok else _portable(value)))
-                    for j, (ok, value) in self._pull(items, BaseException)]
-            _send(reply, pickle.dumps(done))
+            reply.send([(j, (ok, value if ok else _portable(value)))
+                        for j, (ok, value) in self._pull(items, BaseException)])
 
     def _reap(self, child) -> RuntimeError:
         """Drop a child that died and return the error that reports it."""
-        pid, cmd, reply = child
+        process, cmd, reply = child
         self.children.remove(child)
-        os.close(cmd)
-        os.close(reply)
-        status = os.waitpid(pid, 0)[1]
-        return RuntimeError(f"worker {pid} exited with status "
-                            f"{os.waitstatus_to_exitcode(status)} without sending its results")
+        cmd.close()
+        reply.close()
+        process.join()
+        return RuntimeError(f"worker {process.pid} exited with status "
+                            f"{process.exitcode} without sending its results")
 
     def close(self) -> None:
         """Kill and reap every child, close the pipes and restore the BLAS
         thread count; a no-op when nothing is open."""
-        for pid, cmd, reply in self.children:
-            os.close(cmd)
-            os.close(reply)
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for process, cmd, reply in self.children:
+            cmd.close()
+            reply.close()
+            process.kill()
+            process.join()
         self.children.clear()
         self.next = None
         if self.threads is not None:
@@ -741,71 +759,6 @@ def _blas():
         set_.argtypes, set_.restype = [ctypes.c_int], None
         return get, set_
     return None
-
-
-def _fork(serve, children: list, inherited: list[int]) -> None:
-    """Fork a child that runs serve(command fd, reply fd) and append (pid,
-    write end of its command pipe, read end of its reply pipe) to children.
-    The child first closes inherited, the caller's descriptors it must not
-    hold. SIGINT is blocked from just before the fork until the pid is
-    recorded, so an interrupt cannot leave the child unreaped; the child
-    restores the caller's mask. The child leaves through os._exit, so it
-    runs no atexit hook, no test teardown and flushes no stdio buffer
-    inherited from the caller."""
-    cmd_r, cmd_w = os.pipe()
-    reply_r, reply_w = os.pipe()
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _child(serve, cmd_r, reply_w, [cmd_w, reply_r, *inherited], mask)
-        children.append((pid, cmd_w, reply_r))
-    except OSError:
-        os.close(cmd_w)
-        os.close(reply_r)
-        raise
-    finally:
-        os.close(cmd_r)
-        os.close(reply_w)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _child(serve, cmd: int, reply: int, foreign: list[int], mask) -> None:
-    status = 1
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for fd in foreign:
-            os.close(fd)
-        serve(cmd, reply)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _send(fd: int, blob: bytes) -> None:
-    """Write blob with its length in front."""
-    view = memoryview(len(blob).to_bytes(8, "little") + blob)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd: int) -> bytes | None:
-    """The next blob _send wrote to fd, or None at end of file."""
-    head = _read(fd, 8)
-    if len(head) < 8:
-        return None
-    n = int.from_bytes(head, "little")
-    blob = _read(fd, n)
-    return blob if len(blob) == n else None
-
-
-def _read(fd: int, n: int) -> bytes:
-    """n bytes from fd, fewer only at end of file."""
-    parts, got = [], 0
-    while got < n and (part := os.read(fd, n - got)):
-        parts.append(part)
-        got += len(part)
-    return b"".join(parts)
 
 
 def _portable(exc: BaseException) -> BaseException:

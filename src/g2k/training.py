@@ -85,7 +85,8 @@ def loss_graph(run: KernelRun, targets: np.ndarray) -> DiffValue:
     weights = np.concatenate([np.full((n_s, 2 * pred_len), n / (len(sizes) * n_s))
                               for n_s in sizes])
     flat_targets = np.transpose(targets, (1, 0, 2)).reshape(targets.shape[1], -1)
-    diff = ad.sub(run.positions, ad.constant(flat_targets))
+    # x + (-y) is x - y, bit for bit (IEEE 754)
+    diff = ad.add(run.positions, ad.constant(-flat_targets))
     total = ad.sum_all(ad.mul(ad.mul(diff, diff), ad.constant(weights)))
     return ad.scale(total, 1.0 / (n * pred_len))
 
@@ -297,7 +298,10 @@ def train(
     Each step's log record holds the loss and the pre-clip gradient norm.
     A non-finite loss, or a non-finite gradient norm before the step,
     aborts with the recent history attached; a non-finite loss
-    names the first scene of the group whose own loss is not finite.
+    names the first scene of the group whose own loss is not finite. The
+    loop runs under np.errstate(over="ignore", invalid="ignore"), which the
+    children forked in it inherit: that abort reports a divergence once,
+    where NumPy would first warn about each overflow on the way.
     Scenes that lack the image an mcr_mpc model reads are counted in one
     warning for the call (TrajectoryModel.warn_missing_images).
     """
@@ -317,8 +321,9 @@ def train(
 
     history: list[float] = []
     log = TrainLog()
-    with ad.workers(lambda item: _pack_gradient(model, batches, targets, *item),
-                    sync=[p.value.data for p in model.params]) as run:
+    with np.errstate(over="ignore", invalid="ignore"), \
+            ad.workers(lambda item: _pack_gradient(model, batches, targets, *item),
+                       sync=[p.value.data for p in model.params]) as run:
         for epoch in range(train_cfg.epochs):
             order = order_rng.permutation(len(batches))
             epoch_losses: list[float] = []

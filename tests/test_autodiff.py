@@ -4,8 +4,13 @@ against finite differences, graph bookkeeping rules."""
 import mmap
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,7 +116,6 @@ STACKED_OPS = {
     "matmul_vector": (ad.matmul, [(1, 4), (4, 3)]),
     "transpose": (ad.transpose, [(3, 4)]),
     "add": (ad.add, [(3, 4), (3, 4)]),
-    "sub": (ad.sub, [(3, 4), (3, 4)]),
     "mul": (ad.mul, [(3, 4), (3, 4)]),
     "scale": (lambda a: ad.scale(a, 0.3), [(3, 4)]),
     "bias_add": (ad.bias_add, [(3, 4), (1, 4)]),
@@ -631,6 +635,42 @@ def test_spread_applies_the_callers_warning_filters(monkeypatch, tmp_path):
     assert not (tmp_path / "log").exists()
 
 
+@forks
+def test_spread_raises_a_childs_unpicklable_exception_as_a_runtime_error(monkeypatch,
+                                                                          tmp_path):
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    class Local(Exception):  # a class defined in a function does not pickle
+        pass
+
+    def work(i):
+        if os.getpid() != caller:
+            raise Local(f"item {i} in a child")
+        return i
+
+    with pytest.raises(RuntimeError) as exc, only_caller_returns(tmp_path / "log"):
+        ad.spread(shared(work, 2, Rendezvous(tmp_path / "meet")), range(2))
+    assert type(exc.value) is RuntimeError
+    assert str(exc.value) in ("Local: item 0 in a child", "Local: item 1 in a child")
+    assert_no_child_left()
+
+
+@forks
+def test_spread_reports_a_child_whose_result_does_not_pickle_as_dead(monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def work(i):
+        return i if os.getpid() == caller else (lambda: i)  # a lambda does not pickle
+
+    with pytest.raises(RuntimeError, match="exited with status 1 without sending"), \
+            only_caller_returns(tmp_path / "log"):
+        ad.spread(shared(work, 2, Rendezvous(tmp_path / "meet")), range(2))
+    assert_no_child_left()
+    assert not (tmp_path / "log").exists()
+
+
 # ---------------------------------------------------------------------------
 # workers: one pool for a block of runs
 
@@ -799,6 +839,87 @@ def test_workers_interrupted_mid_run_reap_every_child(monkeypatch, tmp_path,
     assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
     assert three_blas_threads() == 3
     assert not (tmp_path / "log").exists()
+
+
+@forks
+def test_workers_child_keeps_sigint_blocked(monkeypatch, tmp_path):
+    # an interrupt sent to a child between runs stays pending there: the
+    # next run gets its results from the same child, with no new fork
+    use_cpus(monkeypatch, 2)
+    forked = record_forks(monkeypatch)
+    meet = Rendezvous(tmp_path / "meet")
+
+    def work(i):
+        meet.arrive()
+        return i * i, os.getpid()
+
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with only_caller_returns(tmp_path / "log"), ad.workers(work) as run:
+            meet.expect(2)
+            run(range(2))
+            [child] = forked
+            os.kill(child, signal.SIGINT)
+            time.sleep(0.2)  # time enough for a child that took it to die
+            meet.expect(2)
+            out = run(range(4))
+            assert [v for v, _ in out] == [0, 1, 4, 9]
+            assert child in {pid for _, pid in out} and forked == [child]
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert_no_child_left()
+    assert not (tmp_path / "log").exists()
+
+
+# opens a pool of one child, prints the child's pid once the child has
+# taken an item, and waits to be killed
+HOLD_A_POOL = textwrap.dedent("""\
+    import os, time
+    from g2k import autodiff as ad
+    os.sched_getaffinity = lambda pid: {0, 1}
+    with ad.workers(lambda i: time.sleep(0.05) or os.getpid()) as run:
+        while not (pids := set(run(range(2))) - {os.getpid()}):
+            pass
+        print(*pids, flush=True)
+        time.sleep(60)
+""")
+
+
+def process_state(pid):
+    """The state letter of /proc/<pid>/stat, or None once pid is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+@forks
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc")
+def test_workers_children_exit_when_the_caller_dies():
+    # a child holds none of the caller's pipe ends, so once the caller is
+    # killed its command pipe reads end of file and the child exits
+    env = dict(os.environ)
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    helper = subprocess.Popen([sys.executable, "-c", HOLD_A_POOL], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    child = None
+    try:
+        child = int(helper.stdout.readline())
+        assert process_state(child) not in (None, "Z")
+        helper.kill()
+        helper.wait()
+        deadline = time.monotonic() + 10
+        while process_state(child) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert process_state(child) in (None, "Z")
+    finally:
+        helper.kill()
+        helper.wait()
+        helper.stdout.close()
+        if child is not None and process_state(child) not in (None, "Z"):
+            os.kill(child, signal.SIGKILL)
 
 
 def test_grad_check_catches_wrong_gradient():

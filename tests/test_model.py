@@ -455,7 +455,7 @@ def per_step_loss(positions, sizes, targets):
         weights = ad.constant(np.repeat(per_scene, sizes)[:, None] * np.ones((1, 2)))
     total = None
     for k, pos in enumerate(positions):
-        diff = ad.sub(pos, ad.constant(targets[k]))
+        diff = ad.add(pos, ad.constant(-targets[k]))
         sq = ad.mul(diff, diff)
         if weights is not None:
             sq = ad.mul(sq, weights)

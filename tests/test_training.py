@@ -4,6 +4,7 @@ import contextlib
 import errno
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ def test_divergence_aborts_with_history():
                  TrainConfig(epochs=1, batch_size=1, lr=0.01, seed=0))
     assert exc.value.epoch == 0
     assert "not finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_divergence_raises_no_numpy_warning(variant):
+    # the CI desk run with a huge SGD step: weights overflow to inf and NaN
+    # on the way, and the only report is the DivergenceError
+    batches = da.synthesize(da.SyntheticScenario(kind="group_walk", n_peds=3, seed=11,
+                                                 obs_len=3, pred_len=2))
+    tc = TrainConfig(epochs=20, batch_size=2, lr=1e12, optimizer="sgd")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "no scene image")  # mcr_mpc's fallback map
+        with pytest.raises(tr.DivergenceError):
+            tr.train(batches, desk_config(variant), tc)
 
 
 @pytest.mark.parametrize("clip_norm,value", [(0.0, float("nan")), (1.0, float("inf"))],
