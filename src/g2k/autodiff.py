@@ -448,7 +448,6 @@ class GradCheckReport:
     """Per-parameter worst relative error between analytic and numeric
     grads. A NaN error counts as a failure."""
 
-    eps: float
     per_param: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -492,7 +491,7 @@ def grad_check(build_loss, params, eps: float = 1e-5) -> GradCheckReport:
     backward(build_loss())
     analytic = {p.name: p.value.grad.copy() for p in params}
 
-    report = GradCheckReport(eps=eps)
+    report = GradCheckReport()
     for p in params:
         ga = analytic[p.name]
         num = _central_differences(build_loss, p.value, eps)

@@ -234,20 +234,20 @@ def make_windows(
     obs_len: int = 8,
     pred_len: int = 12,
     max_peds: int = 32,
-    stride: int | None = None,
 ) -> list[SceneBatch]:
-    """Slide an (obs_len + pred_len)-frame span over the dataset.
+    """Cut the tracks into (obs_len + pred_len)-frame windows at the
+    inferred stride s.
 
-    A batch is emitted per span start where at least one pedestrian has full
-    contiguous coverage; pedestrians with gaps in that span are dropped from
-    it. More than max_peds co-present keeps the lowest ped_ids. Each span
-    start tests only the pedestrians present at its first frame.
+    A pedestrian's window is a run of obs_len + pred_len consecutive rows of
+    the (ped, frame)-sorted points whose frames step by exactly s, so a gap
+    in the span drops that pedestrian from it. Windows with the same first
+    frame form one batch, batches ordered by that frame; more than max_peds
+    co-present keeps the lowest ped_ids.
     """
     if obs_len < 2 or pred_len < 1:
         raise InputError("obs_len >= 2 and pred_len >= 1 required")
     t = _as_tracks(points)
-    s = infer_stride(t) if stride is None else stride
-    rows = _spans(t, obs_len + pred_len, s)
+    rows = _spans(t, obs_len + pred_len, infer_stride(t))
     if not rows.size:
         return []
     starts = t.frame[rows[0]]
@@ -263,38 +263,21 @@ def make_windows(
 def _spans(t: Tracks, total: int, s: int) -> np.ndarray:
     """(total, m) rows of t: column j holds the points at frames f0, f0 + s,
     ..., f0 + (total - 1) s of one pedestrian, for every (pedestrian, f0)
-    whose span has no gap, ordered by f0 and then ped."""
-    need = (total - 1) * s
-    if need >= 2**64:  # wider than any two int64 frames lie apart
+    whose span has no gap, ordered by f0 and then ped.
+
+    Rows i .. i + k (k = total - 1) form such a span iff they share a ped
+    and their frames lie k s apart: t is sorted by (ped, frame) with one
+    point per key and s is the smallest gap, so k gaps summing to k s are
+    each exactly s."""
+    k = total - 1
+    if k * s >= 2**64:  # wider than any two int64 frames lie apart
         return np.zeros((total, 0), dtype=np.intp)
-    # the sort kernel of the last line, not np.sort: each NumPy kernel's
-    # first call adds resident memory
-    frames = _distinct(t.frame[np.argsort(t.frame, kind="stable")])
-    ped_rank = np.searchsorted(_distinct(t.ped), t.ped)  # t is sorted by ped
-    # (ped rank, frame rank) keys: below len(t)**2, and ascending in row order
-    key = ped_rank * len(frames) + np.searchsorted(frames, t.frame)
-    key_end = np.append(key, -1)  # a search past the last key finds no match
-    # starts whose span ends by the last frame; in uint64, f0 + k s wraps to
-    # the exact frame for each of them, also where k s exceeds int64
-    base = t.frame.astype(np.uint64)
-    room = frames[-1:].astype(np.uint64) - base
-    rows = [np.flatnonzero(room >= np.uint64(need))]
-    for k in range(1, total):
-        start = rows[0]
-        f = (base[start] + np.uint64(k * s)).view(np.int64)
-        r = np.searchsorted(frames, f)
-        q = ped_rank[start] * len(frames) + r
-        hit = np.searchsorted(key, q)
-        ok = (frames[r] == f) & (key_end[hit] == q)
-        rows = [a[ok] for a in rows] + [hit[ok]]
-    rows = np.stack(rows)
-    return rows[:, np.argsort(t.frame[rows[0]], kind="stable")]
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a sorted array. (np.unique would import
-    numpy.ma, 1.5 MB, on its first call.)"""
-    return np.concatenate([a[:1], a[1:][a[1:] != a[:-1]]])
+    # uint64 wraps, so the ascending difference of a ped's frames is exact
+    frame = t.frame.astype(np.uint64)
+    first = np.flatnonzero((t.ped[k:] == t.ped[:-k])
+                           & (frame[k:] - frame[:-k] == np.uint64(k * s)))
+    first = first[np.argsort(t.frame[first], kind="stable")]
+    return first + np.arange(total)[:, None]
 
 
 def obs_positions(batch: SceneBatch) -> np.ndarray:

@@ -135,25 +135,24 @@ class SceneBlocks:
         return mask
 
 
-def bounds_from_positions(positions: np.ndarray, margin: float = 1e-6) -> GridBounds:
+_MARGIN = 1e-6  # box inflation; a narrower extent is widened to 1 m
+
+
+def bounds_from_positions(positions: np.ndarray) -> GridBounds:
     """Tight box around (T, N, 2) or (N, 2) positions, slightly inflated so
     max-edge points still fall inside the last cell."""
     pts = positions.reshape(-1, 2)
-    if pts.shape[0] == 0:
-        return GridBounds(0.0, 1.0, 0.0, 1.0)
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
-    if xmax - xmin < margin:
+    if xmax - xmin < _MARGIN:
         xmax = xmin + 1.0
-    if ymax - ymin < margin:
+    if ymax - ymin < _MARGIN:
         ymax = ymin + 1.0
-    return GridBounds(float(xmin), float(xmax) + margin, float(ymin), float(ymax) + margin)
+    return GridBounds(float(xmin), float(xmax) + _MARGIN, float(ymin), float(ymax) + _MARGIN)
 
 
 def assign_cells(positions: np.ndarray, bounds: GridBounds, grid_size: int) -> np.ndarray:
     """Row-major cell index per pedestrian, (N,) ints in [0, grid_size^2)."""
-    if positions.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
     col = np.clip(
         ((positions[:, 0] - bounds.xmin) / bounds.width * grid_size).astype(np.int64),
         0, grid_size - 1,
@@ -171,9 +170,8 @@ def occupancy_pool(v_emb: DiffValue, cell_idx: np.ndarray, k: int) -> DiffValue:
     their cells offset by s*k and k = S*k."""
     n = v_emb.data.shape[-2]
     pool = np.zeros((k, n))
-    if n:
-        counts = np.bincount(cell_idx, minlength=k)
-        pool[cell_idx, np.arange(n)] = 1.0 / counts[cell_idx]
+    counts = np.bincount(cell_idx, minlength=k)
+    pool[cell_idx, np.arange(n)] = 1.0 / counts[cell_idx]
     return ad.matmul(ad.constant(pool), v_emb)
 
 
@@ -247,8 +245,8 @@ def mask_features(mask: DiffValue, d_c: int, scenes: int = 1) -> DiffValue:
 def append_social_context(base: DiffValue, f_s_prev: DiffValue | None,
                           blocks: SceneBlocks, d: int) -> DiffValue:
     """C = [base || each scene's mean previous-step social features broadcast
-    to its cells]; zeros on the first step or for an empty crowd."""
-    if f_s_prev is None or f_s_prev.data.shape[-2] == 0:
+    to its cells]; zeros on the first step."""
+    if f_s_prev is None:
         social = ad.constant(np.zeros((base.data.shape[-2], d)))
     else:
         mean = ad.matmul(ad.constant(blocks.ped_mean), f_s_prev)

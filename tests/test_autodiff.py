@@ -507,7 +507,7 @@ def test_grad_check_matches_the_per_element_loop():
 
 
 def test_grad_check_report_fails_a_nan_error():
-    report = ad.GradCheckReport(eps=1e-5, per_param={"a": 1e-6, "b": float("nan"), "c": 2e-6})
+    report = ad.GradCheckReport(per_param={"a": 1e-6, "b": float("nan"), "c": 2e-6})
     assert not report.passed()
     assert report.failures() == ["b"]
     assert np.isnan(report.worst)

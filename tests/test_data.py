@@ -93,15 +93,16 @@ def test_load_id_beyond_int64_names_its_line(tmp_path, row):
 
 def test_windows_at_the_int64_limits(tmp_path):
     # ids at both ends of int64, and frame spans wider than int64: the
-    # (ped, frame) keys and f0 + k * stride must neither overflow nor wrap
+    # consecutive rows' frame differences must neither overflow nor wrap
     lo, hi = -2**63, 2**63 - 1
     wide = [(lo, 5), (-1, 5), (hi - 1, 5), (lo, 7), (hi, 7)]  # gaps 2**63 - 1, 2**64 - 1
     edge = [(hi - 20 + k * 10, p) for p in (lo, hi) for k in range(3)]  # stride 10
-    text = "".join(f"{f} {p} {0.5 * i} 1.0\n" for i, (f, p) in enumerate(wide + edge))
-    pts = d.load_dataset(write(tmp_path, text))
-    assert d.infer_stride(pts) == 10
-    for stride in (10, 2**63 - 1):
-        got = d.make_windows(pts, obs_len=2, pred_len=1, stride=stride)
+    only_wide = wide[:3]  # the inferred stride is 2**63 - 1, a span 2**64 - 2
+    for name, rows, stride in (("e.tsv", wide + edge, 10), ("o.tsv", only_wide, 2**63 - 1)):
+        text = "".join(f"{f} {p} {0.5 * i} 1.0\n" for i, (f, p) in enumerate(rows))
+        pts = d.load_dataset(write(tmp_path, text, name))
+        assert d.infer_stride(pts) == stride
+        got = d.make_windows(pts, obs_len=2, pred_len=1)
         want = windows_oracle(list(pts), 2, 1, 32, stride)
         assert [list(zip(b.ped_ids.tolist(), np.swapaxes(b.obs, 0, 1).tolist()))
                 for b in got] == [[(ped, [[p.x, p.y] for p in obs]) for ped, obs, _ in wins]
@@ -202,24 +203,34 @@ def windows_oracle(points, obs_len, pred_len, max_peds, stride):
     return out
 
 
+def smallest_gap(points):
+    """The smallest step between two frames of one pedestrian, 1 if none."""
+    frames = {}
+    for p in points:
+        frames.setdefault(p.ped_id, set()).add(p.frame_id)
+    gaps = [b - a for fs in frames.values() for a, b in zip(sorted(fs), sorted(fs)[1:])]
+    return min(gaps, default=1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([1, 3, 10]))
 def test_make_windows_matches_double_loop_oracle(seed, n_peds, stride):
-    # random tracks with gaps, staggered starts, more than max_peds
-    # pedestrians present at once and repeated (frame, ped) keys, of which
-    # the last point wins
+    # random tracks with gaps, frame steps of stride or 2 * stride, start
+    # frames off the stride's grid, more than max_peds pedestrians present
+    # at once and repeated (frame, ped) keys, of which the last point wins
     g = np.random.default_rng(seed)
     points = []
     for ped in g.permutation(n_peds):
-        start = int(g.integers(0, 8)) * stride
+        start = int(g.integers(0, 8 * stride))
+        step = stride * int(g.integers(1, 3))
         for k in range(int(g.integers(2, 16))):
             for _ in range(1 + (g.random() < 0.05)):
                 if g.random() > 0.1:
                     pan = float(g.uniform(-3.0, 3.0)) if g.random() > 0.2 else None
-                    points.append(d.TrackPoint(start + k * stride, int(ped),
+                    points.append(d.TrackPoint(start + k * step, int(ped),
                                                float(g.normal()), float(g.normal()), pan))
-    got = d.make_windows(points, obs_len=2, pred_len=3, max_peds=3, stride=stride)
-    want = windows_oracle(points, 2, 3, 3, stride)
+    got = d.make_windows(points, obs_len=2, pred_len=3, max_peds=3)
+    want = windows_oracle(points, 2, 3, 3, smallest_gap(points))
     # the positions are drawn at random, so they identify the points
     assert [list(zip(b.ped_ids.tolist(), np.swapaxes(b.obs, 0, 1).tolist(),
                      np.swapaxes(b.target, 0, 1).tolist())) for b in got] == [

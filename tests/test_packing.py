@@ -209,7 +209,6 @@ def test_pack_budget_does_not_change_the_step(tmp_path, monkeypatch):
             assert np.max(np.abs(arr - ref[name])) < 1e-9, name
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("budget", [100, 4], ids=["one-pack", "split"])
 def test_divergence_names_first_bad_scene_of_a_pack(monkeypatch, tmp_path, budget):
     monkeypatch.setattr(tr, "TRAIN_PACK_ROWS", budget)

@@ -48,8 +48,8 @@ def test_module_entry_point_gradcheck(tmp_path):
 
 
 def test_mcr_mpc_without_image_warns_once_per_call(tmp_path):
-    # train() warns once over all of its scenes; the gradient check, whose
-    # forwards run in forked workers, warns nothing
+    # train() warns once over all of its scenes; the gradient check, which
+    # calls the model's run() directly, warns nothing
     (tmp_path / "desk.cfg").write_text(
         "hidden_size = 8\nnum_blocks = 2\nembed_pos = 4\n"
         "embed_vis = 4\nfeature_dim = 4\nzones = 4\ngrid_size = 2\n"
