@@ -154,10 +154,6 @@ class Parameter:
     name: str
     value: DiffValue
 
-    def __post_init__(self):
-        if not self.value.requires_grad:
-            raise ContractError(f"parameter {self.name!r} must require grad")
-
 
 class ParameterSet:
     """Ordered registry of Parameters with unique names."""

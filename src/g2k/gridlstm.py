@@ -13,6 +13,13 @@ num_blocks=1 and cell_units=1 the cell reduces exactly to a textbook LSTM.
 All state is batched: rows are entities, columns the feature axis, so one
 step call advances every pedestrian (or grid cell) at once.
 
+ModelConfig.validate() owns the geometry: it checks that every count is
+positive and that each hidden size and cell input width divides by
+num_blocks, before the model builds a cell. This module does not check it
+again. step() checks only its operands, as any autodiff op does: it raises
+ad.ShapeMismatch when the input width is not num_blocks slices of the rows
+params.wx was built for, or the state's rows are not the inputs'.
+
 A step is a single autodiff node. Its forward runs every block x unit gate
 update in plain NumPy and holds [h_new | c_new]; h and c are column slices of
 it, so a step adds 3 graph nodes. Inside the step the arrays are transposed
@@ -49,41 +56,18 @@ from . import autodiff as ad
 from .autodiff import DiffValue
 
 
-class GridConfigError(ValueError):
-    """Cell geometry that cannot be realized (divisibility, bad counts)."""
-
-
 @dataclass(frozen=True)
 class GridLSTMConfig:
-    """Cell geometry, checked once on construction; frozen, so it stays
-    valid and step() need not check it again."""
+    """Cell geometry, taken as given: ModelConfig.validate() owns its rules
+    (module docstring)."""
 
     hidden_size: int = 128
     num_blocks: int = 4
     cell_units: int = 2
 
-    def __post_init__(self) -> None:
-        for name in ("hidden_size", "num_blocks", "cell_units"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise GridConfigError(f"{name} must be >= 1, got {v!r}")
-        if self.hidden_size % self.num_blocks != 0:
-            raise GridConfigError(
-                f"hidden_size {self.hidden_size} not divisible by "
-                f"num_blocks {self.num_blocks}"
-            )
-
     @property
     def block_hidden(self) -> int:
         return self.hidden_size // self.num_blocks
-
-    def block_input(self, input_len: int) -> int:
-        if input_len % self.num_blocks != 0:
-            raise GridConfigError(
-                f"input width {input_len} not divisible by "
-                f"num_blocks {self.num_blocks}"
-            )
-        return input_len // self.num_blocks
 
 
 @dataclass
@@ -93,14 +77,8 @@ class GridState:
     h: DiffValue
     c: DiffValue
 
-    @property
-    def n_entities(self) -> int:
-        return self.h.data.shape[-2]
-
 
 def init_state(cfg: GridLSTMConfig, n_entities: int) -> GridState:
-    if n_entities < 0:
-        raise GridConfigError(f"n_entities must be >= 0, got {n_entities}")
     z = np.zeros((n_entities, cfg.hidden_size))
     return GridState(h=ad.constant(z), c=ad.constant(z.copy()))
 
@@ -133,7 +111,7 @@ def init_params(
     """Register cell weights under prefix. Forget-gate bias starts at 1.0,
     everything else N(0, std^2); parameter count does not depend on
     num_blocks because blocks share weights."""
-    bi = cfg.block_input(input_len)
+    bi = input_len // cfg.num_blocks
     bh = cfg.block_hidden
 
     def reg(name, shape):
@@ -169,21 +147,15 @@ def step(
     then + depth.
     """
     n, width = inputs.data.shape[-2:]
-    if n != state.n_entities:
-        raise GridConfigError(
-            f"batch mismatch: inputs rows {n} != state entities {state.n_entities}"
-        )
-    bi = cfg.block_input(width)
     bh = cfg.block_hidden
     hs = cfg.hidden_size
     nb, nu = cfg.num_blocks, cfg.cell_units
-    if bi != params.wx.data.shape[-2]:
-        raise GridConfigError(
-            f"input width {width} gives block slices of {bi}, but weights "
-            f"were built for {params.wx.data.shape[-2]}"
+    bi = params.wx.data.shape[-2]
+    if width != nb * bi or state.h.data.shape[-2] != n:
+        raise ad.ShapeMismatch(
+            f"grid step: inputs {inputs.data.shape} need {nb} x {bi} columns "
+            f"and the state's {state.h.data.shape[-2]} rows"
         )
-    if nu > 1 and params.wx_deep is None:
-        raise GridConfigError("cell_units > 1 requires wx_deep")
 
     weights = [params.wx, params.wh, params.wd, params.bias]
     if params.wx_deep is not None:

@@ -193,7 +193,7 @@ class TrajectoryModel:
         """Row-stochastic attention; uniform rows when ablated off."""
         if not self.cfg.attention_enabled:
             n, w = scores.data.shape[-2:]
-            return ad.constant(np.full((n, w), 1.0 / w if w else 0.0))
+            return ad.constant(np.full((n, w), 1.0 / w))
         return ad.stable_softmax(scores)
 
     def message_pass(self, h: DiffValue, static_imp: DiffValue, tau: float) -> DiffValue:

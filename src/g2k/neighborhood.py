@@ -223,9 +223,6 @@ def conv_encode(
     entry. down is one (g, g) map or S stacked (S, g, g) maps; mask is
     (k, 1) and shared by every scene; returns (S*k, d_c)."""
     downs = down if down.ndim == 3 else down[None]
-    k = downs.shape[1] * downs.shape[2]
-    if mask.data.shape[-2:] != (k, 1):
-        raise ad.ShapeMismatch(f"mask must be ({k}, 1), got {mask.data.shape}")
     d_c = w_conv.data.shape[-1]
     patches = np.concatenate([conv_patches(d) for d in downs])
     out = ad.bias_add(ad.matmul(ad.constant(patches), w_conv), b_conv)
@@ -262,11 +259,6 @@ def regularize(f_o: DiffValue, lam: float) -> DiffValue:
 def fuse_mask(f_s: DiffValue, f_o_prime: DiffValue) -> DiffValue:
     """Score every pedestrian against every static row: F = f_S @ f_O'^T,
     (N, S*k); SceneBlocks.own_cells keeps each pedestrian's own scene."""
-    if f_s.data.shape[-1] != f_o_prime.data.shape[-1]:
-        raise ad.ShapeMismatch(
-            f"feature widths differ: social {f_s.data.shape[-1]} "
-            f"vs static {f_o_prime.data.shape[-1]}"
-        )
     return ad.matmul(f_s, ad.transpose(f_o_prime))
 
 

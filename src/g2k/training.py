@@ -73,9 +73,10 @@ class CheckpointError(ValueError):
 def loss_graph(run: KernelRun, targets: np.ndarray) -> DiffValue:
     """Scalar graph node (a stack of them for a stacked run): sum of squared
     coordinate errors over all steps and pedestrians, divided by
-    N * pred_len. A constant 1 m offset at every step yields exactly 1.0. targets is (pred_len, N, 2); for a packed run its
-    rows follow the run's scenes and the loss is the mean of the per-scene
-    losses: scene s's pedestrians weigh N / (S * n_s), 1 for one scene."""
+    N * pred_len. A constant 1 m offset at every step yields exactly 1.0.
+    targets is (pred_len, N, 2); for a packed run its rows follow the run's
+    scenes and the loss is the mean of the per-scene losses: scene s's
+    pedestrians weigh N / (S * n_s), 1 for one scene."""
     n, pred_len = run.positions.data.shape[-2], run.positions.data.shape[-1] // 2
     if targets.shape[0] != pred_len:
         raise InputError(

@@ -572,5 +572,4 @@ def test_package_defines_only_the_mapped_error_classes():
     assert defined == {
         "config.InputError", "training.CheckpointError", "training.DivergenceError",
         "autodiff.ShapeMismatch", "autodiff.ContractError",
-        "gridlstm.GridConfigError",
     }

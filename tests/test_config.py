@@ -3,12 +3,16 @@
 import argparse
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from g2k import autodiff as ad
 from g2k import cli
 from g2k import data as da
+from g2k import model as md
+from g2k import training as tr
 from g2k.config import (VARIANTS, InputError, ModelConfig, TrainConfig,
                         config_items, desk_config, parse_fields,
                         read_key_values)
@@ -54,6 +58,32 @@ def test_reader_routes_keys_and_reports_lines():
         read_key_values("lr = 1\nlr 2\n", TrainConfig)
     with pytest.raises(InputError, match="line 1: unknown key"):
         read_key_values("gravity = 9.8\n", ModelConfig, TrainConfig)
+
+
+GEOMETRY = ("num_blocks", "cell_units", "hidden_size", "static_hidden",
+            "embed_pos", "embed_vis", "static_input_dim")
+
+
+@pytest.mark.parametrize("field", GEOMETRY)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_validate_is_the_only_geometry_check(variant, field):
+    """validate() owns the grid-LSTM geometry: a config it rejects stops the
+    model with an InputError naming the field or a width, and any config it
+    passes builds cells whose forward and backward run."""
+    batch = da.synthesize(da.SyntheticScenario(kind="group_walk", n_peds=2, seed=11,
+                                               obs_len=3, pred_len=2))[0]
+    for value in (-1, 0, 1, 2, 3, 4, 6):
+        cfg = dataclasses.replace(desk_config(variant), **{field: value})
+        try:
+            cfg.validate()
+        except InputError:
+            with pytest.raises(InputError) as err:
+                md.TrajectoryModel(cfg)
+            assert field in str(err.value) or "width" in str(err.value)
+            continue
+        loss = tr.loss_graph(md.TrajectoryModel(cfg).run(batch), da.target_positions(batch))
+        ad.backward(loss)
+        assert np.isfinite(loss.data).all(), (field, value)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def _gate_update(x_term, h_prev, c_prev, depth_term, params, bh):
 
 def composed_step(cfg, inputs, state, params):
     """Reference for gl.step: the same cell as a graph of generic ops."""
-    bi = cfg.block_input(inputs.data.shape[1])
+    bi = inputs.data.shape[1] // cfg.num_blocks
     bh = cfg.block_hidden
     h_slices, c_slices = [], []
     prev_block_h = None
@@ -302,20 +302,15 @@ def test_init_state_shapes_and_zeros():
     assert gl.init_state(cfg, 0).h.data.shape == (0, 128)
 
 
-def test_config_validation():
-    with pytest.raises(gl.GridConfigError):
-        gl.GridLSTMConfig(10, 4, 1)  # 10 % 4 != 0
-    with pytest.raises(gl.GridConfigError):
-        gl.GridLSTMConfig(8, 0, 1)
-    with pytest.raises(gl.GridConfigError):
-        gl.GridLSTMConfig(8, 2, 1).block_input(9)  # 9 % 2 != 0
-
-
 def test_input_width_mismatch_raises():
     cfg, _, params = make_cell()
     state = gl.init_state(cfg, 2)
-    with pytest.raises(gl.GridConfigError):
+    # 12 columns are not 2 blocks of the 4 rows the weights were built for
+    with pytest.raises(ad.ShapeMismatch, match="grid step"):
         gl.step(cfg, ad.constant(np.zeros((2, 12))), state, params)
+    # the right width, but 3 input rows against a 2-row state
+    with pytest.raises(ad.ShapeMismatch, match="grid step"):
+        gl.step(cfg, ad.constant(np.zeros((3, 8))), state, params)
 
 
 def test_zero_everything_is_fixed_point():
