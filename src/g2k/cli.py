@@ -79,6 +79,13 @@ def _add_config_flags(sub: argparse.ArgumentParser, with_variant: bool) -> None:
     _add_field_flags(sub, _TRAIN_FLAGS, TrainConfig)
 
 
+def _out_path(raw: str) -> str:
+    """--out's value; an empty one names no path and is a usage error."""
+    if not raw:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return raw
+
+
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", help="synthetic scenario spec file")
     sub.add_argument("--dataset", help="canonical TSV track file")
@@ -94,21 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = subs.add_parser("train", help="fit a variant, write ckpt + log")
     _add_config_flags(p_train, with_variant=True)
     _add_data_flags(p_train)
-    p_train.add_argument("--out", required=True, help="output directory")
+    p_train.add_argument("--out", required=True, type=_out_path, help="output directory")
 
     p_eval = subs.add_parser("eval", help="score a checkpoint or the baseline")
     p_eval.add_argument("--ckpt")
     p_eval.add_argument("--baseline", action="store_true",
                         help="constant-velocity reference, no checkpoint")
     _add_data_flags(p_eval)
-    p_eval.add_argument("--out", help="write the report CSV here")
+    p_eval.add_argument("--out", type=_out_path, help="write the report CSV here")
     _add_field_flags(p_eval, _MODEL_FLAGS, ModelConfig)
 
     p_viz = subs.add_parser("viz", help="export adjacency, attention, heatmap")
     p_viz.add_argument("--ckpt", required=True)
     _add_data_flags(p_viz)
     p_viz.add_argument("--scene", type=int, default=0, help="batch index")
-    p_viz.add_argument("--out", required=True, help="output directory")
+    p_viz.add_argument("--out", required=True, type=_out_path, help="output directory")
 
     p_grad = subs.add_parser("gradcheck", help="finite-difference gradient audit")
     g = p_grad.add_mutually_exclusive_group(required=True)
@@ -117,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = subs.add_parser("synth", help="emit a synthetic scenario as TSV")
     p_synth.add_argument("--scenario", required=True)
-    p_synth.add_argument("--out", required=True, help="output TSV path")
+    p_synth.add_argument("--out", required=True, type=_out_path, help="output TSV path")
 
     return parser
 
@@ -254,7 +261,7 @@ def cmd_eval(args) -> int:
             print(f"invariant violated: {p}", file=sys.stderr)
         return 1
     sys.stdout.write(ev.report_table(report))
-    if args.out:
+    if args.out is not None:
         ev.write_report_csv(report, args.out)
         print(f"report {args.out}")
     return 0

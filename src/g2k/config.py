@@ -16,6 +16,8 @@ import os
 from dataclasses import dataclass, fields
 
 VARIANTS = ("g_lstm", "mc", "mcr_n", "mcr_mp", "mcr_mpc")
+RELATIONAL = ("mcr_n", "mcr_mp", "mcr_mpc")
+STATIC = ("mcr_mp", "mcr_mpc")  # the variants with a static grid cell
 
 
 class InputError(ValueError):
@@ -27,8 +29,9 @@ class InputError(ValueError):
 class ModelConfig:
     """Architecture hyperparameters.
 
-    hidden_size, static_hidden and each cell input width must divide evenly
-    into num_blocks slices (checked in validate).
+    hidden_size and the social input width must divide evenly into
+    num_blocks slices, and so must static_hidden and static_input_dim in
+    the variants with a static grid cell (checked in validate).
     """
 
     variant: str = "mcr_mp"
@@ -62,10 +65,12 @@ class ModelConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise InputError(f"{name} must be a positive integer, got {v!r}")
-        for name, width in (("hidden_size", self.hidden_size),
-                            ("static_hidden", self.static_hidden),
-                            ("social input width", self.social_input_width()),
-                            ("static_input_dim", self.static_input_dim)):
+        widths = [("hidden_size", self.hidden_size),
+                  ("social input width", self.social_input_width())]
+        if self.variant in STATIC:
+            widths += [("static_hidden", self.static_hidden),
+                       ("static_input_dim", self.static_input_dim)]
+        for name, width in widths:
             if width % self.num_blocks != 0:
                 raise InputError(
                     f"{name} {width} not divisible by num_blocks {self.num_blocks}"
@@ -108,6 +113,8 @@ class TrainConfig:
             raise InputError(f"lr must be nonnegative, got {self.lr}")
         if self.clip_norm < 0:
             raise InputError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def config_items(cfg) -> list[tuple[str, str]]:

@@ -36,9 +36,10 @@ class TrackPoint:
 class Tracks:
     """A dataset as columns, one row per point, sorted by (ped, frame) with
     one point per key: frame and ped (n,) int64, xy (n, 2) float64 and pan
-    (n,) float64, NaN where a point has no pan. len() counts the points;
-    iterating yields them as TrackPoints of Python numbers, so write_dataset
-    takes Tracks as they are."""
+    (n,) float64, NaN where a point has no pan. load_dataset and
+    scenario_points make them and make_windows takes them. len() counts the
+    points; iterating yields them as TrackPoints of Python numbers, so
+    write_dataset takes Tracks as they are."""
 
     frame: np.ndarray
     ped: np.ndarray
@@ -117,6 +118,8 @@ class SyntheticScenario:
             raise InputError("noise_sigma must be >= 0")
         if self.obs_len < 2 or self.pred_len < 1:
             raise InputError("obs_len >= 2 and pred_len >= 1 required")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _wrap_angle(a: float) -> float:
@@ -186,23 +189,6 @@ def _parse_row(cols: list[str]) -> tuple[int, int, float, float, float]:
     return frame, ped, x, y, pan
 
 
-def _as_tracks(points: Tracks | Iterable[TrackPoint]) -> Tracks:
-    """points as Tracks; of points with the same (frame, ped) the last wins."""
-    if isinstance(points, Tracks):
-        return points
-    pts = list(points)
-    frame = np.array([p.frame_id for p in pts], dtype=np.int64)
-    ped = np.array([p.ped_id for p in pts], dtype=np.int64)
-    order = np.lexsort((frame, ped))  # equal keys stay in their own order
-    fo, po = frame[order], ped[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = (fo[1:] != fo[:-1]) | (po[1:] != po[:-1])
-    keep = order[last]
-    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64).reshape(-1, 2)
-    pan = np.array([math.nan if p.pan is None else p.pan for p in pts], dtype=np.float64)
-    return Tracks(frame[keep], ped[keep], xy[keep], pan[keep])
-
-
 def write_dataset(points: Iterable[TrackPoint], path: str) -> None:
     """Inverse of load_dataset up to whitespace and row order: floats are
     written with repr so values round-trip bit-exactly. The file is
@@ -230,13 +216,13 @@ def infer_stride(t: Tracks) -> int:
 
 
 def make_windows(
-    points: Tracks | Iterable[TrackPoint],
+    t: Tracks,
     obs_len: int = 8,
     pred_len: int = 12,
     max_peds: int = 32,
 ) -> list[SceneBatch]:
-    """Cut the tracks into (obs_len + pred_len)-frame windows at the
-    inferred stride s.
+    """Cut the tracks, as load_dataset or scenario_points make them, into
+    (obs_len + pred_len)-frame windows at the inferred stride s.
 
     A pedestrian's window is a run of obs_len + pred_len consecutive rows of
     the (ped, frame)-sorted points whose frames step by exactly s, so a gap
@@ -246,7 +232,6 @@ def make_windows(
     """
     if obs_len < 2 or pred_len < 1:
         raise InputError("obs_len >= 2 and pred_len >= 1 required")
-    t = _as_tracks(points)
     rows = _spans(t, obs_len + pred_len, infer_stride(t))
     if not rows.size:
         return []
@@ -300,8 +285,10 @@ def obs_vislets(batch: SceneBatch) -> np.ndarray | None:
 # synthetic crowds
 
 
-def scenario_points(scenario: SyntheticScenario) -> list[TrackPoint]:
-    """Deterministic crowds with head poses aligned to walking direction.
+def scenario_points(scenario: SyntheticScenario) -> Tracks:
+    """Deterministic crowds with head poses aligned to walking direction, as
+    Tracks built one pedestrian's columns at a time, pedestrians in id order
+    from 0 and frames 10 apart.
 
     constant_velocity: straight tracks, ped 0 exactly along +x, others fanned
     around the circle. crossing_pair: one track along +x, one along +y,
@@ -313,23 +300,20 @@ def scenario_points(scenario: SyntheticScenario) -> list[TrackPoint]:
     rng = np.random.default_rng(scenario.seed)
     T = scenario.obs_len + scenario.pred_len
     dt = DT_SECONDS
-    frame_stride = 10
-    points: list[TrackPoint] = []
+    xys: list[np.ndarray] = []
+    pans: list[np.ndarray] = []
 
     def speed() -> float:
         if scenario.speed_min == scenario.speed_max:
             return scenario.speed_min
         return float(rng.uniform(scenario.speed_min, scenario.speed_max))
 
-    def emit(ped: int, xs: np.ndarray, ys: np.ndarray, pans: list[float]):
+    def emit(xs: np.ndarray, ys: np.ndarray, heading: list[float]):
         if scenario.noise_sigma > 0:
             xs = xs + rng.normal(0.0, scenario.noise_sigma, T)
             ys = ys + rng.normal(0.0, scenario.noise_sigma, T)
-        for j in range(T):
-            points.append(
-                TrackPoint(j * frame_stride, ped, float(xs[j]), float(ys[j]),
-                           _wrap_angle(pans[j]))
-            )
+        xys.append(np.stack([xs, ys], axis=1))
+        pans.append(np.array([_wrap_angle(a) for a in heading]))
 
     j = np.arange(T, dtype=np.float64)
     if scenario.kind == "constant_velocity":
@@ -339,14 +323,14 @@ def scenario_points(scenario: SyntheticScenario) -> list[TrackPoint]:
             x0, y0 = (0.0, 3.0 * i) if i else (0.0, 0.0)
             xs = x0 + j * (v * dt * math.cos(theta))
             ys = y0 + j * (v * dt * math.sin(theta))
-            emit(i, xs, ys, [theta] * T)
+            emit(xs, ys, [theta] * T)
     elif scenario.kind == "crossing_pair":
         v0, v1 = speed(), speed()
         half = (T - 1) / 2.0
         xs0 = -v0 * dt * half + j * (v0 * dt)
-        emit(0, xs0, np.zeros(T), [0.0] * T)
+        emit(xs0, np.zeros(T), [0.0] * T)
         ys1 = -v1 * dt * half + j * (v1 * dt)
-        emit(1, np.zeros(T), ys1, [math.pi / 2.0] * T)
+        emit(np.zeros(T), ys1, [math.pi / 2.0] * T)
     else:  # group_walk
         omega = 0.15  # rad per step; the arc that defeats straight extrapolation
         base_theta = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -358,19 +342,22 @@ def scenario_points(scenario: SyntheticScenario) -> list[TrackPoint]:
             xs = np.empty(T)
             ys = np.empty(T)
             xs[0], ys[0] = float(off[0]), float(off[1])
-            pans = [th0]
+            heading = [th0]
             for k in range(1, T):
                 th = th0 + omega * (k - 1)
                 xs[k] = xs[k - 1] + sp * dt * math.cos(th)
                 ys[k] = ys[k - 1] + sp * dt * math.sin(th)
-                pans.append(th0 + omega * k)
-            emit(i, xs, ys, pans)
+                heading.append(th0 + omega * k)
+            emit(xs, ys, heading)
 
-    return points
+    n = len(xys)
+    return Tracks(np.tile(np.arange(T, dtype=np.int64) * 10, n),
+                  np.repeat(np.arange(n, dtype=np.int64), T),
+                  np.concatenate(xys), np.concatenate(pans))
 
 
 def synthesize(scenario: SyntheticScenario) -> list[SceneBatch]:
-    """Scenario points windowed into scene batches."""
+    """Scenario tracks windowed into scene batches."""
     return make_windows(scenario_points(scenario), scenario.obs_len, scenario.pred_len)
 
 

@@ -16,9 +16,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as da
-from .config import InputError, ModelConfig, TrainConfig, config_hash, write_text
+from .config import (RELATIONAL, InputError, ModelConfig, TrainConfig, config_hash,
+                     write_text)
 from .data import SceneBatch
-from .model import RELATIONAL, TrajectoryModel
+from .model import TrajectoryModel
 from .training import pack_rows, train
 
 

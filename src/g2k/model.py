@@ -36,10 +36,7 @@ from . import data as da
 from . import gridlstm as gl
 from . import neighborhood as nb
 from .autodiff import DiffValue
-from .config import InputError, ModelConfig
-
-RELATIONAL = ("mcr_n", "mcr_mp", "mcr_mpc")
-STATIC = ("mcr_mp", "mcr_mpc")
+from .config import RELATIONAL, STATIC, InputError, ModelConfig
 
 
 @dataclass
@@ -246,19 +243,6 @@ class TrajectoryModel:
             for b in scenes
         ])
 
-    def _cells(self, obs: np.ndarray, blocks: nb.SceneBlocks) -> np.ndarray:
-        """(obs_len, N) static row of every pedestrian at every observed
-        step, from bounds fitted to its own scene's observed positions."""
-        cells = np.empty(obs.shape[:2], dtype=np.int64)
-        start = 0
-        for s, n in enumerate(blocks.sizes):
-            pts = obs[:, start : start + n]
-            idx = nb.assign_cells(pts.reshape(-1, 2), nb.bounds_from_positions(pts),
-                                  self.cfg.grid_size)
-            cells[:, start : start + n] = s * blocks.k + idx.reshape(-1, n)
-            start += n
-        return cells
-
     def run(self, scenes: da.SceneBatch | Sequence[da.SceneBatch]) -> KernelRun:
         """Unroll the observed steps of one scene, or of several packed into
         one graph, then decode pred_len offsets from the final social state
@@ -293,7 +277,7 @@ class TrajectoryModel:
 
         if static_on:
             k = cfg.num_cells
-            cells = self._cells(obs, blocks)
+            cells = blocks.static_rows(obs, cfg.grid_size)
             static_state = gl.init_state(self.static_cfg, blocks.count * k)
             a_cells = nb.uniform_cell_attention(k, blocks.count)
             f_s_prev: DiffValue | None = None

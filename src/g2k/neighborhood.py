@@ -2,20 +2,20 @@
 context per cell, pool pedestrian gaze cues by occupancy, and weight cells by
 attention carried over from the previous step.
 
-The grid works in world coordinates. Bounds come from the batch's observed
-positions so every pedestrian lands in a cell; the scene image (optional) is
-mean-pooled down to the same grid before a single 3x3 same-padded
-convolution realized as an im2col matmul.
+The grid works in world coordinates. Its box is fitted to each scene's
+observed positions so every pedestrian lands in a cell; the scene image
+(optional) is mean-pooled down to the same grid before a single 3x3
+same-padded convolution realized as an im2col matmul.
 
 Several scenes can share one graph. Their pedestrians are stacked row-wise
-and each scene has its own k static rows, its own bounds and its own cell
-attention; SceneBlocks holds the constant matrices that move values between
-those rows without letting scenes mix.
+and each scene has its own k static rows, its own box and its own cell
+attention. SceneBlocks is the one owner of that layout: it maps the packed
+positions to static rows in one vectorised lookup and holds the constant
+matrices that move values between those rows without letting scenes mix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,20 +25,7 @@ from .autodiff import DiffValue
 from .config import InputError
 
 
-@dataclass(frozen=True)
-class GridBounds:
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-
-    @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
+_MARGIN = 1e-6  # box inflation; a narrower extent is widened to 1 m
 
 
 class SceneBlocks:
@@ -102,6 +89,20 @@ class SceneBlocks:
         """(N, N) bool: both pedestrians belong to one scene."""
         return self.scene_of[:, None] == self.scene_of[None, :]
 
+    def static_rows(self, obs: np.ndarray, grid_size: int) -> np.ndarray:
+        """(obs_len, N) static row of every pedestrian at every step of the
+        packed (obs_len, N, 2) positions: s*k plus the row-major cell of a
+        grid_size x grid_size grid over scene s's own observed box, slightly
+        inflated so max-edge points still fall inside the last cell."""
+        starts = np.cumsum([0] + self.sizes[:-1])
+        lo = np.minimum.reduceat(obs.min(axis=0), starts)  # (S, 2)
+        hi = np.maximum.reduceat(obs.max(axis=0), starts)
+        hi = np.where(hi - lo < _MARGIN, lo + 1.0, hi) + _MARGIN
+        lo, extent = lo[self.scene_of], (hi - lo)[self.scene_of]
+        col, row = np.clip(((obs - lo) / extent * grid_size).astype(np.int64),
+                           0, grid_size - 1).transpose(2, 0, 1)
+        return self.scene_of * self.k + row * grid_size + col
+
     def own_cells(self, scores: DiffValue) -> DiffValue:
         """(N, S*k) pedestrian-by-static-row scores to (N, k): each
         pedestrian keeps the k cells of its own scene."""
@@ -133,35 +134,6 @@ class SceneBlocks:
             solo = np.array(self.sizes)[self.scene_of] == 1
             mask[np.diag_indices(self.n)] = np.where(solo, 0.0, -1e30)
         return mask
-
-
-_MARGIN = 1e-6  # box inflation; a narrower extent is widened to 1 m
-
-
-def bounds_from_positions(positions: np.ndarray) -> GridBounds:
-    """Tight box around (T, N, 2) or (N, 2) positions, slightly inflated so
-    max-edge points still fall inside the last cell."""
-    pts = positions.reshape(-1, 2)
-    xmin, ymin = pts.min(axis=0)
-    xmax, ymax = pts.max(axis=0)
-    if xmax - xmin < _MARGIN:
-        xmax = xmin + 1.0
-    if ymax - ymin < _MARGIN:
-        ymax = ymin + 1.0
-    return GridBounds(float(xmin), float(xmax) + _MARGIN, float(ymin), float(ymax) + _MARGIN)
-
-
-def assign_cells(positions: np.ndarray, bounds: GridBounds, grid_size: int) -> np.ndarray:
-    """Row-major cell index per pedestrian, (N,) ints in [0, grid_size^2)."""
-    col = np.clip(
-        ((positions[:, 0] - bounds.xmin) / bounds.width * grid_size).astype(np.int64),
-        0, grid_size - 1,
-    )
-    row = np.clip(
-        ((positions[:, 1] - bounds.ymin) / bounds.height * grid_size).astype(np.int64),
-        0, grid_size - 1,
-    )
-    return row * grid_size + col
 
 
 def occupancy_pool(v_emb: DiffValue, cell_idx: np.ndarray, k: int) -> DiffValue:

@@ -306,8 +306,8 @@ def train(
     Scenes that lack the image an mcr_mpc model reads are counted in one
     warning for the call (TrajectoryModel.warn_missing_images).
     """
-    model = TrajectoryModel(model_cfg, seed=train_cfg.seed)  # validates model_cfg
     train_cfg.validate()
+    model = TrajectoryModel(model_cfg, seed=train_cfg.seed)  # validates model_cfg
     if not batches:
         raise InputError("no training batches")
     opt = make_optimizer(train_cfg)

@@ -10,6 +10,7 @@ import pytest
 import g2k
 from g2k import autodiff as ad
 from g2k import data as da
+from g2k import evaluation as ev
 from g2k import training as tr
 from g2k.cli import entry
 from g2k.config import VARIANTS
@@ -312,7 +313,7 @@ def test_synth_roundtrip(ws, capsys):
     capsys.readouterr()
     points = da.load_dataset(str(path))
     sc = da.load_scenario(str(ws / "walk.cfg"))
-    assert list(points) == da.scenario_points(sc)
+    assert list(points) == list(da.scenario_points(sc))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +497,74 @@ def test_static_hidden_not_divisible_by_blocks_is_usage_error(ws, capsys):
     # desk.cfg has num_blocks = 2
     assert run_train(ws, "--static-hidden", "7", variant="mcr_mp") == 2
     assert "static_hidden" in capsys.readouterr().err
+    (ws / "desk.cfg").write_text(DESK_CFG + "static_hidden = 3\n")
+    assert run_train(ws, variant="mcr_mp") == 2
+    err = capsys.readouterr().err
+    assert "static_hidden 3" in err and "Traceback" not in err
+    assert not (ws / "run").exists()
+
+
+@pytest.mark.parametrize("variant,argv,line", [
+    ("g_lstm", [], "static_hidden = 3"),
+    ("mc", ["--static-input", "3"], ""),
+    ("mcr_n", ["--static-hidden", "3", "--static-input", "5"], ""),
+], ids=["g_lstm-config", "mc-flag", "mcr_n-flags"])
+def test_static_widths_bind_only_variants_with_a_static_cell(ws, capsys, variant,
+                                                             argv, line):
+    # desk.cfg has num_blocks = 2; a variant without a static grid cell
+    # never splits static_hidden or static_input_dim into blocks
+    (ws / "desk.cfg").write_text(DESK_CFG + line + "\n")
+    assert run_train(ws, *argv, variant=variant) == 0
+    assert capsys.readouterr().err == ""
+    assert (ws / "run" / "ckpt").exists()
+
+
+@pytest.mark.parametrize("route", ["train-flag", "train-scenario", "synth"])
+def test_negative_seed_is_usage_error(ws, capsys, route):
+    (ws / "neg.cfg").write_text(WALK_CFG + "seed = -1\n")
+    if route == "train-flag":
+        code = run_train(ws, "--seed", "-1")
+    elif route == "train-scenario":
+        code = entry(["train", "--variant", "mcr_n", "--config", str(ws / "desk.cfg"),
+                      "--scenario", str(ws / "neg.cfg"), "--out", str(ws / "run")])
+    else:
+        code = entry(["synth", "--scenario", str(ws / "neg.cfg"),
+                      "--out", str(ws / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "seed must be >= 0, got -1" in err
+    assert not (ws / "run").exists()
+
+
+def test_ckpt_with_negative_seed_exits_4(ws, capsys):
+    # the seed rebuilds the model's initial parameters, so restore() reads it
+    path = ws / "ckpt"
+    model = TrajectoryModel(desk_config("mcr_n"), seed=7)
+    tr.save_checkpoint(str(path), model, TrainConfig(epochs=1, seed=-1), 1, [0.5])
+    assert entry(["eval", "--ckpt", str(path), "--scenario", str(ws / "walk.cfg")]) == 4
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--variant", "mcr_n", "--config", "{cfg}", "--scenario", "{walk}"],
+    ["eval", "--baseline", "--scenario", "{walk}"],
+    ["eval", "--ckpt", "{ckpt}", "--scenario", "{walk}"],
+    ["viz", "--ckpt", "{ckpt}", "--scenario", "{walk}"],
+    ["synth", "--scenario", "{walk}"],
+], ids=["train", "eval-baseline", "eval-ckpt", "viz", "synth"])
+def test_empty_out_is_usage_error(ws, desk_ckpt, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    for owner, name in ((tr, "train"), (ev, "evaluate"), (ev, "evaluate_baseline"),
+                        (da, "scenario_points")):
+        monkeypatch.setattr(owner, name, no_work)
+    names = {"cfg": ws / "desk.cfg", "walk": ws / "walk.cfg", "ckpt": desk_ckpt}
+    assert entry([a.format(**names) for a in argv] + ["--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "must not be empty" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])

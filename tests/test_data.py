@@ -145,8 +145,17 @@ def track(ped, n, f0=0, s=10, x0=0.0):
     return [d.TrackPoint(f0 + i * s, ped, x0 + 0.4 * i, 0.0) for i in range(n)]
 
 
+def as_tracks(points):
+    """Tracks of TrackPoints with distinct (frame, ped) keys."""
+    pts = sorted(points, key=lambda p: (p.ped_id, p.frame_id))
+    return d.Tracks(np.array([p.frame_id for p in pts], dtype=np.int64),
+                    np.array([p.ped_id for p in pts], dtype=np.int64),
+                    np.array([(p.x, p.y) for p in pts], dtype=np.float64).reshape(-1, 2),
+                    np.array([math.nan if p.pan is None else p.pan for p in pts]))
+
+
 def test_exact_fit_gives_one_window():
-    batches = d.make_windows(track(1, 20))
+    batches = d.make_windows(as_tracks(track(1, 20)))
     assert len(batches) == 1
     assert batches[0].n_peds == 1
     assert batches[0].obs.shape == (8, 1, 2)
@@ -154,24 +163,24 @@ def test_exact_fit_gives_one_window():
 
 
 def test_21_samples_give_two_windows():
-    batches = d.make_windows(track(1, 21))
+    batches = d.make_windows(as_tracks(track(1, 21)))
     assert sum(b.n_peds for b in batches) == 2
 
 
 def test_seven_frame_overlap_never_shares_a_batch():
     pts = track(1, 20, f0=0) + track(2, 20, f0=130)
-    for b in d.make_windows(pts):
+    for b in d.make_windows(as_tracks(pts)):
         assert b.n_peds == 1
 
 
 def test_gap_breaks_coverage():
     pts = [p for p in track(1, 21) if p.frame_id != 100]
-    assert d.make_windows(pts) == []
+    assert d.make_windows(as_tracks(pts)) == []
 
 
 def test_windowing_is_loss_free():
     pts = track(1, 25)
-    for b in d.make_windows(pts):
+    for b in d.make_windows(as_tracks(pts)):
         joined = np.concatenate([b.obs[:, 0], b.target[:, 0]]).tolist()
         # every point of the track has its own position
         i0 = next(i for i, p in enumerate(pts) if [p.x, p.y] == joined[0])
@@ -180,7 +189,7 @@ def test_windowing_is_loss_free():
 
 def test_neighborhood_cap_keeps_lowest_ids():
     pts = track(3, 20) + track(1, 20) + track(2, 20)
-    b = d.make_windows(pts, max_peds=2)[0]
+    b = d.make_windows(as_tracks(pts), max_peds=2)[0]
     assert b.ped_ids.tolist() == [1, 2]
 
 
@@ -216,20 +225,19 @@ def smallest_gap(points):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([1, 3, 10]))
 def test_make_windows_matches_double_loop_oracle(seed, n_peds, stride):
     # random tracks with gaps, frame steps of stride or 2 * stride, start
-    # frames off the stride's grid, more than max_peds pedestrians present
-    # at once and repeated (frame, ped) keys, of which the last point wins
+    # frames off the stride's grid and more than max_peds pedestrians
+    # present at once
     g = np.random.default_rng(seed)
     points = []
     for ped in g.permutation(n_peds):
         start = int(g.integers(0, 8 * stride))
         step = stride * int(g.integers(1, 3))
         for k in range(int(g.integers(2, 16))):
-            for _ in range(1 + (g.random() < 0.05)):
-                if g.random() > 0.1:
-                    pan = float(g.uniform(-3.0, 3.0)) if g.random() > 0.2 else None
-                    points.append(d.TrackPoint(start + k * step, int(ped),
-                                               float(g.normal()), float(g.normal()), pan))
-    got = d.make_windows(points, obs_len=2, pred_len=3, max_peds=3)
+            if g.random() > 0.1:
+                pan = float(g.uniform(-3.0, 3.0)) if g.random() > 0.2 else None
+                points.append(d.TrackPoint(start + k * step, int(ped),
+                                           float(g.normal()), float(g.normal()), pan))
+    got = d.make_windows(as_tracks(points), obs_len=2, pred_len=3, max_peds=3)
     want = windows_oracle(points, 2, 3, 3, smallest_gap(points))
     # the positions are drawn at random, so they identify the points
     assert [list(zip(b.ped_ids.tolist(), np.swapaxes(b.obs, 0, 1).tolist(),
@@ -247,7 +255,7 @@ def test_make_windows_matches_double_loop_oracle(seed, n_peds, stride):
 def test_batch_windows_share_frames():
     # both tracks sit at x = 0.04 * frame, so equal positions mean equal frames
     pts = track(1, 22) + track(2, 22)
-    for b in d.make_windows(pts):
+    for b in d.make_windows(as_tracks(pts)):
         assert b.n_peds == 2
         assert np.array_equal(b.obs[:, 0], b.obs[:, 1])
         assert np.array_equal(b.target[:, 0], b.target[:, 1])

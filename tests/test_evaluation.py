@@ -129,7 +129,8 @@ def test_baseline_exact_on_constant_velocity():
 
 
 def test_baseline_stationary_repeats_last_position():
-    pts = [da.TrackPoint(frame_id=f, ped_id=0, x=2.5, y=-1.0) for f in range(0, 50, 10)]
+    pts = da.Tracks(np.arange(0, 50, 10, dtype=np.int64), np.zeros(5, dtype=np.int64),
+                    np.tile([2.5, -1.0], (5, 1)), np.full(5, np.nan))
     (batch,) = da.make_windows(pts, obs_len=3, pred_len=2)
     pred = ev.baseline_predictions(batch)
     assert np.allclose(pred, [[[2.5, -1.0], [2.5, -1.0]]], atol=1e-12)
@@ -234,7 +235,8 @@ def sweep_cfg(variant="mcr_mp"):
 
 def test_cap_scene_regains_vislets_of_kept_pedestrians():
     sc = da.SyntheticScenario(n_peds=3, seed=1, obs_len=3, pred_len=2)
-    pts = [p if p.ped_id < 2 else replace(p, pan=None) for p in da.scenario_points(sc)]
+    pts = da.scenario_points(sc)
+    pts.pan[pts.ped == 2] = np.nan
     (batch,) = da.make_windows(pts, obs_len=3, pred_len=2)
     assert da.obs_vislets(batch) is None  # ped 2 has no pan
     capped = ev._cap_scene(batch, 2)

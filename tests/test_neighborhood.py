@@ -1,8 +1,11 @@
-"""Static-grid checks: cell assignment, occupancy pooling, the im2col
-convolution against a direct oracle, and the attention-weighted cell path."""
+"""Static-grid checks: the vectorised cell lookup against the per-scene
+loop, occupancy pooling, the im2col convolution against a direct oracle, and
+the attention-weighted cell path."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2k import autodiff as ad
 from g2k import neighborhood as nb
@@ -12,24 +15,70 @@ from finite_differences import assert_stacked_differences_match
 
 
 def test_bounds_cover_all_points():
-    pts = np.array([[0.0, -2.0], [5.0, 3.0], [2.5, 0.0]])
-    b = nb.bounds_from_positions(pts)
-    idx = nb.assign_cells(pts, b, 4)
-    assert idx.shape == (3,)
-    assert np.all((idx >= 0) & (idx < 16))
+    obs = np.array([[[0.0, -2.0], [5.0, 3.0], [2.5, 0.0]]])
+    rows = nb.SceneBlocks([3], 16).static_rows(obs, 4)
+    assert rows.shape == (1, 3)
+    assert np.all((rows >= 0) & (rows < 16))
 
 
 def test_assign_cells_corners():
-    b = nb.GridBounds(0.0, 4.0, 0.0, 4.0)
-    pts = np.array([[0.1, 0.1], [3.9, 0.1], [0.1, 3.9], [3.9, 3.9]])
-    assert nb.assign_cells(pts, b, 2).tolist() == [0, 1, 2, 3]
+    # each scene's box is its own 4 m square; the second scene lies far away
+    # and its cells follow the first scene's k = 4 static rows
+    square = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
+    obs = np.concatenate([square, square + [1e6, -1e6]])[None]
+    rows = nb.SceneBlocks([4, 4], 4).static_rows(obs, 2)
+    assert rows.tolist() == [[0, 1, 2, 3, 4, 5, 6, 7]]
 
 
 def test_degenerate_bounds_still_finite():
-    pts = np.zeros((3, 2))
-    b = nb.bounds_from_positions(pts)
-    assert b.width > 0 and b.height > 0
-    assert np.all(nb.assign_cells(pts, b, 4) == 0)
+    # an extent under the margin is widened to 1 m: all-equal points share
+    # cell 0, and points on one line spread along the other axis only
+    blocks = nb.SceneBlocks([3], 16)
+    assert np.all(blocks.static_rows(np.zeros((2, 3, 2)), 4) == 0)
+    line = np.array([[[0.0, 7.0], [1.0, 7.0], [2.0, 7.0]]])
+    assert blocks.static_rows(line, 4).tolist() == [[0, 1, 3]]
+
+
+def static_rows_loop(obs, sizes, grid_size):
+    """The per-scene loop static_rows replaced: fit each scene's box to its
+    observed points, widen and inflate it, assign cells, offset by s*k."""
+    margin = 1e-6
+    rows = np.empty(obs.shape[:2], dtype=np.int64)
+    start = 0
+    for s, n in enumerate(sizes):
+        pts = obs[:, start : start + n].reshape(-1, 2)
+        xmin, ymin = pts.min(axis=0)
+        xmax, ymax = pts.max(axis=0)
+        if xmax - xmin < margin:
+            xmax = xmin + 1.0
+        if ymax - ymin < margin:
+            ymax = ymin + 1.0
+        xmax, ymax = float(xmax) + margin, float(ymax) + margin
+        col = np.clip(((pts[:, 0] - xmin) / (xmax - xmin) * grid_size).astype(np.int64),
+                      0, grid_size - 1)
+        row = np.clip(((pts[:, 1] - ymin) / (ymax - ymin) * grid_size).astype(np.int64),
+                      0, grid_size - 1)
+        rows[:, start : start + n] = (s * grid_size**2 + row * grid_size + col).reshape(-1, n)
+        start += n
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5), st.integers(1, 4))
+def test_static_rows_match_the_per_scene_loop(seed, scenes, grid_size, obs_len):
+    # per scene: spread points, all-equal coordinates, one axis constant or an
+    # extent around the margin, each scene shifted near or far from the others
+    g = np.random.default_rng(seed)
+    sizes = g.integers(1, 6, scenes).tolist()
+    parts = []
+    for n in sizes:
+        pts = g.normal(size=(obs_len, n, 2)) * g.choice([1e-9, 1e-6, 1.0, 50.0], 2)
+        pts[..., g.random(2) < 0.2] = 0.0
+        parts.append(pts + g.choice([0.0, 3.0, -1e6, 1e9], 2))
+    obs = np.concatenate(parts, axis=1)
+    want = static_rows_loop(obs, sizes, grid_size)
+    got = nb.SceneBlocks(sizes, grid_size**2).static_rows(obs, grid_size)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_occupancy_pool_single_occupant():

@@ -195,6 +195,11 @@ def test_empty_batches_rejected():
         tr.train([], desk_config("g_lstm"), TrainConfig())
 
 
+def test_negative_seed_rejected_before_the_model_is_seeded():
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        tr.train(cv_batches(), desk_config("g_lstm"), TrainConfig(seed=-1))
+
+
 def test_history_and_log_shape():
     batches = cv_batches()
     tc = TrainConfig(epochs=3, batch_size=2, lr=0.01, optimizer="sgd", seed=0)
